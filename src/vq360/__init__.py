@@ -45,12 +45,10 @@ from .mask import (
     exact_mask,
     exact_membership,
     jaccard_index,
-    load_mask_bank,
     load_mask_npz,
     nearest_center_index,
     nearest_mask,
     project_viewport,
-    save_mask_bank,
     write_mask_npz,
     write_mask_pgm,
 )

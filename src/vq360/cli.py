@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``mask`` exports a projected or exact viewport mask,
-``bank`` builds and caches a precomputed mask bank, ``evaluate`` scores
-one session trace, ``study`` runs batch experiments from a manifest and
-emits aggregate tables, and ``synth-trace`` generates a seeded random
-walk.  Angles are degrees, segment lengths are milliseconds.  Exit
-codes: 2 for usage errors, 3 for malformed data, 4 for I/O failures.
+``evaluate`` scores one session trace, ``study`` runs batch experiments
+from a manifest and emits aggregate tables, and ``synth-trace``
+generates a seeded random walk.  Angles are degrees, segment lengths
+are milliseconds.  Exit codes: 2 for usage errors, 3 for malformed
+data, 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .geometry import (
@@ -27,12 +26,8 @@ from .grade import load_footprint_json, variant_layout_26
 from .mask import (
     DEFAULT_SAMPLES_PER_SIDE,
     _atomic_write_bytes,
-    bank_manifest,
-    build_mask_bank,
     exact_mask,
-    load_mask_bank,
     project_viewport,
-    save_mask_bank,
     write_mask_npz,
     write_mask_pgm,
 )
@@ -112,12 +107,6 @@ def _footprint_from_flag(flag: str):
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fov", default=DEFAULT_FOV, help="horizontal,vertical field of view in degrees")
     parser.add_argument("--resolution", default=DEFAULT_RESOLUTION, help="frame size as WIDTHxHEIGHT pixels")
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=DEFAULT_SAMPLES_PER_SIDE,
-        help="boundary samples per viewport side",
-    )
 
 
 def _add_session_flags(parser: argparse.ArgumentParser) -> None:
@@ -137,7 +126,6 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
         help="project the mask per frame (vaqm) or reuse the nearest precomputed mask (avaqm)",
     )
     parser.add_argument("--grid", help="bank grid as ROWSxCOLS (avaqm)")
-    parser.add_argument("--bank", help="directory caching the bank on disk (avaqm)")
     parser.add_argument(
         "--footprint",
         default="area+neighbors",
@@ -166,27 +154,7 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
         avaqm_grid=grid,
         t_q=args.t_q,
         normalization=args.normalization,
-        samples_per_side=args.samples,
     )
-
-
-def _cached_bank(directory: str, grid: tuple[int, int], fov: FieldOfView, res: Resolution, samples: int, force: bool = False):
-    wanted = {
-        "grid_rows": grid[0],
-        "grid_cols": grid[1],
-        "fov": [fov.theta_deg, fov.phi_deg],
-        "resolution": [res.n_h, res.n_v],
-        "samples_per_side": samples,
-    }
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not force and os.path.exists(manifest_path):
-        bank = load_mask_bank(directory)
-        current = bank_manifest(bank)
-        if all(current[key] == value for key, value in wanted.items()):
-            return bank, False
-    bank = build_mask_bank(grid[0], grid[1], fov, res, samples)
-    save_mask_bank(bank, directory)
-    return bank, True
 
 
 def cmd_mask(args) -> int:
@@ -210,16 +178,6 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def cmd_bank(args) -> int:
-    res = _parse_resolution(args.resolution)
-    fov = _parse_fov(args.fov)
-    grid = _parse_grid(args.grid)
-    bank, built = _cached_bank(args.out, grid, fov, res, args.samples, args.force)
-    action = "built" if built else "up to date"
-    print(f"bank {grid[0]}x{grid[1]} at {args.out}: {action} ({len(bank.masks)} masks)")
-    return 0
-
-
 def _load_trace(args, path: str):
     return parse_trace(path, fps=args.fps, convention=args.convention)
 
@@ -229,12 +187,7 @@ def cmd_evaluate(args) -> int:
     fov = _parse_fov(args.fov)
     config = _session_config(args, res, fov)
     trace = _load_trace(args, args.trace)
-    bank = None
-    if args.bank:
-        if config.avaqm_grid is None:
-            raise UsageError("--bank requires --grid ROWSxCOLS")
-        bank, _ = _cached_bank(args.bank, config.avaqm_grid, fov, res, args.samples)
-    timeline = evaluate_session(trace, config, bank)
+    timeline = evaluate_session(trace, config)
     frame_csv = args.out_prefix + "_frames.csv"
     summary_json = args.out_prefix + "_summary.json"
     write_frame_csv(timeline.frames, frame_csv)
@@ -279,8 +232,7 @@ def cmd_study(args) -> int:
         for segment_ms in segment_list:
             config = replace(base_config, segment_ms=segment_ms)
             jobs.append((content, segment_ms, trace, config))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        timelines = list(pool.map(lambda job: evaluate_session(job[2], job[3]), jobs))
+    timelines = [evaluate_session(trace, config) for _, _, trace, config in jobs]
 
     by_key: dict[tuple[str, float], list] = {}
     for (content, segment_ms, _, _), timeline in zip(jobs, timelines):
@@ -334,19 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="export a viewport mask raster")
     _add_common_flags(p)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=DEFAULT_SAMPLES_PER_SIDE,
+        help="boundary samples per viewport side (ignored with --exact)",
+    )
     p.add_argument("--pog", required=True, help="point of gaze as theta,phi in degrees")
     p.add_argument("--exact", action="store_true", help="use the per-pixel membership oracle")
     p.add_argument("--center-sigma", type=float, help="optional Gaussian center weighting sigma in degrees")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--npz", help="also write a lossless NPZ raster")
     p.set_defaults(handler=cmd_mask)
-
-    p = sub.add_parser("bank", help="build or refresh a mask bank directory")
-    _add_common_flags(p)
-    p.add_argument("--grid", required=True, help="bank grid as ROWSxCOLS")
-    p.add_argument("--out", required=True, help="bank directory")
-    p.add_argument("--force", action="store_true", help="rebuild even if the cached bank matches")
-    p.set_defaults(handler=cmd_bank)
 
     p = sub.add_parser("evaluate", help="score one head-movement trace")
     _add_session_flags(p)
@@ -368,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STUDY_GRIDS,
         help="bank grids for the error table, e.g. 3x6,5x10 (empty string to skip)",
     )
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="worker threads")
     p.set_defaults(handler=cmd_study)
 
     p = sub.add_parser("synth-trace", help="generate a seeded random-walk trace CSV")

@@ -13,13 +13,15 @@ Masks may wrap around the theta=0/360 seam (splitting into two raster
 components) and may contain a pole, in which case every column's span
 extends to the corresponding frame edge.  An exact per-pixel membership
 test against the pyramid half-spaces serves as the independent oracle
-for the rasterized path, and a bank of precomputed masks on a uniform
-grid of centers supports the approximated evaluation method.
+for the rasterized path.  The session engine does not rasterize: it
+takes each column's row span analytically from the five face half-spaces
+(``_project_spans``), which selects exactly the oracle's pixels.  A bank
+of masks on a uniform grid of centers supports the approximated
+evaluation method.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -56,9 +58,6 @@ SUBDIVISION_REF_DEG = 64.0
 SUBDIVISION_STRETCH = 1.8
 MAX_SUBDIVISION_PASSES = 32
 MIN_SUBDIVISION_PARAM_DEG = 1e-5
-
-BANK_FORMAT_VERSION = 1
-BANK_MANIFEST_NAME = "manifest.json"
 
 _SIDE_TOP = 0
 _SIDE_RIGHT = 1
@@ -350,6 +349,67 @@ def _pole_containment(pog: SphericalPoint, fov: FieldOfView) -> tuple[bool, bool
 
 
 # ---------------------------------------------------------------------------
+# analytic spans
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _column_trig(res: Resolution) -> np.ndarray:
+    """Rows sin(theta) and cos(theta) of the pixel-column azimuths, shape (2, n_h)."""
+    theta = np.deg2rad(column_centers_deg(res))
+    trig = np.stack([np.sin(theta), np.cos(theta)])
+    trig.setflags(write=False)
+    return trig
+
+
+def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column row spans [top, bot] of the exact viewport, analytically.
+
+    Along the column at azimuth theta a direction is
+    v(phi) = (sin(phi) sin(theta), sin(phi) cos(theta), cos(phi)), so each
+    face test n.v >= -BOUNDARY_EPS reads A sin(phi) + B cos(phi) =
+    R sin(phi + delta) >= -BOUNDARY_EPS with A = n_x sin(theta) +
+    n_y cos(theta), B = n_z, R = hypot(A, B) and delta = atan2(B, A).  On
+    [0, pi] that is the interval [-delta - w, pi - delta + w] with
+    w = asin(BOUNDARY_EPS / R), the oracle's tolerance; a face with
+    R <= BOUNDARY_EPS passes the whole column.  The five intervals are
+    intersected and rounded to row centers, so the spans hold exactly the
+    pixel centers _membership_raster accepts.  The one set a single
+    interval cannot hold is a column within about BOUNDARY_EPS /
+    sin(row pitch / 2) of a face plane on its outer side, whose tolerance
+    band then touches pixels at both poles; the span keeps one end.
+
+    Returns int32 arrays of shape (n_h,); empty columns have top = n_v
+    and bot = -1.
+    """
+    normals = _world_face_normals(pog, fov)
+    a = normals[:, :2] @ _column_trig(res)
+    b = normals[:, 2:]
+    delta = np.arctan2(b, a)
+    # R, then w, in one buffer: at 4K each (5, n_h) temporary is 150 kB,
+    # and steps done in place keep the working set in cache.
+    w = a * a
+    w += b * b
+    np.sqrt(w, out=w)
+    passes = w <= BOUNDARY_EPS
+    np.maximum(w, BOUNDARY_EPS, out=w)
+    np.divide(BOUNDARY_EPS, w, out=w)
+    np.arcsin(w, out=w)
+    w[passes] = np.inf
+    lo = -np.add(delta, w, out=a).min(axis=0)
+    hi = math.pi - np.subtract(delta, w, out=delta).max(axis=0)
+    pitch = math.pi / res.n_v
+    top = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
+    bot = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+    top = np.clip(top, 0, res.n_v).astype(np.int32)
+    bot = np.clip(bot, -1, res.n_v - 1).astype(np.int32)
+    empty = top > bot
+    top[empty] = res.n_v
+    bot[empty] = -1
+    return top, bot
+
+
+# ---------------------------------------------------------------------------
 # rasterization
 # ---------------------------------------------------------------------------
 
@@ -457,12 +517,13 @@ def _column_spans(
     return top, bot
 
 
-def _project_spans(
+def _polyline_spans(
     pog: SphericalPoint,
     fov: FieldOfView,
     res: Resolution,
     samples_per_side: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Column spans of the sampled boundary polyline (the paper's rasterizer)."""
     if samples_per_side < 1:
         raise ValueError(f"samples_per_side must be >= 1, got {samples_per_side}")
     gap_cap = SUBDIVISION_REF_DEG / samples_per_side
@@ -533,7 +594,7 @@ def project_viewport(
         Dense sin(phi)-weighted raster; may wrap around the horizontal
         seam and extends to the frame edge when a pole is inside.
     """
-    top, bot = _project_spans(pog, fov, res, samples_per_side)
+    top, bot = _polyline_spans(pog, fov, res, samples_per_side)
     inside = _spans_to_raster(top, bot, res)
     return _weighted_mask(inside, pog, fov, res, center_sigma_deg)
 
@@ -621,7 +682,7 @@ def nearest_mask(bank: MaskBank, pog: SphericalPoint) -> ViewportMask:
 
 
 # ---------------------------------------------------------------------------
-# persistence and export
+# export
 # ---------------------------------------------------------------------------
 
 
@@ -677,53 +738,3 @@ def load_mask_npz(path: str) -> ViewportMask:
             fov=FieldOfView(float(data["fov"][0]), float(data["fov"][1])),
             area=float(np.sum(weights, dtype=np.float64)),
         )
-
-
-def bank_manifest(bank: MaskBank) -> dict:
-    return {
-        "format_version": BANK_FORMAT_VERSION,
-        "grid_rows": bank.grid_rows,
-        "grid_cols": bank.grid_cols,
-        "fov": [bank.fov.theta_deg, bank.fov.phi_deg],
-        "resolution": [bank.resolution.n_h, bank.resolution.n_v],
-        "samples_per_side": bank.samples_per_side,
-    }
-
-
-def _bank_mask_filename(row: int, col: int) -> str:
-    return f"mask_r{row:03d}_c{col:03d}.npz"
-
-
-def save_mask_bank(bank: MaskBank, directory: str) -> None:
-    """Persist a bank as a manifest plus one compressed raster per center."""
-    os.makedirs(directory, exist_ok=True)
-    for i, mask in enumerate(bank.masks):
-        row, col = divmod(i, bank.grid_cols)
-        write_mask_npz(mask, os.path.join(directory, _bank_mask_filename(row, col)))
-    manifest = json.dumps(bank_manifest(bank), indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(os.path.join(directory, BANK_MANIFEST_NAME), manifest.encode("ascii"))
-
-
-def load_mask_bank(directory: str) -> MaskBank:
-    """Reload a persisted bank bit-exactly."""
-    with open(os.path.join(directory, BANK_MANIFEST_NAME), "r", encoding="ascii") as handle:
-        manifest = json.load(handle)
-    version = manifest.get("format_version")
-    if version != BANK_FORMAT_VERSION:
-        raise ValueError(f"unsupported mask bank format version: {version!r}")
-    rows, cols = int(manifest["grid_rows"]), int(manifest["grid_cols"])
-    fov = FieldOfView(float(manifest["fov"][0]), float(manifest["fov"][1]))
-    res = Resolution(int(manifest["resolution"][0]), int(manifest["resolution"][1]))
-    masks = []
-    for i in range(rows * cols):
-        row, col = divmod(i, cols)
-        masks.append(load_mask_npz(os.path.join(directory, _bank_mask_filename(row, col))))
-    return MaskBank(
-        grid_rows=rows,
-        grid_cols=cols,
-        fov=fov,
-        resolution=res,
-        samples_per_side=int(manifest["samples_per_side"]),
-        centers=bank_centers(rows, cols),
-        masks=tuple(masks),
-    )

@@ -6,15 +6,16 @@ each segment is chosen from the PoG sampled at the segment's first
 frame, so within a segment the delivered quality layout is frozen and
 head motion accumulates adaptation lag.  Each frame is scored by
 pooling the viewport mask at that frame's PoG with the binary grade map
-of the active variant, either projecting the mask exactly at every
-frame or substituting the nearest precomputed mask from a bank of
-uniformly spaced centers.
+of the active variant, either projecting the exact mask at every frame
+or substituting the mask of the nearest center from a bank of uniformly
+spaced centers.
 
 Because the grade maps are piecewise-constant over the delivery tiles,
-per-frame pooling reduces to per-tile sums of mask weights; the session
-engine exploits this and never materializes dense rasters, which keeps
-bank studies over many traces and grids cheap.  A dense reference path
-through the public mask/pooling API backs it in the tests.
+per-frame pooling reduces to per-tile sums of mask weights.  The engine
+computes them from the analytic per-column spans of the viewing pyramid
+and never materializes dense rasters, which keeps bank studies over many
+traces and grids cheap.  The tests check it against a dense reference
+built on the per-pixel membership oracle.
 """
 
 from __future__ import annotations
@@ -38,25 +39,14 @@ from .geometry import (
     spherical_to_cartesian,
     spherical_to_cartesian_arrays,
 )
-from .grade import TileGrid, VariantLayout, binary_grade_map, hq_tile_set
-from .mask import (
-    DEFAULT_SAMPLES_PER_SIDE,
-    MaskBank,
-    ViewportMask,
-    _atomic_write_bytes,
-    _project_spans,
-    bank_centers,
-    build_mask_bank,
-    nearest_mask,
-    project_viewport,
-)
+from .grade import TileGrid, VariantLayout, hq_tile_set
+from .mask import _atomic_write_bytes, _project_spans, bank_centers
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
     NORMALIZATION_MASK_AREA,
     FrameQuality,
     QualityTimeline,
-    frame_quality,
     make_timeline,
 )
 
@@ -119,7 +109,6 @@ class SessionConfig:
     avaqm_grid: tuple[int, int] | None = None
     t_q: float = DEFAULT_T_Q
     normalization: str = NORMALIZATION_MASK_AREA
-    samples_per_side: int = DEFAULT_SAMPLES_PER_SIDE
 
     def __post_init__(self) -> None:
         if self.segment_ms <= 0.0:
@@ -342,45 +331,45 @@ def _sin_prefix(res: Resolution) -> np.ndarray:
 
 
 def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Sum of sin(phi) mask weights inside each tile, from column spans."""
+    """Sum of sin(phi) mask weights inside each tile, from column spans.
+
+    Clamping every tile-row edge into each column's span [top, bot + 1]
+    gives prefix-sum indices whose differences are the column's weight in
+    each tile row, so all tile rows come out of one pass.  An empty column
+    (top > bot + 1) clamps every edge to bot + 1 and adds nothing.
+    """
     prefix = _sin_prefix(grid.resolution)
-    row_edges = grid.row_edges()
-    col_starts = grid.col_edges()[:-1]
-    sums = np.empty((grid.rows, grid.cols))
-    for tile_row in range(grid.rows):
-        lo = np.maximum(top, int(row_edges[tile_row]))
-        hi = np.minimum(bot, int(row_edges[tile_row + 1]) - 1)
-        contribution = np.where(hi >= lo, prefix[hi + 1] - prefix[lo], 0.0)
-        sums[tile_row] = np.add.reduceat(contribution, col_starts)
-    return sums
+    # int32 like the spans, so no index array is widened to int64.
+    rows = np.clip(grid.row_edges().astype(np.int32)[:, None], top, bot + 1)
+    return np.add.reduceat(np.diff(prefix[rows], axis=0), grid.col_edges()[:-1], axis=1)
 
 
-def _mask_tile_sums(mask: ViewportMask, grid: TileGrid) -> np.ndarray:
-    """Per-tile weight sums of a dense mask raster."""
-    weights = mask.weights.astype(np.float64)
-    by_rows = np.add.reduceat(weights, grid.row_edges()[:-1], axis=0)
-    return np.add.reduceat(by_rows, grid.col_edges()[:-1], axis=1)
-
-
-def _hq_selectors(config: SessionConfig) -> list[np.ndarray]:
+def _hq_selectors(config: SessionConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per variant, the flags of its HQ tiles and of the remaining tiles."""
     grid = config.layout.grid
     selectors = []
     for variant in range(config.layout.variant_count):
         flags = np.zeros((grid.rows, grid.cols), dtype=bool)
         for r, c in hq_tile_set(config.layout, variant, config.hq_footprint):
             flags[r, c] = True
-        selectors.append(flags)
+        selectors.append((flags, ~flags))
     return selectors
 
 
-def _pooled(tile_sums: np.ndarray, selector: np.ndarray, config: SessionConfig) -> tuple[float, float]:
+def _pooled(
+    tile_sums: np.ndarray, selector: tuple[np.ndarray, np.ndarray], config: SessionConfig
+) -> tuple[float, float]:
+    hq, rest = selector
+    numerator = float(tile_sums[hq].sum())
     if config.normalization == NORMALIZATION_ANALYTIC:
         denominator = equivalent_pixels_viewport(config.resolution, config.fov)
     else:
-        denominator = float(tile_sums.sum())
+        # The numerator is one term of the denominator's sum, so q <= 1
+        # holds exactly, and q = 1 when no weight falls outside HQ tiles.
+        denominator = numerator + float(tile_sums[rest].sum())
     if denominator <= 0.0:
         raise ValueError("mask has zero area")
-    return float(tile_sums[selector].sum()) / denominator, denominator
+    return numerator / denominator, denominator
 
 
 def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -388,10 +377,7 @@ def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[
     centers = bank_centers(*grid_dims)
     xyz = np.array([spherical_to_cartesian(c).as_array() for c in centers])
     sums = [
-        _tile_weight_sums(
-            *_project_spans(c, config.fov, config.resolution, config.samples_per_side),
-            config.layout.grid,
-        )
+        _tile_weight_sums(*_project_spans(c, config.fov, config.resolution), config.layout.grid)
         for c in centers
     ]
     return xyz, sums
@@ -403,39 +389,23 @@ def _trace_directions(trace: SessionTrace) -> np.ndarray:
     return np.stack(spherical_to_cartesian_arrays(theta, phi), axis=1)
 
 
-def evaluate_session(
-    trace: SessionTrace,
-    config: SessionConfig,
-    mask_source: MaskBank | None = None,
-) -> QualityTimeline:
+def evaluate_session(trace: SessionTrace, config: SessionConfig) -> QualityTimeline:
     """Quality timeline of a whole session.
 
-    Method "vaqm" projects the viewport at every frame's PoG; "avaqm"
-    substitutes the precomputed mask whose center is nearest.  Passing a
-    MaskBank forces the AVAQM route with that bank after checking it
-    matches the config.
+    Method "vaqm" projects the exact viewport at every frame's PoG;
+    "avaqm" substitutes the mask of the bank center nearest to it.
     """
     selectors = _hq_selectors(config)
     variants = _variant_per_frame(trace, config)
     frames: list[FrameQuality] = []
-    if mask_source is None and config.method == METHOD_VAQM:
+    if config.method == METHOD_VAQM:
         for index in range(trace.n_frames):
-            top, bot = _project_spans(
-                trace.samples[index], config.fov, config.resolution, config.samples_per_side
-            )
+            top, bot = _project_spans(trace.samples[index], config.fov, config.resolution)
             sums = _tile_weight_sums(top, bot, config.layout.grid)
             q, area = _pooled(sums, selectors[variants[index]], config)
             frames.append(FrameQuality(index, q, area))
         return make_timeline(frames, config.t_q)
-    if mask_source is not None:
-        expected = (mask_source.fov, mask_source.resolution, mask_source.samples_per_side)
-        configured = (config.fov, config.resolution, config.samples_per_side)
-        if expected != configured:
-            raise ValueError(f"mask bank built for {expected}, config wants {configured}")
-        centers_xyz = np.array([spherical_to_cartesian(c).as_array() for c in mask_source.centers])
-        center_sums = [_mask_tile_sums(m, config.layout.grid) for m in mask_source.masks]
-    else:
-        centers_xyz, center_sums = _bank_tile_sums(config, config.avaqm_grid)
+    centers_xyz, center_sums = _bank_tile_sums(config, config.avaqm_grid)
     directions = _trace_directions(trace)
     nearest = np.argmax(directions @ centers_xyz.T, axis=1)
     for index in range(trace.n_frames):
@@ -443,40 +413,6 @@ def evaluate_session(
         q, area = _pooled(sums, selectors[variants[index]], config)
         frames.append(FrameQuality(index, q, area))
     return make_timeline(frames, config.t_q)
-
-
-def _evaluate_session_dense(
-    trace: SessionTrace,
-    config: SessionConfig,
-    mask_source: MaskBank | None = None,
-) -> QualityTimeline:
-    """Reference evaluation through the public mask/pooling API."""
-    grades = [
-        binary_grade_map(config.layout, v, config.hq_footprint)
-        for v in range(config.layout.variant_count)
-    ]
-    variants = _variant_per_frame(trace, config)
-    frames = []
-    for index in range(trace.n_frames):
-        if config.method == METHOD_AVAQM or mask_source is not None:
-            bank = mask_source
-            if bank is None:
-                bank = _dense_bank(config)
-            mask = nearest_mask(bank, trace.samples[index])
-        else:
-            mask = project_viewport(
-                trace.samples[index], config.fov, config.resolution, config.samples_per_side
-            )
-        frames.append(
-            frame_quality(mask, grades[variants[index]], config.normalization, frame_index=index)
-        )
-    return make_timeline(frames, config.t_q)
-
-
-def _dense_bank(config: SessionConfig) -> MaskBank:
-    return build_mask_bank(
-        *config.avaqm_grid, config.fov, config.resolution, config.samples_per_side
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +514,6 @@ def session_report(
         "method": config.method,
         "normalization": config.normalization,
         "hq_footprint": config.hq_footprint if isinstance(config.hq_footprint, str) else "explicit",
-        "samples_per_side": config.samples_per_side,
     }
     if config.avaqm_grid is not None:
         report["avaqm_grid"] = list(config.avaqm_grid)

@@ -7,12 +7,12 @@ rotation into the base frame, connected components from a scanline
 flood fill, and nearest centers from the haversine formula.
 """
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vq360.geometry import (
     FieldOfView,
@@ -27,22 +27,22 @@ from vq360.geometry import (
 from vq360.mask import (
     DEFAULT_SAMPLES_PER_SIDE,
     MaskBank,
+    _membership_raster,
+    _project_spans,
+    _spans_to_raster,
     arc_coefficients,
     arc_phi_deg,
     bank_centers,
-    bank_manifest,
     base_viewport_boundary,
     build_mask_bank,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
-    load_mask_bank,
     load_mask_npz,
     nearest_center_index,
     nearest_mask,
     project_viewport,
-    save_mask_bank,
     write_mask_npz,
     write_mask_pgm,
 )
@@ -250,6 +250,58 @@ def test_exact_membership_matches_pyramid_oracle():
 
 
 # ---------------------------------------------------------------------------
+# analytic spans
+# ---------------------------------------------------------------------------
+
+
+def assert_spans_match_oracle(pog, fov, res):
+    spans = _spans_to_raster(*_project_spans(pog, fov, res), res)
+    oracle = _membership_raster(pog, fov, res)
+    assert np.count_nonzero(spans != oracle) == 0
+
+
+FOV_ANGLES = st.one_of(
+    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=179.0, max_value=180.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    n_v=st.integers(min_value=2, max_value=240),
+)
+def test_analytic_spans_match_membership_oracle(theta, phi, fov_theta, fov_phi, n_v):
+    assert_spans_match_oracle(
+        SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
+    )
+
+
+@pytest.mark.parametrize(
+    "pog",
+    [
+        (0.0, 0.0), (123.0, 180.0), (0.3, 0.4), (180.0, 179.5),
+        (0.0, 90.0), (359.9, 60.0), (320.0, 110.0), (180.0, 30.0),
+    ],
+)
+def test_analytic_spans_match_oracle_at_4k(pog):
+    """Poles, the seam and the two special-case masks of the paper."""
+    assert_spans_match_oracle(SphericalPoint(*pog), FOV, Resolution(3840, 1920))
+
+
+@pytest.mark.parametrize("pog", [(180.0, 90.0), (0.0, 90.0)])
+def test_analytic_spans_keep_boundary_ties(pog):
+    """Here a column of pixel centers lies exactly on a side face plane;
+    the oracle keeps it through its tolerance, and so must the spans."""
+    res = Resolution(60, 30)
+    fov = FieldOfView(90.0, 90.0)
+    assert_spans_match_oracle(SphericalPoint(*pog), fov, res)
+
+
+# ---------------------------------------------------------------------------
 # projected masks
 # ---------------------------------------------------------------------------
 
@@ -431,32 +483,6 @@ def test_npz_round_trip(tmp_path):
     assert loaded.fov == mask.fov
     assert loaded.resolution == mask.resolution
     assert loaded.area == pytest.approx(mask.area)
-
-
-def test_bank_save_load_round_trip(tmp_path):
-    res = Resolution(192, 96)
-    bank = build_mask_bank(2, 4, FOV, res, samples_per_side=8)
-    directory = tmp_path / "bank"
-    save_mask_bank(bank, str(directory))
-    manifest = json.loads((directory / "manifest.json").read_text())
-    assert manifest == bank_manifest(bank)
-    loaded = load_mask_bank(str(directory))
-    assert (loaded.grid_rows, loaded.grid_cols) == (2, 4)
-    assert loaded.fov == bank.fov and loaded.resolution == bank.resolution
-    for original, reloaded in zip(bank.masks, loaded.masks):
-        assert np.array_equal(original.weights, reloaded.weights)
-
-
-def test_bank_load_rejects_unknown_version(tmp_path):
-    res = Resolution(192, 96)
-    bank = build_mask_bank(1, 2, FOV, res, samples_per_side=4)
-    directory = tmp_path / "bank"
-    save_mask_bank(bank, str(directory))
-    manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["format_version"] = 999
-    (directory / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError):
-        load_mask_bank(str(directory))
 
 
 def test_build_bank_deterministic():

@@ -11,13 +11,15 @@ from vq360.geometry import (
     Resolution,
     SphericalPoint,
     angular_distance_deg,
+    row_centers_deg,
 )
-from vq360.grade import variant_layout_26
-from vq360.mask import build_mask_bank
+from vq360.grade import binary_grade_map, variant_layout_26
+from vq360.mask import _project_spans, bank_centers, exact_mask, nearest_center_index
+from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
     SessionTrace,
-    _evaluate_session_dense,
+    _tile_weight_sums,
     active_variant,
     approximation_error_study,
     evaluate_session,
@@ -38,6 +40,35 @@ def base_config(**overrides):
     kwargs = dict(segment_ms=500.0, fov=FOV, resolution=RES, layout=LAYOUT)
     kwargs.update(overrides)
     return SessionConfig(**kwargs)
+
+
+def _dense_bank(config):
+    """Bank centers of an avaqm config, each with its exact-oracle mask."""
+    centers = bank_centers(*config.avaqm_grid)
+    return centers, [exact_mask(c, config.fov, config.resolution) for c in centers]
+
+
+def _evaluate_session_dense(trace, config):
+    """Reference evaluation through the public mask/pooling API.
+
+    Every frame is scored with the per-pixel membership oracle's mask:
+    at its PoG (vaqm) or at the nearest bank center (avaqm).
+    """
+    grades = [
+        binary_grade_map(config.layout, v, config.hq_footprint)
+        for v in range(config.layout.variant_count)
+    ]
+    bank = _dense_bank(config) if config.method == "avaqm" else None
+    frames = []
+    for index, pog in enumerate(trace.samples):
+        if bank is None:
+            mask = exact_mask(pog, config.fov, config.resolution)
+        else:
+            centers, masks = bank
+            mask = masks[nearest_center_index(centers, pog)]
+        grade = grades[active_variant(trace, config, index)]
+        frames.append(frame_quality(mask, grade, config.normalization, frame_index=index))
+    return make_timeline(frames, config.t_q)
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +272,6 @@ def test_avaqm_matches_dense_reference():
         assert a.q_frame == pytest.approx(b.q_frame, rel=1e-5, abs=1e-7)
 
 
-def test_avaqm_accepts_prebuilt_bank():
-    trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=23)
-    config = base_config(method="avaqm", avaqm_grid=(3, 6))
-    bank = build_mask_bank(3, 6, FOV, RES)
-    with_bank = evaluate_session(trace, config, mask_source=bank)
-    without = evaluate_session(trace, config)
-    for a, b in zip(with_bank.frames, without.frames):
-        assert a.q_frame == pytest.approx(b.q_frame, rel=1e-5, abs=1e-7)
-
-
-def test_avaqm_rejects_mismatched_bank():
-    trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=24)
-    config = base_config(method="avaqm", avaqm_grid=(3, 6))
-    bank = build_mask_bank(3, 6, FOV, Resolution(192, 96))
-    with pytest.raises(ValueError, match="mask bank"):
-        evaluate_session(trace, config, mask_source=bank)
-
-
 def test_all_tiles_high_quality_gives_unit_quality():
     all_tiles = [(r, c) for r in range(5) for c in range(8)]
     footprint = {v: all_tiles for v in range(LAYOUT.variant_count)}
@@ -266,6 +279,32 @@ def test_all_tiles_high_quality_gives_unit_quality():
     timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
     assert timeline.q_window == pytest.approx(1.0, abs=1e-12)
     assert timeline.f_window == pytest.approx(100.0)
+    assert all(frame.q_frame <= 1.0 for frame in timeline.frames)
+    # A viewport near (180, 90) never reaches tile columns 0 and 7, so a
+    # footprint without them must pool to exactly 1 as well.
+    inner = [(r, c) for r in range(5) for c in range(1, 7)]
+    footprint = {v: inner for v in range(LAYOUT.variant_count)}
+    trace = synthetic_trace(
+        duration_s=1.0, fps=10.0, speed_deg_per_s=10.0, seed=25, start=SphericalPoint(180.0, 90.0)
+    )
+    timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
+    assert [frame.q_frame for frame in timeline.frames] == [1.0] * 10
+
+
+def test_tile_weight_sums_match_row_by_row_loop():
+    """All tile rows in one pass give the same bits as one pass per tile row."""
+    grid = LAYOUT.grid
+    prefix = np.concatenate(([0.0], np.cumsum(np.sin(np.deg2rad(row_centers_deg(RES))))))
+    edges = grid.row_edges()
+    for pog in (SphericalPoint(180.0, 30.0), SphericalPoint(320.0, 110.0), SphericalPoint(10.0, 179.0)):
+        top, bot = _project_spans(pog, FOV, RES)
+        expected = np.empty((grid.rows, grid.cols))
+        for r in range(grid.rows):
+            lo = np.maximum(top, edges[r])
+            hi = np.minimum(bot, edges[r + 1] - 1)
+            contribution = np.where(hi >= lo, prefix[hi + 1] - prefix[lo], 0.0)
+            expected[r] = np.add.reduceat(contribution, grid.col_edges()[:-1])
+        assert np.array_equal(_tile_weight_sums(top, bot, grid), expected)
 
 
 def test_quality_bounds_and_timeline_length():
@@ -282,8 +321,6 @@ def test_quality_bounds_and_timeline_length():
 
 
 def test_error_is_zero_when_trace_sits_on_bank_centers():
-    from vq360.mask import bank_centers
-
     samples = bank_centers(3, 6)
     trace = SessionTrace(2.0, samples)  # one frame per 500 ms segment
     config = base_config()
