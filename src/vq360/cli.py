@@ -46,6 +46,8 @@ from .session import (
     evaluate_session,
     load_batch_manifest,
     parse_trace,
+    pool_session,
+    session_geometry,
     session_report,
     synthetic_trace,
     write_trace_csv,
@@ -144,17 +146,22 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
     grid = _parse_grid(args.grid) if args.grid else None
     if args.method == METHOD_AVAQM and grid is None:
         raise UsageError("--method avaqm requires --grid ROWSxCOLS")
-    return SessionConfig(
-        segment_ms=args.segment_ms,
-        fov=fov,
-        resolution=res,
-        layout=variant_layout_26(res),
-        hq_footprint=_footprint_from_flag(args.footprint),
-        method=args.method,
-        avaqm_grid=grid,
-        t_q=args.t_q,
-        normalization=args.normalization,
-    )
+    footprint = _footprint_from_flag(args.footprint)
+    try:
+        return SessionConfig(
+            segment_ms=args.segment_ms,
+            fov=fov,
+            resolution=res,
+            layout=variant_layout_26(res),
+            hq_footprint=footprint,
+            method=args.method,
+            avaqm_grid=grid,
+            t_q=args.t_q,
+            normalization=args.normalization,
+        )
+    except ValueError as exc:
+        # Every field comes from a flag, so a rejected value is a usage error.
+        raise UsageError(str(exc)) from None
 
 
 def cmd_mask(args) -> int:
@@ -207,10 +214,10 @@ def _manifest_trace(entry: dict, args):
     return _load_trace(args, entry["trace"])
 
 
-def _segment_list(entry: dict, default_csv: str) -> list[float]:
+def _segment_list(entry: dict, default: list[float]) -> list[float]:
     raw = entry.get("segment_ms")
     if raw is None:
-        return [float(s) for s in default_csv.split(",")]
+        return default
     if isinstance(raw, (int, float)):
         return [float(raw)]
     return [float(s) for s in raw]
@@ -219,24 +226,25 @@ def _segment_list(entry: dict, default_csv: str) -> list[float]:
 def cmd_study(args) -> int:
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
-    entries = load_batch_manifest(args.manifest)
     base_config = _session_config(args, res, fov)
+    grids = [_parse_grid(g) for g in args.grids.split(",")] if args.grids else []
+    try:
+        default_segments = [float(s) for s in args.segments.split(",")]
+    except ValueError:
+        raise UsageError(f"expected segment lengths as MS,MS,..., got {args.segments!r}") from None
+    entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
     traces = [_manifest_trace(entry, args) for entry in entries]
-    contents = [str(entry.get("content", f"entry{i}")) for i, entry in enumerate(entries)]
-    segments = [_segment_list(entry, args.segments) for entry in entries]
-
-    jobs = []
-    for trace, content, segment_list in zip(traces, contents, segments):
-        for segment_ms in segment_list:
-            config = replace(base_config, segment_ms=segment_ms)
-            jobs.append((content, segment_ms, trace, config))
-    timelines = [evaluate_session(trace, config) for _, _, trace, config in jobs]
-
+    # Stage 1 once per trace serves every segment length and, for vaqm,
+    # the exact side of the error study.
+    geometries = [session_geometry(trace, base_config) for trace in traces]
     by_key: dict[tuple[str, float], list] = {}
-    for (content, segment_ms, _, _), timeline in zip(jobs, timelines):
-        by_key.setdefault((content, segment_ms), []).append(timeline)
+    for i, (entry, trace, geometry) in enumerate(zip(entries, traces, geometries)):
+        content = str(entry.get("content", f"entry{i}"))
+        for segment_ms in _segment_list(entry, default_segments):
+            timeline = pool_session(trace, replace(base_config, segment_ms=segment_ms), geometry)
+            by_key.setdefault((content, segment_ms), []).append(timeline)
     lines = ["content,segment_ms,n_sessions,q_window_mean,f_window_mean"]
     for content, segment_ms in sorted(by_key):
         group = by_key[(content, segment_ms)]
@@ -247,9 +255,9 @@ def cmd_study(args) -> int:
     _atomic_write_bytes(segment_table, ("\n".join(lines) + "\n").encode("ascii"))
     written = [segment_table]
 
-    if args.grids:
-        grids = [_parse_grid(g) for g in args.grids.split(",")]
-        reports = approximation_error_study(traces, base_config, grids)
+    if grids:
+        exact = geometries if base_config.method == METHOD_VAQM else None
+        reports = approximation_error_study(traces, base_config, grids, exact)
         lines = ["grid_rows,grid_cols,mean_relative_error_percent,excluded_frames"]
         for report in reports:
             lines.append(

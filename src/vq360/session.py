@@ -11,20 +11,30 @@ or substituting the mask of the nearest center from a bank of uniformly
 spaced centers.
 
 Because the grade maps are piecewise-constant over the delivery tiles,
-per-frame pooling reduces to per-tile sums of mask weights.  The engine
-computes them from the analytic per-column spans of the viewing pyramid
-and never materializes dense rasters, which keeps bank studies over many
-traces and grids cheap.  The tests check it against a dense reference
-built on the per-pixel membership oracle.
+per-frame pooling reduces to per-tile sums of mask weights, and the
+engine runs in two stages.  Stage 1, :func:`session_geometry`, depends
+only on the trace, the field of view, the resolution, the tile grid and
+the method: it takes the analytic per-column spans of the viewing
+pyramid for every distinct mask (each frame's PoG for vaqm, each bank
+center for avaqm), reduces them to one row of per-tile weight sums per
+mask and records which row each frame uses.  Stage 2,
+:func:`pool_session`, applies the segment schedule, the HQ footprint and
+the normalization: one product of the tile sums with the per-variant HQ
+flags gives a (masks x variants) table, from which each frame's quality
+is gathered.  A study scores one trace under many segment lengths and
+bank grids by running stage 1 once and stage 2 many times.  No dense
+raster is ever built; the tests check the engine against a dense
+reference built on the per-pixel membership oracle.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +64,16 @@ DEFAULT_FPS = 30.0
 METHOD_VAQM = "vaqm"
 METHOD_AVAQM = "avaqm"
 QUATERNION_UNIT_TOLERANCE = 1e-3
+# Frames per block when snapping a trace to its nearest bank centers, so
+# the (frames x centers) dot table stays a few MB on long traces.
+NEAREST_CENTER_BLOCK = 4096
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
 QUATERNION_HEADER = ("frame", "qw", "qx", "qy", "qz")
+
+MANIFEST_KEYS = ("content", "trace", "synthetic", "segment_ms")
+# synthetic_trace parameters a manifest recipe may set.
+RECIPE_KEYS = ("duration_s", "fps", "speed_deg_per_s", "dwell_probability", "seed", "turn_sigma_deg")
 
 # Dataset axis conventions for the quaternion adapter.  Row i of each
 # matrix is the image of the dataset's i-th basis vector in this
@@ -74,26 +91,63 @@ _FORWARD_BY_CONVENTION = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionTrace:
-    """One PoG per frame, gap-free from frame 0."""
+    """One PoG per frame, gap-free from frame 0, as angle arrays in degrees.
+
+    The arrays are stored as read-only float64 copies, normalized like
+    SphericalPoint: theta to [0, 360) and phi clamped to [0, 180].
+    Traces compare by identity.
+    """
 
     frames_per_second: float
-    samples: tuple[SphericalPoint, ...]
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
 
     def __post_init__(self) -> None:
         if self.frames_per_second <= 0.0:
             raise ValueError(f"frame rate must be positive, got {self.frames_per_second}")
-        if not self.samples:
+        theta = np.array(self.theta_deg, dtype=np.float64)
+        phi = np.array(self.phi_deg, dtype=np.float64)
+        if theta.ndim != 1 or theta.shape != phi.shape:
+            raise ValueError("trace angles must be two 1-D arrays of equal length")
+        if not theta.size:
             raise ValueError("trace has no samples")
+        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+            raise ValueError("trace angles must be finite")
+        np.mod(theta, 360.0, out=theta)
+        # A tiny negative azimuth rounds to 360 under mod.
+        theta[theta == 360.0] = 0.0
+        np.clip(phi, 0.0, 180.0, out=phi)
+        for name, values in (("theta_deg", theta), ("phi_deg", phi)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    @classmethod
+    def from_points(cls, frames_per_second: float, points: Sequence[SphericalPoint]) -> "SessionTrace":
+        """A trace from one SphericalPoint per frame."""
+        return cls(
+            frames_per_second,
+            np.array([p.theta_deg for p in points], dtype=np.float64),
+            np.array([p.phi_deg for p in points], dtype=np.float64),
+        )
+
+    @cached_property
+    def samples(self) -> tuple[SphericalPoint, ...]:
+        """The PoGs as points, built on first use."""
+        return tuple(SphericalPoint(t, p) for t, p in zip(self.theta_deg.tolist(), self.phi_deg.tolist()))
 
     @property
     def n_frames(self) -> int:
-        return len(self.samples)
+        return self.theta_deg.size
 
     @property
     def duration_s(self) -> float:
         return self.n_frames / self.frames_per_second
+
+    def point(self, frame_index: int) -> SphericalPoint:
+        """The PoG of one frame, without building ``samples``."""
+        return SphericalPoint(float(self.theta_deg[frame_index]), float(self.phi_deg[frame_index]))
 
 
 @dataclass(frozen=True)
@@ -119,6 +173,10 @@ class SessionConfig:
             raise ValueError("method avaqm requires a bank grid")
         if self.layout.grid.resolution != self.resolution:
             raise ValueError("layout tiling and session resolution differ")
+        if not 0.0 <= self.t_q <= 1.0:
+            raise ValueError(f"quality threshold t_q must lie in [0, 1], got {self.t_q}")
+        if self.normalization not in (NORMALIZATION_MASK_AREA, NORMALIZATION_ANALYTIC):
+            raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +188,22 @@ class ApproximationReport:
     mean_relative_error: float
     per_frame_errors: np.ndarray
     excluded_frames: int
+
+
+@dataclass(frozen=True, eq=False)
+class SessionGeometry:
+    """Stage 1 of a session evaluation.
+
+    ``tile_sums`` holds one row of per-tile mask weight sums (tiles
+    row-major) per distinct mask: one per frame for vaqm, one per bank
+    center for avaqm.  ``mask_rows[i]`` is the row frame i uses.  ``key``
+    names the configuration the geometry depends on, so stage 2 can
+    refuse a geometry made for another one.
+    """
+
+    key: tuple
+    tile_sums: np.ndarray
+    mask_rows: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +218,73 @@ def _read_rows(path: str) -> tuple[tuple[str, ...], list[list[str]]]:
             header = tuple(name.strip() for name in next(reader))
         except StopIteration:
             raise ValueError(f"{path}: empty trace") from None
-        rows = [row for row in reader if row and any(field.strip() for field in row)]
+        # A row with no non-blank field is skipped.
+        rows = [row for row in reader if any(map(str.strip, row))]
+    if not rows:
+        raise ValueError(f"{path}: empty trace")
     return header, rows
 
 
-def _ordered_samples(path: str, entries: dict[int, SphericalPoint]) -> tuple[SphericalPoint, ...]:
-    for frame in range(len(entries)):
-        if frame not in entries:
-            raise ValueError(f"{path}: missing frame {frame}")
-    return tuple(entries[frame] for frame in range(len(entries)))
+def _line_of(path: str, index: int) -> int:
+    """File line of the index-th data row that _read_rows returns."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        lines = (reader.line_num for row in reader if any(map(str.strip, row)))
+        return next(itertools.islice(lines, index, None))
+
+
+def _malformed(row: list[str], width: int) -> bool:
+    if len(row) < width:
+        return True
+    try:
+        np.int64(int(row[0]))
+        for field in row[1:width]:
+            float(field)
+    except (ValueError, OverflowError):
+        return True
+    return False
+
+
+def _parse_columns(path: str, rows: list[list[str]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer frame numbers and the finite float columns 1..width-1 of the rows.
+
+    Every row is converted in one pass; only when that fails are the rows
+    checked one at a time to find the first malformed one.
+    """
+    count = len(rows) * (width - 1)
+    try:
+        frames = np.fromiter(map(int, (row[0] for row in rows)), np.int64, len(rows))
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(row[1:width] for row in rows)), np.float64, count
+        )
+    except (ValueError, OverflowError):
+        for index, row in enumerate(rows):
+            if _malformed(row, width):
+                raise ValueError(f"{path}:{_line_of(path, index)}: malformed row") from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = int(bad[0]) // (width - 1)
+        raise ValueError(f"{path}:{_line_of(path, index)}: non-finite value")
+    return frames, values.reshape(len(rows), width - 1)
+
+
+def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:
+    """Row index of frames 0..n-1; rejects duplicate and missing frames."""
+    order = np.argsort(frames, kind="stable")
+    ranked = frames[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        index = int(repeats.min())
+        raise ValueError(f"{path}:{_line_of(path, index)}: duplicate frame {frames[index]}")
+    n = frames.size
+    present = np.zeros(n, dtype=bool)
+    present[frames[(frames >= 0) & (frames < n)]] = True
+    missing = np.flatnonzero(~present)
+    if missing.size:
+        raise ValueError(f"{path}: missing frame {missing[0]}")
+    return order
 
 
 def _quaternion_directions(qw, qx, qy, qz, convention: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,60 +302,39 @@ def parse_trace(path: str, fps: float = DEFAULT_FPS, convention: str = "y-up") -
     Accepts the canonical header frame,theta_deg,phi_deg or the
     quaternion header frame,qw,qx,qy,qz.  Quaternion rows rotate the
     convention's forward axis and must be unit within 1e-3; the identity
-    quaternion maps to (180, 90).
+    quaternion maps to (180, 90).  Frames must number 0..n-1 once each,
+    in any row order, and every value must be finite; a bad row is
+    reported as path:line.
     """
     if convention not in _QUATERNION_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
     header, rows = _read_rows(path)
+    if header not in (TRACE_HEADER, QUATERNION_HEADER):
+        raise ValueError(f"{path}: unrecognized header {','.join(header)}")
+    frames, values = _parse_columns(path, rows, len(header))
+    order = _frame_order(path, frames)
     if header == TRACE_HEADER:
-        entries: dict[int, SphericalPoint] = {}
-        for line, row in enumerate(rows, start=2):
-            try:
-                frame = int(row[0])
-                point = SphericalPoint(float(row[1]), float(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{line}: malformed row") from exc
-            if frame in entries:
-                raise ValueError(f"{path}:{line}: duplicate frame {frame}")
-            entries[frame] = point
-        if not entries:
-            raise ValueError(f"{path}: empty trace")
-        return SessionTrace(fps, _ordered_samples(path, entries))
-    if header == QUATERNION_HEADER:
-        frames: list[int] = []
-        quats: list[tuple[float, float, float, float]] = []
-        for line, row in enumerate(rows, start=2):
-            try:
-                frames.append(int(row[0]))
-                quats.append((float(row[1]), float(row[2]), float(row[3]), float(row[4])))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{line}: malformed row") from exc
-        if not quats:
-            raise ValueError(f"{path}: empty trace")
-        q = np.array(quats)
-        norms = np.linalg.norm(q, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > QUATERNION_UNIT_TOLERANCE)
-        if bad.size:
-            raise ValueError(
-                f"{path}: non-unit quaternion (|q| = {norms[bad[0]]:.6f}) at frame {frames[bad[0]]}"
-            )
-        q /= norms[:, None]
-        x, y, z = _quaternion_directions(q[:, 0], q[:, 1], q[:, 2], q[:, 3], convention)
-        theta, phi = cartesian_to_spherical_arrays(x, y, z)
-        entries = {}
-        for i, frame in enumerate(frames):
-            if frame in entries:
-                raise ValueError(f"{path}: duplicate frame {frame}")
-            entries[frame] = SphericalPoint(float(theta[i]), float(phi[i]))
-        return SessionTrace(fps, _ordered_samples(path, entries))
-    raise ValueError(f"{path}: unrecognized header {','.join(header)}")
+        return SessionTrace(fps, values[order, 0], values[order, 1])
+    norms = np.linalg.norm(values, axis=1)
+    # Negated so that a NaN norm fails as well.
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= QUATERNION_UNIT_TOLERANCE))
+    if bad.size:
+        index = int(bad[0])
+        raise ValueError(
+            f"{path}:{_line_of(path, index)}: non-unit quaternion (|q| = {norms[index]:.6f}) "
+            f"at frame {frames[index]}"
+        )
+    q = values[order] / norms[order, None]
+    x, y, z = _quaternion_directions(q[:, 0], q[:, 1], q[:, 2], q[:, 3], convention)
+    return SessionTrace(fps, *cartesian_to_spherical_arrays(x, y, z))
 
 
 def write_trace_csv(trace: SessionTrace, path: str) -> None:
     """Write a trace in the canonical CSV format."""
     lines = [",".join(TRACE_HEADER)]
     lines.extend(
-        f"{frame},{p.theta_deg!r},{p.phi_deg!r}" for frame, p in enumerate(trace.samples)
+        f"{frame},{theta!r},{phi!r}"
+        for frame, (theta, phi) in enumerate(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist()))
     )
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
@@ -277,9 +388,7 @@ def synthetic_trace(
         p /= np.linalg.norm(p)
         heading -= p * np.dot(heading, p)
         heading /= np.linalg.norm(heading)
-    theta, phi = cartesian_to_spherical_arrays(xs, ys, zs)
-    samples = tuple(SphericalPoint(float(t), float(f)) for t, f in zip(theta, phi))
-    return SessionTrace(fps, samples)
+    return SessionTrace(fps, *cartesian_to_spherical_arrays(xs, ys, zs))
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +416,19 @@ def active_variant(trace: SessionTrace, config: SessionConfig, frame_index: int)
         raise ValueError(f"frame {frame_index} outside trace of {trace.n_frames} frames")
     length = segment_frames(config.segment_ms, trace.frames_per_second)
     first = (frame_index // length) * length
-    return config.layout.area_containing(trace.samples[first])
+    return config.layout.area_containing(trace.point(first))
 
 
 def _variant_per_frame(trace: SessionTrace, config: SessionConfig) -> np.ndarray:
     length = segment_frames(config.segment_ms, trace.frames_per_second)
     variants = np.empty(trace.n_frames, dtype=np.int64)
     for first in range(0, trace.n_frames, length):
-        variants[first : first + length] = config.layout.area_containing(trace.samples[first])
+        variants[first : first + length] = config.layout.area_containing(trace.point(first))
     return variants
 
 
 # ---------------------------------------------------------------------------
-# tile-sum evaluation engine
+# stage 1: geometry
 # ---------------------------------------------------------------------------
 
 
@@ -344,75 +453,110 @@ def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
     return np.add.reduceat(np.diff(prefix[rows], axis=0), grid.col_edges()[:-1], axis=1)
 
 
-def _hq_selectors(config: SessionConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per variant, the flags of its HQ tiles and of the remaining tiles."""
+def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Center unit vectors (centers, 3) and per-center tile sums (centers, tiles)."""
+    centers = bank_centers(*grid_dims)
+    xyz = np.array([spherical_to_cartesian(c).as_array() for c in centers])
+    sums = np.stack(
+        [
+            _tile_weight_sums(*_project_spans(c, config.fov, config.resolution), config.layout.grid).ravel()
+            for c in centers
+        ]
+    )
+    return xyz, sums
+
+
+def _bank_geometry(
+    config: SessionConfig, bank: tuple[np.ndarray, np.ndarray], trace: SessionTrace
+) -> SessionGeometry:
+    """avaqm stage 1 from a bank's (center vectors, tile sums): every frame
+    takes the nearest center (largest dot product, ties to the lowest index)."""
+    centers_xyz, sums = bank
+    directions = np.stack(spherical_to_cartesian_arrays(trace.theta_deg, trace.phi_deg), axis=1)
+    nearest = np.empty(trace.n_frames, dtype=np.intp)
+    for start in range(0, trace.n_frames, NEAREST_CENTER_BLOCK):
+        block = directions[start : start + NEAREST_CENTER_BLOCK]
+        nearest[start : start + len(block)] = np.argmax(block @ centers_xyz.T, axis=1)
+    return SessionGeometry(_geometry_key(config), sums, nearest)
+
+
+def _geometry_key(config: SessionConfig) -> tuple:
+    grid = config.avaqm_grid if config.method == METHOD_AVAQM else None
+    return (config.fov, config.resolution, config.layout.grid, config.method, grid)
+
+
+def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeometry:
+    """Stage 1: per-mask tile sums and each frame's mask.
+
+    Method "vaqm" projects the exact viewport at every frame's PoG;
+    "avaqm" projects each bank center once and gives every frame the
+    center nearest to its PoG.  Only the trace, FoV, resolution, tile
+    grid, method and bank grid matter, so one geometry serves every
+    segment length, footprint, normalization and threshold.
+    """
+    if config.method == METHOD_AVAQM:
+        return _bank_geometry(config, _bank_tile_sums(config, config.avaqm_grid), trace)
     grid = config.layout.grid
-    selectors = []
+    sums = np.empty((trace.n_frames, grid.rows * grid.cols))
+    for index, (theta, phi) in enumerate(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist())):
+        top, bot = _project_spans(SphericalPoint(theta, phi), config.fov, config.resolution)
+        sums[index] = _tile_weight_sums(top, bot, grid).ravel()
+    return SessionGeometry(_geometry_key(config), sums, np.arange(trace.n_frames))
+
+
+# ---------------------------------------------------------------------------
+# stage 2: pooling
+# ---------------------------------------------------------------------------
+
+
+def _hq_flags(config: SessionConfig) -> np.ndarray:
+    """Per variant, 1 on its HQ tiles and 0 elsewhere, shape (variants, tiles)."""
+    grid = config.layout.grid
+    flags = np.zeros((config.layout.variant_count, grid.rows, grid.cols))
     for variant in range(config.layout.variant_count):
-        flags = np.zeros((grid.rows, grid.cols), dtype=bool)
         for r, c in hq_tile_set(config.layout, variant, config.hq_footprint):
-            flags[r, c] = True
-        selectors.append((flags, ~flags))
-    return selectors
+            flags[variant, r, c] = 1.0
+    return flags.reshape(config.layout.variant_count, -1)
 
 
 def _pooled(
-    tile_sums: np.ndarray, selector: tuple[np.ndarray, np.ndarray], config: SessionConfig
-) -> tuple[float, float]:
-    hq, rest = selector
-    numerator = float(tile_sums[hq].sum())
+    geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame quality and denominator, gathered from (masks x variants) tables."""
+    hq = _hq_flags(config)
+    rows = geometry.mask_rows
+    numerator = (geometry.tile_sums @ hq.T)[rows, variants]
     if config.normalization == NORMALIZATION_ANALYTIC:
-        denominator = equivalent_pixels_viewport(config.resolution, config.fov)
+        denominator = np.full(numerator.shape, equivalent_pixels_viewport(config.resolution, config.fov))
     else:
         # The numerator is one term of the denominator's sum, so q <= 1
         # holds exactly, and q = 1 when no weight falls outside HQ tiles.
-        denominator = numerator + float(tile_sums[rest].sum())
-    if denominator <= 0.0:
+        denominator = numerator + (geometry.tile_sums @ (1.0 - hq).T)[rows, variants]
+    if not np.all(denominator > 0.0):
         raise ValueError("mask has zero area")
     return numerator / denominator, denominator
 
 
-def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Center unit vectors and per-center tile sums for a bank grid."""
-    centers = bank_centers(*grid_dims)
-    xyz = np.array([spherical_to_cartesian(c).as_array() for c in centers])
-    sums = [
-        _tile_weight_sums(*_project_spans(c, config.fov, config.resolution), config.layout.grid)
-        for c in centers
-    ]
-    return xyz, sums
+def _check_geometry(geometry: SessionGeometry, trace: SessionTrace, config: SessionConfig) -> None:
+    if geometry.key != _geometry_key(config) or geometry.mask_rows.size != trace.n_frames:
+        raise ValueError("session geometry belongs to another trace or configuration")
 
 
-def _trace_directions(trace: SessionTrace) -> np.ndarray:
-    theta = np.array([p.theta_deg for p in trace.samples])
-    phi = np.array([p.phi_deg for p in trace.samples])
-    return np.stack(spherical_to_cartesian_arrays(theta, phi), axis=1)
+def pool_session(trace: SessionTrace, config: SessionConfig, geometry: SessionGeometry) -> QualityTimeline:
+    """Stage 2: quality timeline of a session from its stage-1 geometry."""
+    _check_geometry(geometry, trace, config)
+    q, area = _pooled(geometry, _variant_per_frame(trace, config), config)
+    frames = [FrameQuality(index, *values) for index, values in enumerate(zip(q.tolist(), area.tolist()))]
+    return make_timeline(frames, config.t_q)
 
 
 def evaluate_session(trace: SessionTrace, config: SessionConfig) -> QualityTimeline:
-    """Quality timeline of a whole session.
+    """Quality timeline of a whole session: both stages in turn.
 
     Method "vaqm" projects the exact viewport at every frame's PoG;
     "avaqm" substitutes the mask of the bank center nearest to it.
     """
-    selectors = _hq_selectors(config)
-    variants = _variant_per_frame(trace, config)
-    frames: list[FrameQuality] = []
-    if config.method == METHOD_VAQM:
-        for index in range(trace.n_frames):
-            top, bot = _project_spans(trace.samples[index], config.fov, config.resolution)
-            sums = _tile_weight_sums(top, bot, config.layout.grid)
-            q, area = _pooled(sums, selectors[variants[index]], config)
-            frames.append(FrameQuality(index, q, area))
-        return make_timeline(frames, config.t_q)
-    centers_xyz, center_sums = _bank_tile_sums(config, config.avaqm_grid)
-    directions = _trace_directions(trace)
-    nearest = np.argmax(directions @ centers_xyz.T, axis=1)
-    for index in range(trace.n_frames):
-        sums = center_sums[nearest[index]]
-        q, area = _pooled(sums, selectors[variants[index]], config)
-        frames.append(FrameQuality(index, q, area))
-    return make_timeline(frames, config.t_q)
+    return pool_session(trace, config, session_geometry(trace, config))
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +568,36 @@ def approximation_error_study(
     traces: Sequence[SessionTrace],
     config: SessionConfig,
     grids: Sequence[tuple[int, int]],
+    exact_geometries: Sequence[SessionGeometry] | None = None,
 ) -> list[ApproximationReport]:
     """Relative error of nearest-bank evaluation, per bank grid.
 
     For every frame of every trace the exact-projection quality q and
     the nearest-mask quality q' share the same grade map; the error is
     |q' - q| / q, and frames with q = 0 are excluded from the mean and
-    counted.
+    counted.  ``exact_geometries`` may pass each trace's vaqm stage-1
+    geometry when the caller already has it; each bank grid is projected
+    once for all traces.
     """
     if not traces:
         raise ValueError("no traces given")
     vaqm_config = replace(config, method=METHOD_VAQM, avaqm_grid=None)
-    selectors = _hq_selectors(config)
+    if exact_geometries is None:
+        exact_geometries = [session_geometry(trace, vaqm_config) for trace in traces]
     exact_q: list[np.ndarray] = []
     variant_series: list[np.ndarray] = []
-    direction_series: list[np.ndarray] = []
-    for trace in traces:
-        timeline = evaluate_session(trace, vaqm_config)
-        exact_q.append(np.array([f.q_frame for f in timeline.frames]))
+    for trace, geometry in zip(traces, exact_geometries, strict=True):
+        _check_geometry(geometry, trace, vaqm_config)
         variant_series.append(_variant_per_frame(trace, config))
-        direction_series.append(_trace_directions(trace))
+        exact_q.append(_pooled(geometry, variant_series[-1], vaqm_config)[0])
     reports = []
     for grid_dims in grids:
-        centers_xyz, center_sums = _bank_tile_sums(config, grid_dims)
+        bank_config = replace(config, method=METHOD_AVAQM, avaqm_grid=grid_dims)
+        bank = _bank_tile_sums(bank_config, grid_dims)
         errors = []
         excluded = 0
-        for q, variants, directions in zip(exact_q, variant_series, direction_series):
-            nearest = np.argmax(directions @ centers_xyz.T, axis=1)
-            approx = np.array(
-                [
-                    _pooled(center_sums[nearest[i]], selectors[variants[i]], config)[0]
-                    for i in range(variants.size)
-                ]
-            )
+        for trace, q, variants in zip(traces, exact_q, variant_series):
+            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, bank_config)[0]
             usable = q > 0.0
             excluded += int(np.count_nonzero(~usable))
             errors.append(np.abs(approx[usable] - q[usable]) / q[usable])
@@ -479,20 +620,49 @@ def approximation_error_study(
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _manifest_entry_problem(entry) -> str | None:
+    if not isinstance(entry, dict) or ("trace" in entry) == ("synthetic" in entry):
+        return "needs exactly one of a 'trace' path or a 'synthetic' generator spec"
+    for key in entry:
+        if key not in MANIFEST_KEYS:
+            return f"unknown key {key!r}"
+    if "trace" in entry and not isinstance(entry["trace"], str):
+        return "'trace' must be a file path"
+    if "synthetic" in entry:
+        recipe = entry["synthetic"]
+        if not isinstance(recipe, dict):
+            return "'synthetic' must be an object"
+        for key, value in recipe.items():
+            if key not in RECIPE_KEYS:
+                return f"unknown key {key!r}"
+            if not _is_number(value) or (key == "seed" and not isinstance(value, int)):
+                return f"synthetic {key!r} must be {'an integer' if key == 'seed' else 'a number'}"
+    segments = entry.get("segment_ms", 0.0)
+    listed = isinstance(segments, list) and segments and all(map(_is_number, segments))
+    if not (_is_number(segments) or listed):
+        return "'segment_ms' must be a number or a non-empty list of numbers"
+    return None
+
+
 def load_batch_manifest(path: str) -> list[dict]:
-    """Batch run description: JSON list of {trace, content, segment_ms, ...}."""
+    """Batch run description: JSON list of {content, trace | synthetic, segment_ms}.
+
+    Entries may hold only those keys, and a synthetic recipe only the
+    synthetic_trace parameters in RECIPE_KEYS, each a number.
+    """
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: manifest must be a non-empty JSON list")
-    entries = []
     for position, entry in enumerate(raw):
-        if not isinstance(entry, dict) or ("trace" not in entry and "synthetic" not in entry):
-            raise ValueError(
-                f"{path}: entry {position} needs a 'trace' path or a 'synthetic' generator spec"
-            )
-        entries.append(entry)
-    return entries
+        problem = _manifest_entry_problem(entry)
+        if problem is not None:
+            raise ValueError(f"{path}: entry {position}: {problem}")
+    return raw
 
 
 def session_report(

@@ -1,12 +1,17 @@
 """End-to-end tests of the vq360 command line."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vq360.session
 from vq360.cli import main
-from vq360.mask import jaccard_index, load_mask_npz
+from vq360.geometry import FieldOfView, Resolution
+from vq360.grade import variant_layout_26
+from vq360.mask import bank_centers, jaccard_index, load_mask_npz
+from vq360.session import SessionConfig, evaluate_session, synthetic_trace
 
 
 def run(capsys, *argv):
@@ -147,6 +152,49 @@ def test_study_tables_and_determinism(tmp_path, capsys):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
+def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
+    """Every trace frame and every bank center is projected exactly once,
+    and each segment-table row equals evaluate_session on its trace."""
+    recipes = [
+        {"seed": 4, "duration_s": 1.0, "speed_deg_per_s": 45.0},
+        {"seed": 5, "duration_s": 2.0, "speed_deg_per_s": 90.0, "dwell_probability": 0.0},
+    ]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"content": "a", "synthetic": recipes[0]},
+        {"content": "b", "synthetic": recipes[1], "segment_ms": [100, 1000]},
+    ]))
+    calls = []
+    project = vq360.session._project_spans
+
+    def counted(pog, fov, res):
+        calls.append(pog)
+        return project(pog, fov, res)
+
+    monkeypatch.setattr(vq360.session, "_project_spans", counted)
+    code, _, _ = run(
+        capsys,
+        "study", "--manifest", str(manifest), "--resolution", "960x480",
+        "--segments", "500,2000,6000", "--grids", "3x6,5x10", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert len(calls) == 30 + 60 + len(bank_centers(3, 6)) + len(bank_centers(5, 10))
+
+    monkeypatch.undo()
+    res = Resolution(960, 480)
+    config = SessionConfig(
+        segment_ms=500.0, fov=FieldOfView(100.0, 85.0), resolution=res, layout=variant_layout_26(res)
+    )
+    rows = (tmp_path / "out" / "segment_table.csv").read_text().strip().split("\n")[1:]
+    expected = []
+    for content, recipe, segments in (("a", recipes[0], (500, 2000, 6000)), ("b", recipes[1], (100, 1000))):
+        trace = synthetic_trace(**recipe, fps=30.0)
+        for segment_ms in segments:
+            timeline = evaluate_session(trace, replace(config, segment_ms=float(segment_ms)))
+            expected.append(f"{content},{segment_ms:g},1,{timeline.q_window:.6f},{timeline.f_window:.4f}")
+    assert sorted(rows) == sorted(expected)
+
+
 def test_study_can_skip_error_table(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([
@@ -187,6 +235,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             main(argv)
         assert info.value.code == 2
     capsys.readouterr()
+    # Rejected before any input is read: the trace and manifest do not exist.
+    for argv, message in (
+        (evaluate + ["--t-q", "1.5"], "t_q"),
+        (evaluate + ["--t-q", "-0.1"], "t_q"),
+        (study + ["--t-q", "nan"], "t_q"),
+        (study + ["--segments", "500,fast"], "segment lengths"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err
 
 
 def test_data_errors_exit_3(tmp_path, capsys):
@@ -206,6 +263,25 @@ def test_data_errors_exit_3(tmp_path, capsys):
         "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
     )
     assert code == 3 and "non-empty" in err
+
+    for entry, key in (
+        ({"content": "walk", "synthetic": {"seed": 1, "speeed": 45.0}}, "speeed"),
+        ({"label": "walk", "synthetic": {"seed": 1}}, "label"),
+    ):
+        manifest.write_text(json.dumps([entry]))
+        code, _, err = run(
+            capsys,
+            "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+        )
+        assert code == 3 and f"{manifest}: entry 0: unknown key '{key}'" in err
+
+    trace.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n1,nan,0,0,0\n")
+    code, _, err = run(
+        capsys,
+        "evaluate", "--trace", str(trace), "--resolution", "960x480",
+        "--out-prefix", str(tmp_path / "r"),
+    )
+    assert code == 3 and f"{trace}:3: non-finite value" in err
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

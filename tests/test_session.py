@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from vq360.session import (
     evaluate_session,
     load_batch_manifest,
     parse_trace,
+    pool_session,
     segment_frames,
+    session_geometry,
     session_report,
     synthetic_trace,
     write_trace_csv,
@@ -115,6 +118,34 @@ def test_synthetic_trace_start_and_validation():
         synthetic_trace(speed_deg_per_s=-1.0)
 
 
+def test_trace_arrays_normalize_like_points():
+    theta = [-30.0, 370.0, -1e-20, 0.0, -0.0, 359.999]
+    phi = [-5.0, 190.0, 90.0, 0.0, 180.0, 45.0]
+    trace = SessionTrace(10.0, theta, phi)
+    expected = tuple(SphericalPoint(t, p) for t, p in zip(theta, phi))
+    for point, want in zip(trace.samples, expected):
+        # -1e-20 wraps to 360 in SphericalPoint and to 0 in the trace: the same direction.
+        assert point.theta_deg == want.theta_deg % 360.0 and point.phi_deg == want.phi_deg
+    assert trace.samples is trace.samples
+    assert trace.point(1) == trace.samples[1]
+    assert SessionTrace.from_points(10.0, expected).samples == trace.samples
+    with pytest.raises(ValueError):
+        trace.theta_deg[0] = 1.0
+    assert trace == trace and trace != SessionTrace(10.0, theta, phi)
+    assert len({trace, trace}) == 1
+
+
+def test_trace_validation():
+    with pytest.raises(ValueError, match="no samples"):
+        SessionTrace(10.0, [], [])
+    with pytest.raises(ValueError, match="equal length"):
+        SessionTrace(10.0, [1.0, 2.0], [3.0])
+    with pytest.raises(ValueError, match="finite"):
+        SessionTrace(10.0, [1.0, math.nan], [3.0, 4.0])
+    with pytest.raises(ValueError, match="frame rate"):
+        SessionTrace(0.0, [1.0], [3.0])
+
+
 # ---------------------------------------------------------------------------
 # trace files
 # ---------------------------------------------------------------------------
@@ -132,12 +163,42 @@ def test_trace_csv_round_trip(tmp_path):
         assert a.phi_deg == pytest.approx(b.phi_deg, abs=1e-12)
 
 
+def test_parse_trace_accepts_rows_in_any_order(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("frame,theta_deg,phi_deg\n2,30,60\n0,10,40\n\n1,20,50\n")
+    trace = parse_trace(str(path))
+    assert trace.theta_deg.tolist() == [10.0, 20.0, 30.0]
+    assert trace.phi_deg.tolist() == [40.0, 50.0, 60.0]
+    half = math.sqrt(0.5)
+    path.write_text(f"frame,qw,qx,qy,qz\n1,{half},0,{half},0\n0,1,0,0,0\n")
+    trace = parse_trace(str(path))
+    assert trace.theta_deg == pytest.approx([180.0, 90.0], abs=1e-9)
+
+
 def test_parse_trace_errors(tmp_path):
     path = tmp_path / "trace.csv"
 
     path.write_text("frame,theta_deg,phi_deg\n0,10,45\n0,11,46\n")
-    with pytest.raises(ValueError, match="duplicate frame"):
+    with pytest.raises(ValueError, match=r"trace.csv:3: duplicate frame 0"):
         parse_trace(str(path))
+
+    # Line numbers count the lines of the file, blank ones included.
+    path.write_text("frame,theta_deg,phi_deg\n1,10,45\n\n0,11,46\n1,12,47\n")
+    with pytest.raises(ValueError, match=r"trace.csv:5: duplicate frame 1"):
+        parse_trace(str(path))
+
+    path.write_text("frame,theta_deg,phi_deg\n0,10,45\n1,11\n")
+    with pytest.raises(ValueError, match=r"trace.csv:3: malformed"):
+        parse_trace(str(path))
+
+    path.write_text("frame,theta_deg,phi_deg\n0,10,45\n1.0,11,46\n")
+    with pytest.raises(ValueError, match=r"trace.csv:3: malformed"):
+        parse_trace(str(path))
+
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"frame,theta_deg,phi_deg\n0,10,45\n1,11,46\n2,12,{bad}\n")
+        with pytest.raises(ValueError, match=r"trace.csv:4: non-finite value"):
+            parse_trace(str(path))
 
     path.write_text("frame,theta_deg,phi_deg\n0,10,45\n2,11,46\n")
     with pytest.raises(ValueError, match="missing frame 1"):
@@ -197,7 +258,13 @@ def test_quaternion_pitch_up(tmp_path):
 def test_quaternion_norm_validation(tmp_path):
     path = tmp_path / "quat.csv"
     path.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n1,2,0,0,0\n")
-    with pytest.raises(ValueError, match="frame 1"):
+    with pytest.raises(ValueError, match=r"quat.csv:3: non-unit quaternion .* frame 1"):
+        parse_trace(str(path))
+    path.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n1,nan,0,0,0\n")
+    with pytest.raises(ValueError, match=r"quat.csv:3: non-finite value"):
+        parse_trace(str(path))
+    path.write_text("frame,qw,qx,qy,qz\n1,1,0,0,0\n0,1,0,0,0\n1,1,0,0,0\n")
+    with pytest.raises(ValueError, match=r"quat.csv:4: duplicate frame 1"):
         parse_trace(str(path))
     # a slightly off-unit quaternion is renormalized, not rejected
     path.write_text("frame,qw,qx,qy,qz\n0,1.0005,0,0,0\n")
@@ -227,7 +294,7 @@ def test_active_variant_is_a_step_function():
     south = SphericalPoint(90.0, 170.0)
     samples = [north] * 5 + [middle] * 5
     samples[2] = south  # mid-segment movement must not retrigger adaptation
-    trace = SessionTrace(10.0, tuple(samples))
+    trace = SessionTrace.from_points(10.0, samples)
     config = base_config(segment_ms=500.0)
     for frame in range(5):
         assert active_variant(trace, config, frame) == LAYOUT.area_containing(north)
@@ -246,6 +313,11 @@ def test_session_config_validation():
         base_config(method="avaqm")
     with pytest.raises(ValueError):
         base_config(resolution=Resolution(1920, 960))
+    for t_q in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="t_q"):
+            base_config(t_q=t_q)
+    with pytest.raises(ValueError, match="normalization"):
+        base_config(normalization="peak")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +363,48 @@ def test_all_tiles_high_quality_gives_unit_quality():
     assert [frame.q_frame for frame in timeline.frames] == [1.0] * 10
 
 
+def test_one_geometry_serves_every_segment_length():
+    """Stage 2 on a shared stage-1 geometry gives the same bits as a fresh evaluation."""
+    trace = synthetic_trace(duration_s=4.0, fps=30.0, speed_deg_per_s=60.0, seed=23)
+    for config in (base_config(), base_config(method="avaqm", avaqm_grid=(5, 10))):
+        geometry = session_geometry(trace, config)
+        for segment_ms, footprint, normalization in (
+            (100.0, "area-only", "mask-area"),
+            (500.0, "area+neighbors", "analytic"),
+            (2000.0, "area+neighbors", "mask-area"),
+        ):
+            variant = replace(
+                config, segment_ms=segment_ms, hq_footprint=footprint, normalization=normalization
+            )
+            assert pool_session(trace, variant, geometry).frames == evaluate_session(trace, variant).frames
+
+
+def test_avaqm_geometry_is_one_row_per_bank_center():
+    trace = synthetic_trace(duration_s=2.0, fps=10.0, speed_deg_per_s=60.0, seed=24)
+    geometry = session_geometry(trace, base_config(method="avaqm", avaqm_grid=(5, 10)))
+    centers = bank_centers(5, 10)
+    assert geometry.tile_sums.shape == (50, LAYOUT.grid.rows * LAYOUT.grid.cols)
+    assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
+
+
+def test_pool_session_rejects_foreign_geometry():
+    trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=28)
+    geometry = session_geometry(trace, base_config())
+    for config in (
+        base_config(fov=FieldOfView(90.0, 90.0)),
+        base_config(method="avaqm", avaqm_grid=(3, 6)),
+    ):
+        with pytest.raises(ValueError, match="another trace or configuration"):
+            pool_session(trace, config, geometry)
+    shorter = synthetic_trace(duration_s=0.5, fps=10.0, seed=28)
+    with pytest.raises(ValueError, match="another trace or configuration"):
+        pool_session(shorter, base_config(), geometry)
+    # A vaqm geometry ignores a bank grid the config carries.
+    assert pool_session(trace, base_config(avaqm_grid=(3, 6)), geometry).frames == evaluate_session(
+        trace, base_config()
+    ).frames
+
+
 def test_tile_weight_sums_match_row_by_row_loop():
     """All tile rows in one pass give the same bits as one pass per tile row."""
     grid = LAYOUT.grid
@@ -322,7 +436,7 @@ def test_quality_bounds_and_timeline_length():
 
 def test_error_is_zero_when_trace_sits_on_bank_centers():
     samples = bank_centers(3, 6)
-    trace = SessionTrace(2.0, samples)  # one frame per 500 ms segment
+    trace = SessionTrace.from_points(2.0, samples)  # one frame per 500 ms segment
     config = base_config()
     reports = approximation_error_study([trace], config, [(3, 6)])
     assert reports[0].mean_relative_error == 0.0
@@ -338,6 +452,20 @@ def test_error_decreases_with_finer_grids():
     assert reports[1].mean_relative_error < reports[0].mean_relative_error
     for report in reports:
         assert report.per_frame_errors.size + report.excluded_frames == 180
+
+
+def test_error_study_reuses_exact_geometries():
+    traces = [synthetic_trace(duration_s=2.0, fps=30.0, seed=s) for s in (3, 4)]
+    config = base_config()
+    geometries = [session_geometry(trace, config) for trace in traces]
+    fresh = approximation_error_study(traces, config, [(3, 6), (5, 10)])
+    reused = approximation_error_study(traces, config, [(3, 6), (5, 10)], geometries)
+    for a, b in zip(fresh, reused):
+        assert np.array_equal(a.per_frame_errors, b.per_frame_errors)
+        assert a.excluded_frames == b.excluded_frames
+    avaqm = session_geometry(traces[0], base_config(method="avaqm", avaqm_grid=(3, 6)))
+    with pytest.raises(ValueError, match="another trace or configuration"):
+        approximation_error_study(traces[:1], config, [(3, 6)], [avaqm])
 
 
 def test_error_study_requires_traces():
@@ -370,6 +498,24 @@ def test_load_batch_manifest(tmp_path):
     path.write_text(json.dumps([{"content": "nameless"}]))
     with pytest.raises(ValueError, match="entry 0"):
         load_batch_manifest(str(path))
+
+    for entry, problem in (
+        ({"trace": "a.csv", "label": "x"}, "unknown key 'label'"),
+        ({"synthetic": {"seed": 1, "speeed": 45.0}}, "unknown key 'speeed'"),
+        ({"synthetic": {"seed": 1, "start": [0, 90]}}, "unknown key 'start'"),
+        ({"synthetic": {"seed": 1.5}}, "'seed' must be an integer"),
+        ({"synthetic": {"duration_s": "2"}}, "'duration_s' must be a number"),
+        ({"synthetic": [1, 2]}, "'synthetic' must be an object"),
+        ({"trace": "a.csv", "synthetic": {"seed": 1}}, "exactly one of"),
+        ({"trace": 3}, "'trace' must be a file path"),
+        ({"trace": "a.csv", "segment_ms": "500"}, "'segment_ms' must be"),
+        ({"trace": "a.csv", "segment_ms": []}, "'segment_ms' must be"),
+    ):
+        path.write_text(json.dumps([{"trace": "ok.csv"}, entry]))
+        with pytest.raises(ValueError) as info:
+            load_batch_manifest(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: entry 1: ") and problem in message
 
 
 def test_session_report_contents():
