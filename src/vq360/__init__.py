@@ -61,7 +61,6 @@ from .pooling import (
     window_fraction,
     window_mean,
     write_frame_csv,
-    write_summary_json,
 )
 from .session import (
     ApproximationReport,

@@ -11,6 +11,8 @@ data, 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -197,7 +199,7 @@ def cmd_evaluate(args) -> int:
     timeline = evaluate_session(trace, config)
     frame_csv = args.out_prefix + "_frames.csv"
     summary_json = args.out_prefix + "_summary.json"
-    write_frame_csv(timeline.frames, frame_csv)
+    write_frame_csv(timeline.q_frame, frame_csv)
     report = session_report(timeline, config, trace, frame_csv=os.path.basename(frame_csv))
     _atomic_write_bytes(summary_json, (json.dumps(report, indent=2) + "\n").encode("ascii"))
     print(f"q_window = {timeline.q_window:.6f}")
@@ -223,6 +225,13 @@ def _segment_list(entry: dict, default: list[float]) -> list[float]:
     return [float(s) for s in raw]
 
 
+def _write_table(path: str, rows: list[tuple]) -> None:
+    """CSV with minimal quoting: a label holding a comma, quote or line feed stays one field."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _atomic_write_bytes(path, text.getvalue().encode("utf-8"))
+
+
 def cmd_study(args) -> int:
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
@@ -241,31 +250,27 @@ def cmd_study(args) -> int:
     geometries = [session_geometry(trace, base_config) for trace in traces]
     by_key: dict[tuple[str, float], list] = {}
     for i, (entry, trace, geometry) in enumerate(zip(entries, traces, geometries)):
-        content = str(entry.get("content", f"entry{i}"))
+        content = entry.get("content", f"entry{i}")
         for segment_ms in _segment_list(entry, default_segments):
             timeline = pool_session(trace, replace(base_config, segment_ms=segment_ms), geometry)
             by_key.setdefault((content, segment_ms), []).append(timeline)
-    lines = ["content,segment_ms,n_sessions,q_window_mean,f_window_mean"]
+    rows = [("content", "segment_ms", "n_sessions", "q_window_mean", "f_window_mean")]
     for content, segment_ms in sorted(by_key):
         group = by_key[(content, segment_ms)]
         q = sum(t.q_window for t in group) / len(group)
         f = sum(t.f_window for t in group) / len(group)
-        lines.append(f"{content},{segment_ms:g},{len(group)},{q:.6f},{f:.4f}")
+        rows.append((content, f"{segment_ms:g}", len(group), f"{q:.6f}", f"{f:.4f}"))
     segment_table = os.path.join(args.out, "segment_table.csv")
-    _atomic_write_bytes(segment_table, ("\n".join(lines) + "\n").encode("ascii"))
+    _write_table(segment_table, rows)
     written = [segment_table]
 
     if grids:
         exact = geometries if base_config.method == METHOD_VAQM else None
         reports = approximation_error_study(traces, base_config, grids, exact)
-        lines = ["grid_rows,grid_cols,mean_relative_error_percent,excluded_frames"]
-        for report in reports:
-            lines.append(
-                f"{report.grid_rows},{report.grid_cols},"
-                f"{report.mean_relative_error:.6f},{report.excluded_frames}"
-            )
+        rows = [("grid_rows", "grid_cols", "mean_relative_error_percent", "excluded_frames")]
+        rows += [(r.grid_rows, r.grid_cols, f"{r.mean_relative_error:.6f}", r.excluded_frames) for r in reports]
         error_table = os.path.join(args.out, "error_table.csv")
-        _atomic_write_bytes(error_table, ("\n".join(lines) + "\n").encode("ascii"))
+        _write_table(error_table, rows)
         written.append(error_table)
     print("wrote " + " and ".join(written))
     return 0

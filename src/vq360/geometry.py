@@ -167,13 +167,19 @@ def pixel_to_spherical(col: int, row: int, res: Resolution) -> SphericalPoint:
     return SphericalPoint((col + 0.5) * res.column_pitch_deg, (row + 0.5) * res.row_pitch_deg)
 
 
+def spherical_to_pixel_arrays(
+    theta_deg: np.ndarray, phi_deg: np.ndarray, res: Resolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel columns and rows containing normalized directions (truncated, clamped)."""
+    col = np.minimum((theta_deg / FULL_TURN_DEG * res.n_h).astype(np.int64), res.n_h - 1)
+    row = np.minimum((phi_deg / HALF_TURN_DEG * res.n_v).astype(np.int64), res.n_v - 1)
+    return col, row
+
+
 def spherical_to_pixel(point: SphericalPoint, res: Resolution) -> tuple[int, int]:
     """Pixel containing the given direction; inverse of :func:`pixel_to_spherical`."""
-    col = int(point.theta_deg / FULL_TURN_DEG * res.n_h)
-    row = int(point.phi_deg / HALF_TURN_DEG * res.n_v)
-    col = min(col, res.n_h - 1)
-    row = min(row, res.n_v - 1)
-    return col, row
+    col, row = spherical_to_pixel_arrays(np.float64(point.theta_deg), np.float64(point.phi_deg), res)
+    return int(col), int(row)
 
 
 def solid_angle_sr(fov: FieldOfView) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Resolution, SphericalPoint, spherical_to_pixel
+from .geometry import Resolution, SphericalPoint, spherical_to_pixel_arrays
 
 FOOTPRINT_AREA_ONLY = "area-only"
 FOOTPRINT_AREA_NEIGHBORS = "area+neighbors"
@@ -64,11 +64,16 @@ class TileGrid:
         c = self.col_edges()
         return slice(int(r[tile_row]), int(r[tile_row + 1])), slice(int(c[tile_col]), int(c[tile_col + 1]))
 
+    def tiles_of_pixels(self, pixel_row: np.ndarray, pixel_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tile rows and columns holding in-frame pixel index arrays."""
+        tr = np.minimum(pixel_row // (self.resolution.n_v // self.rows), self.rows - 1)
+        tc = np.minimum(pixel_col // (self.resolution.n_h // self.cols), self.cols - 1)
+        return tr, tc
+
     def tile_of_pixel(self, pixel_row: int, pixel_col: int) -> tuple[int, int]:
         if not (0 <= pixel_row < self.resolution.n_v and 0 <= pixel_col < self.resolution.n_h):
             raise ValueError(f"pixel ({pixel_row},{pixel_col}) outside frame")
-        tr = min(pixel_row // (self.resolution.n_v // self.rows), self.rows - 1)
-        tc = min(pixel_col // (self.resolution.n_h // self.cols), self.cols - 1)
+        tr, tc = self.tiles_of_pixels(pixel_row, pixel_col)
         return int(tr), int(tc)
 
 
@@ -80,31 +85,38 @@ class VariantLayout:
     areas: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        for area in self.areas:
-            for tile in area:
-                if tile in seen:
-                    raise ValueError(f"tile {tile} belongs to more than one area")
-                if not (0 <= tile[0] < self.grid.rows and 0 <= tile[1] < self.grid.cols):
-                    raise ValueError(f"tile {tile} outside the grid")
-                seen.add(tile)
-        if len(seen) != self.grid.rows * self.grid.cols:
+        # Tile -> area table; -1 marks a tile no area has claimed yet.
+        table = np.full((self.grid.rows, self.grid.cols), -1, dtype=np.int64)
+        for index, area in enumerate(self.areas):
+            for row, col in area:
+                if not (0 <= row < self.grid.rows and 0 <= col < self.grid.cols):
+                    raise ValueError(f"tile {(row, col)} outside the grid")
+                if table[row, col] >= 0:
+                    raise ValueError(f"tile {(row, col)} belongs to more than one area")
+                table[row, col] = index
+        if (table < 0).any():
             raise ValueError("areas do not cover every tile")
+        table.setflags(write=False)
+        object.__setattr__(self, "_area_table", table)
 
     @property
     def variant_count(self) -> int:
         return len(self.areas)
 
     def area_of_tile(self, tile_row: int, tile_col: int) -> int:
-        for index, area in enumerate(self.areas):
-            if (tile_row, tile_col) in area:
-                return index
-        raise ValueError(f"tile ({tile_row},{tile_col}) outside the grid")
+        if not (0 <= tile_row < self.grid.rows and 0 <= tile_col < self.grid.cols):
+            raise ValueError(f"tile ({tile_row},{tile_col}) outside the grid")
+        return int(self._area_table[tile_row, tile_col])
 
     def area_containing(self, pog: SphericalPoint) -> int:
         """Index of the variant whose area contains the PoG pixel."""
-        col, row = spherical_to_pixel(pog, self.grid.resolution)
-        return self.area_of_tile(*self.grid.tile_of_pixel(row, col))
+        return int(self._areas_at(np.float64(pog.theta_deg), np.float64(pog.phi_deg)))
+
+    def _areas_at(self, theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+        """Area under each PoG of angle arrays, by the pixel rule of
+        spherical_to_pixel and the tile rule of TileGrid.tile_of_pixel."""
+        col, row = spherical_to_pixel_arrays(theta_deg, phi_deg, self.grid.resolution)
+        return self._area_table[self.grid.tiles_of_pixels(row, col)]
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ of frames strictly above a threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -35,18 +34,35 @@ class FrameQuality:
     mask_area_used: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QualityTimeline:
-    """Per-frame series with its temporal aggregates."""
+    """Per-frame series with its temporal aggregates.
 
-    frames: tuple[FrameQuality, ...]
+    ``q_frame`` and ``mask_area`` hold each frame's quality and the
+    denominator it was divided by, as read-only float64 copies.
+    Timelines compare by identity.
+    """
+
+    q_frame: np.ndarray
+    mask_area: np.ndarray
     q_window: float
     f_window: float
     threshold: float
 
+    def __post_init__(self) -> None:
+        for name in ("q_frame", "mask_area"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
-def _q_values(frames: Iterable) -> np.ndarray:
-    values = np.array([float(getattr(f, "q_frame", f)) for f in frames])
+    @cached_property
+    def frames(self) -> tuple[FrameQuality, ...]:
+        """The series as one FrameQuality per frame, built on first use."""
+        return tuple(map(FrameQuality, range(self.q_frame.size), self.q_frame.tolist(), self.mask_area.tolist()))
+
+
+def _q_values(q_frame: np.ndarray) -> np.ndarray:
+    values = np.asarray(q_frame, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty window")
     return values
@@ -77,38 +93,26 @@ def frame_quality(
     return FrameQuality(frame_index, numerator / denominator, denominator)
 
 
-def window_mean(frames: Sequence) -> float:
+def window_mean(q_frame: np.ndarray) -> float:
     """Arithmetic mean of the frame qualities."""
-    return float(_q_values(frames).mean())
+    return float(_q_values(q_frame).mean())
 
 
-def window_fraction(frames: Sequence, t_q: float = DEFAULT_T_Q) -> float:
+def window_fraction(q_frame: np.ndarray, t_q: float = DEFAULT_T_Q) -> float:
     """Percentage of frames whose quality strictly exceeds the threshold."""
     if not 0.0 <= t_q <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {t_q}")
-    values = _q_values(frames)
+    values = _q_values(q_frame)
     return float(100.0 * np.count_nonzero(values > t_q) / values.size)
 
 
-def make_timeline(frames: Sequence[FrameQuality], t_q: float = DEFAULT_T_Q) -> QualityTimeline:
-    """Aggregate a per-frame series into a QualityTimeline."""
-    return QualityTimeline(tuple(frames), window_mean(frames), window_fraction(frames, t_q), t_q)
+def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAULT_T_Q) -> QualityTimeline:
+    """Aggregate per-frame qualities and denominators into a QualityTimeline."""
+    return QualityTimeline(q_frame, mask_area, window_mean(q_frame), window_fraction(q_frame, t_q), t_q)
 
 
-def write_frame_csv(frames: Sequence[FrameQuality], path: str) -> None:
+def write_frame_csv(q_frame: np.ndarray, path: str) -> None:
     """Per-frame series as CSV with header frame,q_frame."""
     lines = ["frame,q_frame"]
-    lines.extend(f"{f.frame_index},{f.q_frame!r}" for f in frames)
+    lines.extend(f"{index},{q!r}" for index, q in enumerate(np.asarray(q_frame, dtype=np.float64).tolist()))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def write_summary_json(timeline: QualityTimeline, normalization: str, path: str) -> None:
-    """Window aggregates as a small JSON document."""
-    payload = {
-        "q_window": timeline.q_window,
-        "f_window": timeline.f_window,
-        "t_q": timeline.threshold,
-        "n_frames": len(timeline.frames),
-        "normalization": normalization,
-    }
-    _atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("ascii"))

@@ -47,15 +47,13 @@ from .geometry import (
     equivalent_pixels_viewport,
     row_centers_deg,
     spherical_to_cartesian,
-    spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, hq_tile_set
-from .mask import _atomic_write_bytes, _project_spans, bank_centers
+from .mask import _atomic_write_bytes, _nearest_centers, _project_spans, bank_centers
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
     NORMALIZATION_MASK_AREA,
-    FrameQuality,
     QualityTimeline,
     make_timeline,
 )
@@ -64,9 +62,6 @@ DEFAULT_FPS = 30.0
 METHOD_VAQM = "vaqm"
 METHOD_AVAQM = "avaqm"
 QUATERNION_UNIT_TOLERANCE = 1e-3
-# Frames per block when snapping a trace to its nearest bank centers, so
-# the (frames x centers) dot table stays a few MB on long traces.
-NEAREST_CENTER_BLOCK = 4096
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
 QUATERNION_HEADER = ("frame", "qw", "qx", "qy", "qz")
@@ -144,10 +139,6 @@ class SessionTrace:
     @property
     def duration_s(self) -> float:
         return self.n_frames / self.frames_per_second
-
-    def point(self, frame_index: int) -> SphericalPoint:
-        """The PoG of one frame, without building ``samples``."""
-        return SphericalPoint(float(self.theta_deg[frame_index]), float(self.phi_deg[frame_index]))
 
 
 @dataclass(frozen=True)
@@ -416,15 +407,14 @@ def active_variant(trace: SessionTrace, config: SessionConfig, frame_index: int)
         raise ValueError(f"frame {frame_index} outside trace of {trace.n_frames} frames")
     length = segment_frames(config.segment_ms, trace.frames_per_second)
     first = (frame_index // length) * length
-    return config.layout.area_containing(trace.point(first))
+    return int(config.layout._areas_at(trace.theta_deg[first], trace.phi_deg[first]))
 
 
 def _variant_per_frame(trace: SessionTrace, config: SessionConfig) -> np.ndarray:
+    """active_variant of every frame, from one lookup per segment start."""
     length = segment_frames(config.segment_ms, trace.frames_per_second)
-    variants = np.empty(trace.n_frames, dtype=np.int64)
-    for first in range(0, trace.n_frames, length):
-        variants[first : first + length] = config.layout.area_containing(trace.point(first))
-    return variants
+    starts = config.layout._areas_at(trace.theta_deg[::length], trace.phi_deg[::length])
+    return np.repeat(starts, length)[: trace.n_frames]
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +443,25 @@ def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
     return np.add.reduceat(np.diff(prefix[rows], axis=0), grid.col_edges()[:-1], axis=1)
 
 
-def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Center unit vectors (centers, 3) and per-center tile sums (centers, tiles)."""
+def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:
+    """Tile sums of the exact viewport at each PoG, shape (PoGs, tiles)."""
+    spans = (_project_spans(pog, config.fov, config.resolution) for pog in pogs)
+    return np.stack([_tile_weight_sums(top, bot, config.layout.grid).ravel() for top, bot in spans])
+
+
+def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[tuple, np.ndarray]:
+    """Bank centers and their tile sums, shape (centers, tiles)."""
     centers = bank_centers(*grid_dims)
-    xyz = np.array([spherical_to_cartesian(c).as_array() for c in centers])
-    sums = np.stack(
-        [
-            _tile_weight_sums(*_project_spans(c, config.fov, config.resolution), config.layout.grid).ravel()
-            for c in centers
-        ]
-    )
-    return xyz, sums
+    return centers, _tile_sums_at(centers, config)
 
 
 def _bank_geometry(
-    config: SessionConfig, bank: tuple[np.ndarray, np.ndarray], trace: SessionTrace
+    config: SessionConfig, bank: tuple[tuple, np.ndarray], trace: SessionTrace
 ) -> SessionGeometry:
-    """avaqm stage 1 from a bank's (center vectors, tile sums): every frame
-    takes the nearest center (largest dot product, ties to the lowest index)."""
-    centers_xyz, sums = bank
-    directions = np.stack(spherical_to_cartesian_arrays(trace.theta_deg, trace.phi_deg), axis=1)
-    nearest = np.empty(trace.n_frames, dtype=np.intp)
-    for start in range(0, trace.n_frames, NEAREST_CENTER_BLOCK):
-        block = directions[start : start + NEAREST_CENTER_BLOCK]
-        nearest[start : start + len(block)] = np.argmax(block @ centers_xyz.T, axis=1)
+    """avaqm stage 1 from a bank's (centers, tile sums): every frame takes
+    the nearest center, by the rule of nearest_center_index."""
+    centers, sums = bank
+    nearest = _nearest_centers(centers, trace.theta_deg, trace.phi_deg)
     return SessionGeometry(_geometry_key(config), sums, nearest)
 
 
@@ -496,12 +481,8 @@ def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeome
     """
     if config.method == METHOD_AVAQM:
         return _bank_geometry(config, _bank_tile_sums(config, config.avaqm_grid), trace)
-    grid = config.layout.grid
-    sums = np.empty((trace.n_frames, grid.rows * grid.cols))
-    for index, (theta, phi) in enumerate(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist())):
-        top, bot = _project_spans(SphericalPoint(theta, phi), config.fov, config.resolution)
-        sums[index] = _tile_weight_sums(top, bot, grid).ravel()
-    return SessionGeometry(_geometry_key(config), sums, np.arange(trace.n_frames))
+    pogs = map(SphericalPoint, trace.theta_deg.tolist(), trace.phi_deg.tolist())
+    return SessionGeometry(_geometry_key(config), _tile_sums_at(pogs, config), np.arange(trace.n_frames))
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +527,7 @@ def pool_session(trace: SessionTrace, config: SessionConfig, geometry: SessionGe
     """Stage 2: quality timeline of a session from its stage-1 geometry."""
     _check_geometry(geometry, trace, config)
     q, area = _pooled(geometry, _variant_per_frame(trace, config), config)
-    frames = [FrameQuality(index, *values) for index, values in enumerate(zip(q.tolist(), area.tolist()))]
-    return make_timeline(frames, config.t_q)
+    return make_timeline(q, area, config.t_q)
 
 
 def evaluate_session(trace: SessionTrace, config: SessionConfig) -> QualityTimeline:
@@ -630,6 +610,10 @@ def _manifest_entry_problem(entry) -> str | None:
     for key in entry:
         if key not in MANIFEST_KEYS:
             return f"unknown key {key!r}"
+    content = entry.get("content", "")
+    # csv.writer with a "\n" terminator does not quote a carriage return.
+    if not isinstance(content, str) or "\r" in content:
+        return "'content' must be a string without a carriage return"
     if "trace" in entry and not isinstance(entry["trace"], str):
         return "'trace' must be a file path"
     if "synthetic" in entry:
@@ -651,7 +635,8 @@ def _manifest_entry_problem(entry) -> str | None:
 def load_batch_manifest(path: str) -> list[dict]:
     """Batch run description: JSON list of {content, trace | synthetic, segment_ms}.
 
-    Entries may hold only those keys, and a synthetic recipe only the
+    Entries may hold only those keys, content must be a string without a
+    carriage return, and a synthetic recipe may hold only the
     synthetic_trace parameters in RECIPE_KEYS, each a number.
     """
     with open(path) as handle:
@@ -676,7 +661,7 @@ def session_report(
         "q_window": timeline.q_window,
         "f_window": timeline.f_window,
         "t_q": timeline.threshold,
-        "n_frames": len(timeline.frames),
+        "n_frames": timeline.q_frame.size,
         "fps": trace.frames_per_second,
         "segment_ms": config.segment_ms,
         "fov_deg": [config.fov.theta_deg, config.fov.phi_deg],
@@ -685,7 +670,7 @@ def session_report(
         "normalization": config.normalization,
         "hq_footprint": config.hq_footprint if isinstance(config.hq_footprint, str) else "explicit",
     }
-    if config.avaqm_grid is not None:
+    if config.method == METHOD_AVAQM:
         report["avaqm_grid"] = list(config.avaqm_grid)
     if frame_csv is not None:
         report["frame_series"] = frame_csv

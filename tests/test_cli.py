@@ -1,5 +1,6 @@
 """End-to-end tests of the vq360 command line."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -152,6 +153,28 @@ def test_study_tables_and_determinism(tmp_path, capsys):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
+def test_study_quotes_labels_that_need_it(tmp_path, capsys):
+    """Labels holding a comma, a quote or a line feed round-trip through
+    segment_table.csv as one field each; plain labels stay unquoted."""
+    labels = ["gaze,a", 'say "hi"', "line\nbreak", "plain"]
+    recipe = {"seed": 1, "duration_s": 1.0}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": label, "synthetic": recipe} for label in labels]))
+    code, _, _ = run(
+        capsys,
+        "study", "--manifest", str(manifest), "--resolution", "960x480",
+        "--segments", "500", "--grids", "", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    text = (tmp_path / "out" / "segment_table.csv").read_text()
+    with open(tmp_path / "out" / "segment_table.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[0] for row in rows[1:]] == sorted(labels)
+    assert all(len(row) == 5 for row in rows)
+    plain = next(row for row in rows if row[0] == "plain")
+    assert "\nplain," + ",".join(plain[1:]) + "\n" in text
+
+
 def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
     """Every trace frame and every bank center is projected exactly once,
     and each segment-table row equals evaluate_session on its trace."""
@@ -274,6 +297,15 @@ def test_data_errors_exit_3(tmp_path, capsys):
             "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
         )
         assert code == 3 and f"{manifest}: entry 0: unknown key '{key}'" in err
+
+    for label in (["x"], 3, "a\rb"):
+        entries = [{"content": content, "synthetic": {"seed": 1}} for content in ("ok", label)]
+        manifest.write_text(json.dumps(entries))
+        code, _, err = run(
+            capsys,
+            "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+        )
+        assert code == 3 and f"{manifest}: entry 1: 'content' must be a string" in err
 
     trace.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n1,nan,0,0,0\n")
     code, _, err = run(

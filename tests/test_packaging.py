@@ -1,5 +1,7 @@
-"""The package version has one source."""
+"""Packaging: the version has one source, and the benchmark's hooks exist."""
 
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -24,3 +26,14 @@ def test_version_has_one_source():
     ]
     assert literals == [ROOT / "src" / "vq360" / "__init__.py"]
     assert re.fullmatch(r"\d+\.\d+\.\d+", vq360.__version__)
+
+
+def test_benchmark_hooks_resolve():
+    """Every function the benchmark's tracer wraps exists, so traced runs
+    report no absent layer.  perfbench/ is read, never changed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for layer, module_name, attr in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), layer

@@ -1,7 +1,5 @@
 """Tests for spatial and temporal pooling."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from vq360.pooling import (
     window_fraction,
     window_mean,
     write_frame_csv,
-    write_summary_json,
 )
 
 RES = Resolution(16, 8)
@@ -128,44 +125,37 @@ def test_window_mean_and_fraction():
         window_mean([])
 
 
-def test_window_accepts_frame_quality_objects():
-    frames = [FrameQuality(i, q, 1.0) for i, q in enumerate([0.2, 0.6, 1.0])]
-    assert window_mean(frames) == pytest.approx(0.6)
-    assert window_fraction(frames, t_q=0.5) == pytest.approx(200.0 / 3.0)
-
-
 def test_make_timeline_aggregates():
-    frames = [FrameQuality(i, q, 1.0) for i, q in enumerate([0.7, 0.9, 0.95])]
-    timeline = make_timeline(frames, t_q=0.8)
+    q = np.array([0.7, 0.9, 0.95])
+    timeline = make_timeline(q, np.ones(3), t_q=0.8)
     assert timeline.threshold == 0.8
-    assert timeline.q_window == pytest.approx(window_mean(frames))
-    assert timeline.f_window == pytest.approx(window_fraction(frames, 0.8))
-    assert len(timeline.frames) == 3
-    assert make_timeline(frames).threshold == DEFAULT_T_Q
+    assert timeline.q_window == pytest.approx(window_mean(q))
+    assert timeline.f_window == pytest.approx(window_fraction(q, 0.8))
+    assert timeline.q_frame.tolist() == q.tolist()
+    assert make_timeline(q, np.ones(3)).threshold == DEFAULT_T_Q
+
+
+def test_timeline_holds_read_only_copies_and_builds_frames_on_demand():
+    q = np.array([0.25, 0.5, 1.0])
+    area = np.array([3.0, 2.0, 1.0])
+    timeline = make_timeline(q, area)
+    q[0] = 0.0
+    assert timeline.q_frame.tolist() == [0.25, 0.5, 1.0]
+    for values in (timeline.q_frame, timeline.mask_area):
+        assert values.dtype == np.float64 and not values.flags.writeable
+    assert "frames" not in vars(timeline)
+    assert timeline.frames == tuple(FrameQuality(i, q, a) for i, (q, a) in enumerate(zip([0.25, 0.5, 1.0], area)))
+    assert timeline.frames is timeline.frames
+    assert timeline != make_timeline(timeline.q_frame, timeline.mask_area)
 
 
 def test_write_frame_csv_round_trip(tmp_path):
-    frames = [FrameQuality(i, 1.0 / (i + 1), 1.0) for i in range(5)]
+    q = 1.0 / np.arange(1, 6)
     path = tmp_path / "frames.csv"
-    write_frame_csv(frames, str(path))
+    write_frame_csv(q, str(path))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "frame,q_frame"
     for i, line in enumerate(lines[1:]):
         index, value = line.split(",")
         assert int(index) == i
-        assert float(value) == frames[i].q_frame
-
-
-def test_write_summary_json(tmp_path):
-    frames = [FrameQuality(i, q, 1.0) for i, q in enumerate([0.7, 0.9])]
-    timeline = make_timeline(frames, t_q=0.8)
-    path = tmp_path / "summary.json"
-    write_summary_json(timeline, "mask-area", str(path))
-    payload = json.loads(path.read_text())
-    assert payload == {
-        "q_window": timeline.q_window,
-        "f_window": timeline.f_window,
-        "t_q": 0.8,
-        "n_frames": 2,
-        "normalization": "mask-area",
-    }
+        assert float(value) == q[i]

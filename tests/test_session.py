@@ -13,6 +13,7 @@ from vq360.geometry import (
     SphericalPoint,
     angular_distance_deg,
     row_centers_deg,
+    spherical_to_pixel,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
 from vq360.mask import _project_spans, bank_centers, exact_mask, nearest_center_index
@@ -21,6 +22,7 @@ from vq360.session import (
     SessionConfig,
     SessionTrace,
     _tile_weight_sums,
+    _variant_per_frame,
     active_variant,
     approximation_error_study,
     evaluate_session,
@@ -45,6 +47,11 @@ def base_config(**overrides):
     return SessionConfig(**kwargs)
 
 
+def same_series(a, b):
+    """Two timelines hold the same bits, frame for frame."""
+    return np.array_equal(a.q_frame, b.q_frame) and np.array_equal(a.mask_area, b.mask_area)
+
+
 def _dense_bank(config):
     """Bank centers of an avaqm config, each with its exact-oracle mask."""
     centers = bank_centers(*config.avaqm_grid)
@@ -62,7 +69,7 @@ def _evaluate_session_dense(trace, config):
         for v in range(config.layout.variant_count)
     ]
     bank = _dense_bank(config) if config.method == "avaqm" else None
-    frames = []
+    q, area = [], []
     for index, pog in enumerate(trace.samples):
         if bank is None:
             mask = exact_mask(pog, config.fov, config.resolution)
@@ -70,8 +77,10 @@ def _evaluate_session_dense(trace, config):
             centers, masks = bank
             mask = masks[nearest_center_index(centers, pog)]
         grade = grades[active_variant(trace, config, index)]
-        frames.append(frame_quality(mask, grade, config.normalization, frame_index=index))
-    return make_timeline(frames, config.t_q)
+        frame = frame_quality(mask, grade, config.normalization, frame_index=index)
+        q.append(frame.q_frame)
+        area.append(frame.mask_area_used)
+    return make_timeline(np.array(q), np.array(area), config.t_q)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +136,6 @@ def test_trace_arrays_normalize_like_points():
         # -1e-20 wraps to 360 in SphericalPoint and to 0 in the trace: the same direction.
         assert point.theta_deg == want.theta_deg % 360.0 and point.phi_deg == want.phi_deg
     assert trace.samples is trace.samples
-    assert trace.point(1) == trace.samples[1]
     assert SessionTrace.from_points(10.0, expected).samples == trace.samples
     with pytest.raises(ValueError):
         trace.theta_deg[0] = 1.0
@@ -331,8 +339,7 @@ def test_vaqm_matches_dense_reference():
     fast = evaluate_session(trace, config)
     dense = _evaluate_session_dense(trace, config)
     assert fast.q_window == pytest.approx(dense.q_window, rel=1e-5)
-    for a, b in zip(fast.frames, dense.frames):
-        assert a.q_frame == pytest.approx(b.q_frame, rel=1e-5, abs=1e-7)
+    assert fast.q_frame == pytest.approx(dense.q_frame, rel=1e-5, abs=1e-7)
 
 
 def test_avaqm_matches_dense_reference():
@@ -340,8 +347,7 @@ def test_avaqm_matches_dense_reference():
     config = base_config(method="avaqm", avaqm_grid=(3, 6))
     fast = evaluate_session(trace, config)
     dense = _evaluate_session_dense(trace, config)
-    for a, b in zip(fast.frames, dense.frames):
-        assert a.q_frame == pytest.approx(b.q_frame, rel=1e-5, abs=1e-7)
+    assert fast.q_frame == pytest.approx(dense.q_frame, rel=1e-5, abs=1e-7)
 
 
 def test_all_tiles_high_quality_gives_unit_quality():
@@ -351,7 +357,7 @@ def test_all_tiles_high_quality_gives_unit_quality():
     timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
     assert timeline.q_window == pytest.approx(1.0, abs=1e-12)
     assert timeline.f_window == pytest.approx(100.0)
-    assert all(frame.q_frame <= 1.0 for frame in timeline.frames)
+    assert (timeline.q_frame <= 1.0).all()
     # A viewport near (180, 90) never reaches tile columns 0 and 7, so a
     # footprint without them must pool to exactly 1 as well.
     inner = [(r, c) for r in range(5) for c in range(1, 7)]
@@ -360,7 +366,7 @@ def test_all_tiles_high_quality_gives_unit_quality():
         duration_s=1.0, fps=10.0, speed_deg_per_s=10.0, seed=25, start=SphericalPoint(180.0, 90.0)
     )
     timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
-    assert [frame.q_frame for frame in timeline.frames] == [1.0] * 10
+    assert timeline.q_frame.tolist() == [1.0] * 10
 
 
 def test_one_geometry_serves_every_segment_length():
@@ -376,7 +382,7 @@ def test_one_geometry_serves_every_segment_length():
             variant = replace(
                 config, segment_ms=segment_ms, hq_footprint=footprint, normalization=normalization
             )
-            assert pool_session(trace, variant, geometry).frames == evaluate_session(trace, variant).frames
+            assert same_series(pool_session(trace, variant, geometry), evaluate_session(trace, variant))
 
 
 def test_avaqm_geometry_is_one_row_per_bank_center():
@@ -385,6 +391,66 @@ def test_avaqm_geometry_is_one_row_per_bank_center():
     centers = bank_centers(5, 10)
     assert geometry.tile_sums.shape == (50, LAYOUT.grid.rows * LAYOUT.grid.cols)
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
+
+
+def tie_pogs(rows, cols):
+    """PoGs equidistant from two or more bank centers: both poles, the
+    theta = 0 seam at each center row, and the points halfway between
+    adjacent centers along a row, along a column and diagonally."""
+    pogs = [SphericalPoint(t, p) for t, p in ((0.0, 0.0), (77.0, 0.0), (0.0, 180.0), (300.0, 180.0))]
+    for i in range(rows):
+        phi = (i + 0.5) * 180.0 / rows
+        pogs.append(SphericalPoint(0.0, phi))
+        for j in range(cols):
+            theta = (j + 0.5) * 360.0 / cols
+            pogs.append(SphericalPoint(theta + 180.0 / cols, phi))
+            if i + 1 < rows:
+                pogs.append(SphericalPoint(theta, phi + 90.0 / rows))
+                pogs.append(SphericalPoint(theta + 180.0 / cols, phi + 90.0 / rows))
+    return pogs
+
+
+def test_nearest_center_rule_is_shared_on_ties():
+    """avaqm frames and nearest_center_index snap tied PoGs the same way,
+    to the lowest tied center."""
+    for rows, cols in ((3, 6), (5, 10), (10, 20)):
+        pogs = tie_pogs(rows, cols)
+        trace = SessionTrace.from_points(10.0, pogs)
+        geometry = session_geometry(trace, base_config(method="avaqm", avaqm_grid=(rows, cols)))
+        centers = bank_centers(rows, cols)
+        assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
+        for pog, row in zip(trace.samples, geometry.mask_rows):
+            distances = np.array([angular_distance_deg(pog, c) for c in centers])
+            assert row == np.flatnonzero(distances <= distances.min() + 1e-9)[0]
+    centers = bank_centers(3, 6)
+    assert nearest_center_index(centers, SphericalPoint(0.0, 0.0)) == 0
+    assert nearest_center_index(centers, SphericalPoint(0.0, 180.0)) == 12
+    assert nearest_center_index(centers, SphericalPoint(0.0, 90.0)) == 6
+
+
+def test_variant_schedule_follows_segment_starts():
+    """The per-frame schedule is active_variant at every frame, and the
+    array lookup gives the area of the scalar pixel and tile chain."""
+    trace = synthetic_trace(duration_s=4.0, fps=30.0, speed_deg_per_s=120.0, seed=29)
+    # 700 ms (21 frames) leaves a short last segment.
+    for segment_ms in (100.0, 500.0, 700.0, 4000.0):
+        config = base_config(segment_ms=segment_ms)
+        variants = _variant_per_frame(trace, config)
+        assert variants.tolist() == [active_variant(trace, config, i) for i in range(trace.n_frames)]
+    rng = np.random.default_rng(30)
+    theta = np.concatenate([rng.uniform(0.0, 360.0, 500), [0.0, 359.9999999, 45.0, 180.0]])
+    phi = np.concatenate([rng.uniform(0.0, 180.0, 500), [0.0, 180.0, 36.0, 144.0]])
+    # Pixel and tile edges: every tile boundary of the 960x480 5x8 grid.
+    theta = np.concatenate([theta, np.arange(0.0, 360.0, 45.0), np.full(6, 90.0)])
+    phi = np.concatenate([phi, np.full(8, 90.0), np.arange(0.0, 181.0, 36.0)])
+    for res in (RES, Resolution(100, 50)):
+        layout = variant_layout_26(res)
+        expected = []
+        for t, p in zip(theta.tolist(), phi.tolist()):
+            col, row = spherical_to_pixel(SphericalPoint(t, p), res)
+            expected.append(layout.area_of_tile(*layout.grid.tile_of_pixel(row, col)))
+        assert layout._areas_at(theta, phi).tolist() == expected
+        assert [layout.area_containing(SphericalPoint(t, p)) for t, p in zip(theta, phi)] == expected
 
 
 def test_pool_session_rejects_foreign_geometry():
@@ -400,9 +466,8 @@ def test_pool_session_rejects_foreign_geometry():
     with pytest.raises(ValueError, match="another trace or configuration"):
         pool_session(shorter, base_config(), geometry)
     # A vaqm geometry ignores a bank grid the config carries.
-    assert pool_session(trace, base_config(avaqm_grid=(3, 6)), geometry).frames == evaluate_session(
-        trace, base_config()
-    ).frames
+    vaqm_with_grid = pool_session(trace, base_config(avaqm_grid=(3, 6)), geometry)
+    assert same_series(vaqm_with_grid, evaluate_session(trace, base_config()))
 
 
 def test_tile_weight_sums_match_row_by_row_loop():
@@ -424,9 +489,8 @@ def test_tile_weight_sums_match_row_by_row_loop():
 def test_quality_bounds_and_timeline_length():
     trace = synthetic_trace(duration_s=3.0, fps=10.0, seed=26)
     timeline = evaluate_session(trace, base_config())
-    assert len(timeline.frames) == 30
-    for frame in timeline.frames:
-        assert 0.0 <= frame.q_frame <= 1.0 + 1e-12
+    assert timeline.q_frame.shape == timeline.mask_area.shape == (30,)
+    assert ((0.0 <= timeline.q_frame) & (timeline.q_frame <= 1.0 + 1e-12)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +574,9 @@ def test_load_batch_manifest(tmp_path):
         ({"trace": 3}, "'trace' must be a file path"),
         ({"trace": "a.csv", "segment_ms": "500"}, "'segment_ms' must be"),
         ({"trace": "a.csv", "segment_ms": []}, "'segment_ms' must be"),
+        ({"trace": "a.csv", "content": ["x"]}, "'content' must be a string"),
+        ({"trace": "a.csv", "content": 7}, "'content' must be a string"),
+        ({"trace": "a.csv", "content": "a\rb"}, "'content' must be a string"),
     ):
         path.write_text(json.dumps([{"trace": "ok.csv"}, entry]))
         with pytest.raises(ValueError) as info:
@@ -533,3 +600,7 @@ def test_session_report_contents():
     assert report["frame_series"] == "frames.csv"
     assert report["hq_footprint"] == "area+neighbors"
     json.dumps(report)
+    # vaqm uses no bank, so a grid the config carries is not echoed.
+    config = base_config(avaqm_grid=(3, 6))
+    report = session_report(evaluate_session(trace, config), config, trace)
+    assert report["method"] == "vaqm" and "avaqm_grid" not in report
