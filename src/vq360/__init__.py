@@ -18,36 +18,24 @@ from .geometry import (
 )
 from .grade import (
     GradeMap,
-    PerTileMetrics,
     TileGrid,
     VariantLayout,
     binary_grade_map,
-    grade_from_qp,
-    grade_from_tile_values,
-    grades_from_psnr,
     hq_tile_set,
     load_footprint_json,
-    load_qp_map_csv,
-    load_tile_values_csv,
-    per_tile_psnr,
-    read_raw_luma,
-    read_y4m_luma,
     variant_layout_26,
 )
 from .mask import (
     BoundarySampleSet,
-    MaskBank,
     ViewportMask,
     bank_centers,
     base_viewport_boundary,
-    build_mask_bank,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
     load_mask_npz,
     nearest_center_index,
-    nearest_mask,
     project_viewport,
     write_mask_npz,
     write_mask_pgm,

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .geometry import (
@@ -49,6 +50,7 @@ from .session import (
     load_batch_manifest,
     parse_trace,
     pool_session,
+    segment_frames,
     session_geometry,
     session_report,
     synthetic_trace,
@@ -68,6 +70,15 @@ class UsageError(ValueError):
     """Flag combinations argparse cannot catch on its own."""
 
 
+@contextmanager
+def _flag_values():
+    """Report the library's rejection of a value that came from a flag as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_pair(text: str, separator: str, what: str) -> tuple[float, float]:
     parts = text.split(separator)
     if len(parts) != 2:
@@ -82,7 +93,8 @@ def _parse_resolution(text: str) -> Resolution:
     w, h = _parse_pair(text, "x", "resolution")
     if w != int(w) or h != int(h):
         raise UsageError(f"resolution must be integral, got {text!r}")
-    return Resolution(int(w), int(h))
+    with _flag_values():
+        return Resolution(int(w), int(h))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -99,7 +111,8 @@ def _parse_pog(text: str) -> SphericalPoint:
 
 def _parse_fov(text: str) -> FieldOfView:
     theta, phi = _parse_pair(text, ",", "FoV")
-    return FieldOfView(theta, phi)
+    with _flag_values():
+        return FieldOfView(theta, phi)
 
 
 def _footprint_from_flag(flag: str):
@@ -149,7 +162,8 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
     if args.method == METHOD_AVAQM and grid is None:
         raise UsageError("--method avaqm requires --grid ROWSxCOLS")
     footprint = _footprint_from_flag(args.footprint)
-    try:
+    # Every field comes from a flag.
+    with _flag_values():
         return SessionConfig(
             segment_ms=args.segment_ms,
             fov=fov,
@@ -161,19 +175,17 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
             t_q=args.t_q,
             normalization=args.normalization,
         )
-    except ValueError as exc:
-        # Every field comes from a flag, so a rejected value is a usage error.
-        raise UsageError(str(exc)) from None
 
 
 def cmd_mask(args) -> int:
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
     pog = _parse_pog(args.pog)
-    if args.exact:
-        mask = exact_mask(pog, fov, res, args.center_sigma)
-    else:
-        mask = project_viewport(pog, fov, res, args.samples, args.center_sigma)
+    with _flag_values():
+        if args.exact:
+            mask = exact_mask(pog, fov, res, args.center_sigma)
+        else:
+            mask = project_viewport(pog, fov, res, args.samples, args.center_sigma)
     closed_form = equivalent_pixels_viewport(res, fov)
     write_mask_pgm(mask, args.out)
     if args.npz:
@@ -195,6 +207,8 @@ def cmd_evaluate(args) -> int:
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
     config = _session_config(args, res, fov)
+    with _flag_values():
+        segment_frames(config.segment_ms, args.fps)
     trace = _load_trace(args, args.trace)
     timeline = evaluate_session(trace, config)
     frame_csv = args.out_prefix + "_frames.csv"
@@ -277,14 +291,15 @@ def cmd_study(args) -> int:
 
 
 def cmd_synth_trace(args) -> int:
-    trace = synthetic_trace(
-        duration_s=args.duration_s,
-        fps=args.fps,
-        speed_deg_per_s=args.speed,
-        dwell_probability=args.dwell,
-        seed=args.seed,
-        turn_sigma_deg=args.turn_sigma,
-    )
+    with _flag_values():
+        trace = synthetic_trace(
+            duration_s=args.duration_s,
+            fps=args.fps,
+            speed_deg_per_s=args.speed,
+            dwell_probability=args.dwell,
+            seed=args.seed,
+            turn_sigma_deg=args.turn_sigma,
+        )
     write_trace_csv(trace, args.out)
     print(f"wrote {trace.n_frames} frames to {args.out}")
     return 0

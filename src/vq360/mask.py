@@ -15,9 +15,10 @@ extends to the corresponding frame edge.  An exact per-pixel membership
 test against the pyramid half-spaces serves as the independent oracle
 for the rasterized path.  The session engine does not rasterize: it
 takes each column's row span analytically from the five face half-spaces
-(``_project_spans``), which selects exactly the oracle's pixels.  A bank
-of masks on a uniform grid of centers supports the approximated
-evaluation method.
+(``_project_spans``), which selects exactly the oracle's pixels.  For
+the approximated method (avaqm) this module also holds the uniform grid
+of bank centers and the rule that snaps a point of gaze to the nearest
+one.
 """
 
 from __future__ import annotations
@@ -100,19 +101,6 @@ class ViewportMask:
     pog: SphericalPoint
     fov: FieldOfView
     area: float
-
-
-@dataclass(frozen=True)
-class MaskBank:
-    """Precomputed masks at uniformly spaced centers (cell-centered grid)."""
-
-    grid_rows: int
-    grid_cols: int
-    fov: FieldOfView
-    resolution: Resolution
-    samples_per_side: int
-    centers: tuple[SphericalPoint, ...]
-    masks: tuple[ViewportMask, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +614,7 @@ def jaccard_index(a: ViewportMask, b: ViewportMask) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mask bank
+# bank centers
 # ---------------------------------------------------------------------------
 
 
@@ -640,27 +628,6 @@ def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
         SphericalPoint((j + 0.5) * theta_step, (i + 0.5) * phi_step)
         for i in range(grid_rows)
         for j in range(grid_cols)
-    )
-
-
-def build_mask_bank(
-    grid_rows: int,
-    grid_cols: int,
-    fov: FieldOfView,
-    res: Resolution,
-    samples_per_side: int = DEFAULT_SAMPLES_PER_SIDE,
-) -> MaskBank:
-    """Project one mask per grid center (deterministic, row-major order)."""
-    centers = bank_centers(grid_rows, grid_cols)
-    masks = tuple(project_viewport(c, fov, res, samples_per_side) for c in centers)
-    return MaskBank(
-        grid_rows=grid_rows,
-        grid_cols=grid_cols,
-        fov=fov,
-        resolution=res,
-        samples_per_side=samples_per_side,
-        centers=centers,
-        masks=masks,
     )
 
 
@@ -691,13 +658,6 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
     stored row-major; see _nearest_centers.
     """
     return int(_nearest_centers(centers, np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
-
-
-def nearest_mask(bank: MaskBank, pog: SphericalPoint) -> ViewportMask:
-    """The bank mask whose center is nearest to the PoG on the sphere."""
-    if not bank.masks:
-        raise ValueError("mask bank is empty")
-    return bank.masks[nearest_center_index(bank.centers, pog)]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,8 @@ class SessionConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == METHOD_AVAQM and self.avaqm_grid is None:
             raise ValueError("method avaqm requires a bank grid")
+        if self.method != METHOD_AVAQM and self.avaqm_grid is not None:
+            raise ValueError(f"a bank grid applies only to method avaqm, not {self.method}")
         if self.layout.grid.resolution != self.resolution:
             raise ValueError("layout tiling and session resolution differ")
         if not 0.0 <= self.t_q <= 1.0:
@@ -342,7 +344,8 @@ def synthetic_trace(
     """Seeded spherical random walk: per frame, either dwell or advance
     along the current heading by speed/fps degrees, with the heading
     diffusing by a normal turn angle."""
-    n_frames = round(duration_s * fps)
+    frames = duration_s * fps
+    n_frames = round(frames) if math.isfinite(frames) else 0
     if n_frames < 1:
         raise ValueError(f"duration {duration_s} s at {fps} fps yields no frames")
     if not 0.0 <= dwell_probability <= 1.0:
@@ -390,7 +393,7 @@ def synthetic_trace(
 def segment_frames(segment_ms: float, fps: float) -> int:
     """Frames per segment; the segment must be a whole number of frames."""
     exact = segment_ms * fps / 1000.0
-    frames = round(exact)
+    frames = round(exact) if math.isfinite(exact) else 0
     if frames < 1 or abs(exact - frames) > 1e-9:
         raise ValueError(f"segment of {segment_ms} ms is not a positive multiple of the frame period")
     return frames
@@ -466,8 +469,7 @@ def _bank_geometry(
 
 
 def _geometry_key(config: SessionConfig) -> tuple:
-    grid = config.avaqm_grid if config.method == METHOD_AVAQM else None
-    return (config.fov, config.resolution, config.layout.grid, config.method, grid)
+    return (config.fov, config.resolution, config.layout.grid, config.method, config.avaqm_grid)
 
 
 def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeometry:
@@ -670,7 +672,7 @@ def session_report(
         "normalization": config.normalization,
         "hq_footprint": config.hq_footprint if isinstance(config.hq_footprint, str) else "explicit",
     }
-    if config.method == METHOD_AVAQM:
+    if config.avaqm_grid is not None:
         report["avaqm_grid"] = list(config.avaqm_grid)
     if frame_csv is not None:
         report["frame_series"] = frame_csv

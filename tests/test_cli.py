@@ -259,14 +259,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert info.value.code == 2
     capsys.readouterr()
     # Rejected before any input is read: the trace and manifest do not exist.
+    mask = ["mask", "--pog", "180,90", "--resolution", "96x48", "--out", str(tmp_path / "m.pgm")]
+    synth = ["synth-trace", "--out", str(tmp_path / "t.csv")]
     for argv, message in (
         (evaluate + ["--t-q", "1.5"], "t_q"),
         (evaluate + ["--t-q", "-0.1"], "t_q"),
         (study + ["--t-q", "nan"], "t_q"),
         (study + ["--segments", "500,fast"], "segment lengths"),
+        (evaluate + ["--method", "vaqm", "--grid", "3x6"], "bank grid"),
+        (study + ["--grid", "3x6"], "bank grid"),
+        (evaluate + ["--fov", "200,85"], "field of view"),
+        (evaluate + ["--fps", "0"], "frame period"),
+        (evaluate + ["--fps", "inf"], "frame period"),
+        (evaluate + ["--fps", "7"], "frame period"),
+        (mask + ["--fov", "0,85"], "field of view"),
+        (mask + ["--resolution", "0x0"], "resolution"),
+        (mask + ["--samples", "0"], "samples_per_side"),
+        (mask + ["--center-sigma", "0"], "sigma"),
+        (mask + ["--exact", "--center-sigma", "-1"], "sigma"),
+        (synth + ["--duration-s", "0"], "no frames"),
+        (synth + ["--duration-s", "inf"], "no frames"),
+        (synth + ["--dwell", "2"], "dwell"),
     ):
         code, _, err = run(capsys, *argv)
-        assert code == 2 and message in err
+        assert code == 2 and message in err, argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_data_errors_exit_3(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""Tests for tile grids, variant layouts, grade maps and frame ingestion."""
+"""Tests for tile grids, variant layouts, HQ footprints and grade maps."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,16 +11,8 @@ from vq360.grade import (
     TileGrid,
     VariantLayout,
     binary_grade_map,
-    grade_from_qp,
-    grade_from_tile_values,
-    grades_from_psnr,
     hq_tile_set,
     load_footprint_json,
-    load_qp_map_csv,
-    load_tile_values_csv,
-    per_tile_psnr,
-    read_raw_luma,
-    read_y4m_luma,
     variant_layout_26,
 )
 
@@ -190,18 +181,6 @@ def test_binary_grade_map_marks_exactly_the_footprint():
 # ---------------------------------------------------------------------------
 
 
-def test_grade_from_tile_values_double_loop_oracle():
-    grid = TileGrid(3, 7, Resolution(100, 50))
-    rng = np.random.default_rng(13)
-    values = rng.uniform(0.0, 1.0, (3, 7))
-    grade = grade_from_tile_values(grid, values)
-    for tr in range(grid.rows):
-        for tc in range(grid.cols):
-            rows, cols = grid.tile_slices(tr, tc)
-            block = grade.grades[rows, cols]
-            assert np.all(block == values[tr, tc])
-
-
 def test_grade_map_validation():
     with pytest.raises(ValueError):
         GradeMap(RES, np.zeros((10, 10)))
@@ -212,134 +191,9 @@ def test_grade_map_validation():
         grade.grades[0, 0] = 1.0
 
 
-def test_grade_from_qp_endpoints_and_clip():
-    grid = TileGrid(2, 2, RES)
-    qp = np.array([[20.0, 40.0], [30.0, 50.0]])
-    grade = grade_from_qp(grid, qp, qp_min=20.0, qp_max=40.0)
-    rows, cols = grid.tile_slices(0, 0)
-    assert np.all(grade.grades[rows, cols] == 1.0)
-    rows, cols = grid.tile_slices(0, 1)
-    assert np.all(grade.grades[rows, cols] == 0.0)
-    rows, cols = grid.tile_slices(1, 0)
-    assert np.all(grade.grades[rows, cols] == 0.5)
-    rows, cols = grid.tile_slices(1, 1)
-    assert np.all(grade.grades[rows, cols] == 0.0)
-
-
-def test_grade_from_qp_antitone():
-    grid = TileGrid(2, 2, RES)
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        qp = rng.uniform(10.0, 51.0, (2, 2))
-        bumped = qp + rng.uniform(0.0, 5.0, (2, 2))
-        low = grade_from_qp(grid, qp, 22.0, 47.0)
-        high = grade_from_qp(grid, bumped, 22.0, 47.0)
-        assert np.all(high.grades <= low.grades + 1e-12)
-
-
 # ---------------------------------------------------------------------------
-# PSNR
+# footprint files
 # ---------------------------------------------------------------------------
-
-
-def test_per_tile_psnr_constant_offsets():
-    res = Resolution(16, 8)
-    grid = TileGrid(2, 2, res)
-    reference = np.full((8, 16), 100.0)
-    test = reference.copy()
-    offsets = np.array([[0.0, 5.0], [10.0, 2.0]])
-    for tr in range(2):
-        for tc in range(2):
-            rows, cols = grid.tile_slices(tr, tc)
-            test[rows, cols] += offsets[tr, tc]
-    metrics = per_tile_psnr(reference, test, grid)
-    assert np.array_equal(metrics.mse, offsets**2)
-    assert metrics.psnr[0, 0] == np.inf
-    for tr, tc in ((0, 1), (1, 0), (1, 1)):
-        expected = 10.0 * math.log10(255.0**2 / offsets[tr, tc] ** 2)
-        assert metrics.psnr[tr, tc] == pytest.approx(expected, rel=1e-12)
-
-
-def test_per_tile_psnr_shape_check():
-    grid = TileGrid(2, 2, Resolution(16, 8))
-    with pytest.raises(ValueError):
-        per_tile_psnr(np.zeros((8, 16)), np.zeros((4, 16)), grid)
-
-
-def test_grades_from_psnr_linear_map():
-    grid = TileGrid(1, 4, Resolution(16, 8))
-    psnr = np.array([[10.0, 20.0, 35.0, np.inf]])
-    grade = grades_from_psnr(grid, psnr)
-    cols = grid.col_edges()
-    assert np.all(grade.grades[:, : cols[1]] == 0.0)
-    assert np.all(grade.grades[:, cols[1] : cols[2]] == 0.0)
-    assert np.all(grade.grades[:, cols[2] : cols[3]] == 0.5)
-    assert np.all(grade.grades[:, cols[3] :] == 1.0)
-    with pytest.raises(ValueError):
-        grades_from_psnr(grid, psnr, floor_db=50.0, ceiling_db=50.0)
-
-
-# ---------------------------------------------------------------------------
-# file ingestion
-# ---------------------------------------------------------------------------
-
-
-def write_tile_csv(path, grid, per_frame, header=("frame", "tile_row", "tile_col", "value")):
-    lines = [",".join(header)]
-    for frame, values in per_frame.items():
-        for tr in range(grid.rows):
-            for tc in range(grid.cols):
-                lines.append(f"{frame},{tr},{tc},{values[tr, tc]}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_load_tile_values_csv_round_trip(tmp_path):
-    grid = TileGrid(2, 3, RES)
-    rng = np.random.default_rng(19)
-    per_frame = {0: rng.uniform(0, 1, (2, 3)), 1: rng.uniform(0, 1, (2, 3))}
-    path = tmp_path / "tiles.csv"
-    write_tile_csv(path, grid, per_frame)
-    loaded = load_tile_values_csv(str(path), grid)
-    assert sorted(loaded) == [0, 1]
-    for frame in (0, 1):
-        assert np.allclose(loaded[frame], per_frame[frame])
-
-
-def test_load_tile_values_csv_errors(tmp_path):
-    grid = TileGrid(2, 2, RES)
-    path = tmp_path / "bad.csv"
-
-    path.write_text("frame,tile_row,tile_col,value\n0,0,0,0.5\n0,0,0,0.6\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        load_tile_values_csv(str(path), grid)
-
-    path.write_text("frame,tile_row,tile_col,value\n0,0,0,0.5\n")
-    with pytest.raises(ValueError, match="missing"):
-        load_tile_values_csv(str(path), grid)
-
-    path.write_text("frame,tile_row,tile_col,value\n0,0,zero,0.5\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_tile_values_csv(str(path), grid)
-
-    path.write_text("frame,tile_row,tile_col,value\n0,5,0,0.5\n")
-    with pytest.raises(ValueError, match="outside"):
-        load_tile_values_csv(str(path), grid)
-
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="expected columns"):
-        load_tile_values_csv(str(path), grid)
-
-    path.write_text("frame,tile_row,tile_col,value\n")
-    with pytest.raises(ValueError, match="no data"):
-        load_tile_values_csv(str(path), grid)
-
-
-def test_load_qp_map_csv(tmp_path):
-    grid = TileGrid(1, 2, RES)
-    path = tmp_path / "qp.csv"
-    path.write_text("frame,unit_row,unit_col,qp\n0,0,0,22\n0,0,1,37\n")
-    loaded = load_qp_map_csv(str(path), grid)
-    assert np.array_equal(loaded[0], [[22.0, 37.0]])
 
 
 def test_load_footprint_json(tmp_path):
@@ -355,77 +209,3 @@ def test_load_footprint_json(tmp_path):
     path.write_text(json.dumps({"first": [[0, 0]]}))
     with pytest.raises(ValueError, match="non-integer"):
         load_footprint_json(str(path))
-
-
-def test_read_raw_luma(tmp_path):
-    res = Resolution(8, 4)
-    rng = np.random.default_rng(31)
-    frames = rng.integers(0, 256, (3, 4, 8), dtype=np.uint8)
-    path = tmp_path / "frames.yuv"
-    path.write_bytes(frames.tobytes())
-    loaded = read_raw_luma(str(path), res)
-    assert np.array_equal(loaded, frames)
-    first_two = read_raw_luma(str(path), res, frame_count=2)
-    assert np.array_equal(first_two, frames[:2])
-    with pytest.raises(ValueError):
-        read_raw_luma(str(path), res, frame_count=4)
-    path.write_bytes(frames.tobytes()[:-1])
-    with pytest.raises(ValueError):
-        read_raw_luma(str(path), res)
-
-
-def y4m_bytes(width, height, colorspace, luma_frames, fps="30000:1001"):
-    chroma_sizes = {
-        "C420": 2 * (width // 2) * (height // 2),
-        "C420jpeg": 2 * (width // 2) * (height // 2),
-        "C422": 2 * (width // 2) * height,
-        "C444": 2 * width * height,
-        "Cmono": 0,
-    }
-    header = f"YUV4MPEG2 W{width} H{height} F{fps} Ip A1:1 {colorspace}\n".encode("ascii")
-    body = b""
-    for luma in luma_frames:
-        body += b"FRAME\n" + luma.tobytes() + bytes(chroma_sizes[colorspace])
-    return header + body
-
-
-def test_read_y4m_luma_variants(tmp_path):
-    rng = np.random.default_rng(37)
-    luma = rng.integers(0, 256, (2, 4, 8), dtype=np.uint8)
-    for colorspace in ("C420", "C420jpeg", "C422", "C444", "Cmono"):
-        path = tmp_path / f"{colorspace}.y4m"
-        path.write_bytes(y4m_bytes(8, 4, colorspace, luma))
-        frames, fps, res = read_y4m_luma(str(path))
-        assert np.array_equal(frames, luma)
-        assert fps == pytest.approx(30000 / 1001)
-        assert res == Resolution(8, 4)
-
-
-def test_read_y4m_luma_errors(tmp_path):
-    path = tmp_path / "bad.y4m"
-    path.write_bytes(b"NOTYUV\nFRAME\n")
-    with pytest.raises(ValueError, match="not a YUV4MPEG2"):
-        read_y4m_luma(str(path))
-
-    path.write_bytes(b"YUV4MPEG2 F30:1 C420\nFRAME\n")
-    with pytest.raises(ValueError, match="missing W/H"):
-        read_y4m_luma(str(path))
-
-    path.write_bytes(b"YUV4MPEG2 W8 H4 F30:1 C999\n")
-    with pytest.raises(ValueError, match="unsupported colorspace"):
-        read_y4m_luma(str(path))
-
-    rng = np.random.default_rng(41)
-    luma = rng.integers(0, 256, (1, 4, 8), dtype=np.uint8)
-    payload = y4m_bytes(8, 4, "C420", luma)
-    path.write_bytes(payload[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        read_y4m_luma(str(path))
-
-    path.write_bytes(payload.replace(b"FRAME", b"FROG!"))
-    with pytest.raises(ValueError, match="malformed frame header"):
-        read_y4m_luma(str(path))
-
-    path.write_bytes(b"YUV4MPEG2 W8 H4 F30:1 C420\n")
-    with pytest.raises(ValueError, match="no frames"):
-        read_y4m_luma(str(path))

@@ -1,4 +1,4 @@
-"""Tests for viewport mask construction, rasterization and the mask bank.
+"""Tests for viewport mask construction, rasterization and bank centers.
 
 The oracles here are written independently of the library internals:
 corner positions come from intersecting the pyramid's face planes, arc
@@ -20,13 +20,10 @@ from vq360.geometry import (
     SphericalPoint,
     angular_distance_deg,
     equivalent_pixels_viewport,
-    pixel_to_spherical,
     row_centers_deg,
     spherical_to_cartesian,
 )
 from vq360.mask import (
-    DEFAULT_SAMPLES_PER_SIDE,
-    MaskBank,
     _membership_raster,
     _project_spans,
     _spans_to_raster,
@@ -34,14 +31,12 @@ from vq360.mask import (
     arc_phi_deg,
     bank_centers,
     base_viewport_boundary,
-    build_mask_bank,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
     load_mask_npz,
     nearest_center_index,
-    nearest_mask,
     project_viewport,
     write_mask_npz,
     write_mask_pgm,
@@ -400,7 +395,7 @@ def test_project_rejects_bad_sample_count():
 
 
 # ---------------------------------------------------------------------------
-# mask bank
+# bank centers
 # ---------------------------------------------------------------------------
 
 
@@ -411,16 +406,6 @@ def test_bank_centers_grid():
     assert sorted({c.theta_deg for c in centers}) == [30.0, 90.0, 150.0, 210.0, 270.0, 330.0]
     assert centers[0].theta_deg == 30.0 and centers[0].phi_deg == 30.0
     assert len(bank_centers(10, 20)) == 200
-
-
-def test_bank_masks_match_their_centers():
-    res = Resolution(192, 96)
-    bank = build_mask_bank(3, 6, FOV, res, samples_per_side=16)
-    assert len(bank.masks) == 18
-    for center, mask in zip(bank.centers, bank.masks):
-        assert mask.pog == center
-        reference = project_viewport(center, FOV, res, samples_per_side=16)
-        assert np.array_equal(mask.weights, reference.weights)
 
 
 def test_nearest_center_matches_haversine_oracle():
@@ -441,19 +426,6 @@ def test_nearest_center_examples():
     d_left = angular_distance_deg(centers[tie], SphericalPoint(180.0, 90.0))
     d_right = angular_distance_deg(SphericalPoint(210.0, 90.0), SphericalPoint(180.0, 90.0))
     assert d_left == pytest.approx(d_right, abs=1e-12)
-
-
-def test_nearest_mask_at_center_returns_that_mask():
-    res = Resolution(192, 96)
-    bank = build_mask_bank(3, 6, FOV, res, samples_per_side=8)
-    for i, center in enumerate(bank.centers):
-        assert nearest_mask(bank, center) is bank.masks[i]
-
-
-def test_empty_bank_rejected():
-    bank = MaskBank(1, 1, FOV, RES, 8, bank_centers(1, 1), masks=())
-    with pytest.raises(ValueError):
-        nearest_mask(bank, SphericalPoint(0.0, 90.0))
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +455,3 @@ def test_npz_round_trip(tmp_path):
     assert loaded.fov == mask.fov
     assert loaded.resolution == mask.resolution
     assert loaded.area == pytest.approx(mask.area)
-
-
-def test_build_bank_deterministic():
-    res = Resolution(192, 96)
-    first = build_mask_bank(2, 3, FOV, res, samples_per_side=8)
-    second = build_mask_bank(2, 3, FOV, res, samples_per_side=8)
-    for a, b in zip(first.masks, second.masks):
-        assert np.array_equal(a.weights, b.weights)

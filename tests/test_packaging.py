@@ -1,4 +1,5 @@
-"""Packaging: the version has one source, and the benchmark's hooks exist."""
+"""Packaging: the version has one source, the public surface is pinned,
+and the benchmark's hooks exist."""
 
 import importlib
 import importlib.util
@@ -26,6 +27,75 @@ def test_version_has_one_source():
     ]
     assert literals == [ROOT / "src" / "vq360" / "__init__.py"]
     assert re.fullmatch(r"\d+\.\d+\.\d+", vq360.__version__)
+
+
+# Every name `from vq360 import *` gives, sorted.  A name added to or
+# removed from the package changes this list on purpose.
+PUBLIC_NAMES = [
+    "ApproximationReport",
+    "BoundarySampleSet",
+    "CartesianVector",
+    "DEFAULT_T_Q",
+    "FieldOfView",
+    "FrameQuality",
+    "GradeMap",
+    "QualityTimeline",
+    "Resolution",
+    "SessionConfig",
+    "SessionTrace",
+    "SphericalPoint",
+    "TileGrid",
+    "VariantLayout",
+    "ViewportMask",
+    "active_variant",
+    "angular_distance_deg",
+    "approximation_error_study",
+    "bank_centers",
+    "base_viewport_boundary",
+    "binary_grade_map",
+    "cartesian_to_spherical",
+    "corner_colatitudes_deg",
+    "equivalent_pixels_picture",
+    "equivalent_pixels_viewport",
+    "evaluate_session",
+    "exact_mask",
+    "exact_membership",
+    "frame_quality",
+    "geometry",
+    "grade",
+    "hq_tile_set",
+    "jaccard_index",
+    "load_batch_manifest",
+    "load_footprint_json",
+    "load_mask_npz",
+    "make_timeline",
+    "mask",
+    "nearest_center_index",
+    "parse_trace",
+    "pixel_to_spherical",
+    "pooling",
+    "project_viewport",
+    "rotate_phi",
+    "rotate_theta",
+    "segment_frames",
+    "session",
+    "session_report",
+    "solid_angle_sr",
+    "spherical_to_cartesian",
+    "spherical_to_pixel",
+    "synthetic_trace",
+    "variant_layout_26",
+    "window_fraction",
+    "window_mean",
+    "write_frame_csv",
+    "write_mask_npz",
+    "write_mask_pgm",
+    "write_trace_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    assert vq360.__all__ == PUBLIC_NAMES
 
 
 def test_benchmark_hooks_resolve():

@@ -465,9 +465,6 @@ def test_pool_session_rejects_foreign_geometry():
     shorter = synthetic_trace(duration_s=0.5, fps=10.0, seed=28)
     with pytest.raises(ValueError, match="another trace or configuration"):
         pool_session(shorter, base_config(), geometry)
-    # A vaqm geometry ignores a bank grid the config carries.
-    vaqm_with_grid = pool_session(trace, base_config(avaqm_grid=(3, 6)), geometry)
-    assert same_series(vaqm_with_grid, evaluate_session(trace, base_config()))
 
 
 def test_tile_weight_sums_match_row_by_row_loop():
@@ -600,7 +597,9 @@ def test_session_report_contents():
     assert report["frame_series"] == "frames.csv"
     assert report["hq_footprint"] == "area+neighbors"
     json.dumps(report)
-    # vaqm uses no bank, so a grid the config carries is not echoed.
-    config = base_config(avaqm_grid=(3, 6))
+    # vaqm uses no bank: a vaqm config cannot carry a grid, and its report has none.
+    with pytest.raises(ValueError, match="bank grid applies only to method avaqm"):
+        base_config(avaqm_grid=(3, 6))
+    config = base_config()
     report = session_report(evaluate_session(trace, config), config, trace)
     assert report["method"] == "vaqm" and "avaqm_grid" not in report
