@@ -25,7 +25,7 @@ from .geometry import (
     SphericalPoint,
     equivalent_pixels_viewport,
 )
-from .grade import load_footprint_json, variant_layout_26
+from .grade import FOOTPRINT_AREA_NEIGHBORS, FOOTPRINT_AREA_ONLY, load_footprint_json, variant_layout_26
 from .mask import (
     DEFAULT_SAMPLES_PER_SIDE,
     _atomic_write_bytes,
@@ -115,12 +115,6 @@ def _parse_fov(text: str) -> FieldOfView:
         return FieldOfView(theta, phi)
 
 
-def _footprint_from_flag(flag: str):
-    if flag in ("area-only", "area+neighbors"):
-        return flag
-    return load_footprint_json(flag)
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fov", default=DEFAULT_FOV, help="horizontal,vertical field of view in degrees")
     parser.add_argument("--resolution", default=DEFAULT_RESOLUTION, help="frame size as WIDTHxHEIGHT pixels")
@@ -128,7 +122,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     _add_common_flags(parser)
-    parser.add_argument("--segment-ms", type=float, default=500.0, help="segment length in milliseconds")
+    parser.add_argument(
+        "--segment-ms",
+        type=float,
+        default=500.0,
+        help="segment length in milliseconds; in study, only of the error table's variant schedule",
+    )
     parser.add_argument("--fps", type=float, default=DEFAULT_FPS, help="trace frame rate in frames per second")
     parser.add_argument(
         "--convention",
@@ -158,10 +157,11 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
+    """Session config from the flags alone.  A --footprint file path is
+    kept as given; _read_footprint loads it once every flag is checked."""
     grid = _parse_grid(args.grid) if args.grid else None
     if args.method == METHOD_AVAQM and grid is None:
         raise UsageError("--method avaqm requires --grid ROWSxCOLS")
-    footprint = _footprint_from_flag(args.footprint)
     # Every field comes from a flag.
     with _flag_values():
         return SessionConfig(
@@ -169,12 +169,18 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
             fov=fov,
             resolution=res,
             layout=variant_layout_26(res),
-            hq_footprint=footprint,
+            hq_footprint=args.footprint,
             method=args.method,
             avaqm_grid=grid,
             t_q=args.t_q,
             normalization=args.normalization,
         )
+
+
+def _read_footprint(config: SessionConfig) -> SessionConfig:
+    if config.hq_footprint in (FOOTPRINT_AREA_ONLY, FOOTPRINT_AREA_NEIGHBORS):
+        return config
+    return replace(config, hq_footprint=load_footprint_json(config.hq_footprint))
 
 
 def cmd_mask(args) -> int:
@@ -209,6 +215,7 @@ def cmd_evaluate(args) -> int:
     config = _session_config(args, res, fov)
     with _flag_values():
         segment_frames(config.segment_ms, args.fps)
+    config = _read_footprint(config)
     trace = _load_trace(args, args.trace)
     timeline = evaluate_session(trace, config)
     frame_csv = args.out_prefix + "_frames.csv"
@@ -249,12 +256,12 @@ def _write_table(path: str, rows: list[tuple]) -> None:
 def cmd_study(args) -> int:
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
-    base_config = _session_config(args, res, fov)
     grids = [_parse_grid(g) for g in args.grids.split(",")] if args.grids else []
     try:
         default_segments = [float(s) for s in args.segments.split(",")]
     except ValueError:
         raise UsageError(f"expected segment lengths as MS,MS,..., got {args.segments!r}") from None
+    base_config = _read_footprint(_session_config(args, res, fov))
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 

@@ -15,7 +15,12 @@ extends to the corresponding frame edge.  An exact per-pixel membership
 test against the pyramid half-spaces serves as the independent oracle
 for the rasterized path.  The session engine does not rasterize: it
 takes each column's row span analytically from the five face half-spaces
-(``_project_spans``), which selects exactly the oracle's pixels.  For
+(``_project_spans``), which selects exactly the oracle's pixels.  A face
+that is not near-vertical bounds only one end of a column, set by the
+sign of its normal's z; at each end the binding face is the one with the
+least cot(phi) crossing, so a column end costs one arctan.  Near-vertical
+faces, and column ends that land near a row center, take the per-face
+atan2 form.  For
 the approximated method (avaqm) this module also holds the uniform grid
 of bank centers and the rule that snaps a point of gaze to the nearest
 one.
@@ -49,6 +54,11 @@ from .geometry import (
 
 DEFAULT_SAMPLES_PER_SIDE = 64
 BOUNDARY_EPS = 1e-12
+# Faces with |n_z| at or below this take the per-face span formula.  Above
+# it, R >= |n_z| keeps a face's tolerance asin(BOUNDARY_EPS / R) below
+# _TILTED_SLACK, which _project_spans may leave out.
+_STEEP_NZ = 1e-4
+_TILTED_SLACK = 2.0 * BOUNDARY_EPS / _STEEP_NZ
 # The projection stretches azimuth spans by ~1/sin(phi), so straight chords
 # between rotated boundary samples under-resolve pole-adjacent stretches of
 # the boundary.  Segments whose azimuth span exceeds both the per-sample cap
@@ -355,32 +365,20 @@ def _column_trig(res: Resolution) -> np.ndarray:
     return trig
 
 
-def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column row spans [top, bot] of the exact viewport, analytically.
+def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column [lo, hi] allowed by a set of faces, one face at a time.
 
     Along the column at azimuth theta a direction is
-    v(phi) = (sin(phi) sin(theta), sin(phi) cos(theta), cos(phi)), so each
+    v(phi) = (sin(phi) sin(theta), sin(phi) cos(theta), cos(phi)), so the
     face test n.v >= -BOUNDARY_EPS reads A sin(phi) + B cos(phi) =
     R sin(phi + delta) >= -BOUNDARY_EPS with A = n_x sin(theta) +
     n_y cos(theta), B = n_z, R = hypot(A, B) and delta = atan2(B, A).  On
     [0, pi] that is the interval [-delta - w, pi - delta + w] with
     w = asin(BOUNDARY_EPS / R), the oracle's tolerance; a face with
-    R <= BOUNDARY_EPS passes the whole column.  The five intervals are
-    intersected and rounded to row centers, so the spans hold exactly the
-    pixel centers _membership_raster accepts.  The one set a single
-    interval cannot hold is a column within about BOUNDARY_EPS /
-    sin(row pitch / 2) of a face plane on its outer side, whose tolerance
-    band then touches pixels at both poles; the span keeps one end.
-
-    Returns int32 arrays of shape (n_h,); empty columns have top = n_v
-    and bot = -1.
+    R <= BOUNDARY_EPS passes the whole column.  a holds A per face and
+    column, b holds B per face as a column.
     """
-    normals = _world_face_normals(pog, fov)
-    a = normals[:, :2] @ _column_trig(res)
-    b = normals[:, 2:]
     delta = np.arctan2(b, a)
-    # R, then w, in one buffer: at 4K each (5, n_h) temporary is 150 kB,
-    # and steps done in place keep the working set in cache.
     w = a * a
     w += b * b
     np.sqrt(w, out=w)
@@ -389,17 +387,94 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     np.divide(BOUNDARY_EPS, w, out=w)
     np.arcsin(w, out=w)
     w[passes] = np.inf
-    lo = -np.add(delta, w, out=a).min(axis=0)
+    lo = -(delta + w).min(axis=0)
     hi = math.pi - np.subtract(delta, w, out=delta).max(axis=0)
-    pitch = math.pi / res.n_v
-    top = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
-    bot = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
-    top = np.clip(top, 0, res.n_v).astype(np.int32)
-    bot = np.clip(bot, -1, res.n_v - 1).astype(np.int32)
+    return lo, hi
+
+
+def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column row spans [top, bot] of the exact viewport, analytically.
+
+    Each face test n.v >= -BOUNDARY_EPS allows, along a column, the
+    interval of polar angles that _face_intervals derives; intersecting
+    the five and rounding to row centers gives exactly the pixel centers
+    _membership_raster accepts.  This computes the same spans with less
+    work.  A face whose n_z is not near zero bounds only one end of the
+    column inside [0, pi]: the top if n_z < 0, at polar angle
+    pi/2 - atan(c) - w, and the bottom if n_z > 0, at pi/2 + atan(c) + w,
+    with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|, that is cot(phi)
+    on the face plane, and w = asin(BOUNDARY_EPS / R), R >= |n_z|.  Since
+    atan is increasing, at each end the face with the least c binds up to
+    its w, so pi/2 -/+ atan(min c) lies within max w < _TILTED_SLACK / 2
+    of the exact end: one arctan per column end, no tolerance.  Steep
+    faces, |n_z| <= _STEEP_NZ, take the per-face form and are merged with
+    max/min: the side and forward faces at an equator PoG have n_z = 0,
+    and a face plane through a pole has |n_z| ~ 1e-16, so c is unbounded
+    there and w reaches pi/2.  Rounding picks the same row as at the exact
+    end unless a row center lies within _TILTED_SLACK of the end; such
+    column ends (a boundary through a row center, or any float tie) are
+    taken again from all five faces in the per-face form.
+
+    The one set a single interval cannot hold is a column within about
+    BOUNDARY_EPS / sin(row pitch / 2) of a face plane on its outer side,
+    whose tolerance band then touches pixels at both poles; the span
+    keeps one end.
+
+    Returns int32 arrays of shape (n_h,); empty columns have top = n_v
+    and bot = -1.
+    """
+    normals = _world_face_normals(pog, fov)
+    trig = _column_trig(res)
+    nz = normals[:, 2]
+    steep = np.abs(nz) <= _STEEP_NZ
+    # Polar angle of each end with no tolerance; an end no tilted face
+    # bounds stays at its frame edge.
+    lo = np.zeros(res.n_h)
+    hi = np.full(res.n_h, math.pi)
+    for faces, end, sign in ((~steep & (nz < 0.0), lo, -1.0), (~steep & (nz > 0.0), hi, 1.0)):
+        if faces.any():
+            least_c = ((normals[faces, :2] / np.abs(normals[faces, 2:])) @ trig).min(axis=0)
+            np.arctan(least_c, out=end)
+            end *= sign
+            end += math.pi / 2
+    # The per-face form takes A from the product of all five faces and
+    # all columns: BLAS need not round a subset's products alike.
+    a = None
+    if steep.any():
+        a = normals[:, :2] @ trig
+        steep_lo, steep_hi = _face_intervals(a[steep], normals[steep, 2:])
+        np.maximum(lo, steep_lo, out=lo)
+        np.minimum(hi, steep_hi, out=hi)
+    top, near_top = _round_to_rows(np.maximum(lo, 0.0, out=lo), res, np.ceil)
+    bot, near_bot = _round_to_rows(np.minimum(hi, math.pi, out=hi), res, np.floor)
+    near = np.flatnonzero(near_top | near_bot)
+    if near.size:
+        if a is None:
+            a = normals[:, :2] @ trig
+        exact_lo, exact_hi = _face_intervals(a[:, near], normals[:, 2:])
+        top[near] = _round_to_rows(np.maximum(exact_lo, 0.0), res, np.ceil)[0]
+        bot[near] = _round_to_rows(np.minimum(exact_hi, math.pi), res, np.floor)[0]
     empty = top > bot
     top[empty] = res.n_v
     bot[empty] = -1
     return top, bot
+
+
+def _round_to_rows(angle: np.ndarray, res: Resolution, rounding) -> tuple[np.ndarray, np.ndarray]:
+    """Row index of polar angles in [0, pi] by np.ceil or np.floor (angle
+    is overwritten), and whether a row center lies within _TILTED_SLACK
+    of the angle."""
+    pitch = math.pi / res.n_v
+    angle /= pitch
+    angle -= 0.5
+    rows = rounding(angle)
+    # Distance in rows to the row center picked, and 1 minus it to the
+    # one on the other side.
+    angle -= rows
+    np.abs(angle, out=angle)
+    slack = _TILTED_SLACK / pitch
+    near = (angle <= slack) | (angle >= 1.0 - slack)
+    return rows.astype(np.int32), near
 
 
 # ---------------------------------------------------------------------------

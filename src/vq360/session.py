@@ -443,7 +443,13 @@ def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
     prefix = _sin_prefix(grid.resolution)
     # int32 like the spans, so no index array is widened to int64.
     rows = np.clip(grid.row_edges().astype(np.int32)[:, None], top, bot + 1)
-    return np.add.reduceat(np.diff(prefix[rows], axis=0), grid.col_edges()[:-1], axis=1)
+    weights = prefix[rows]
+    # np.diff along the tile-row edges, done in place from the last edge up:
+    # a fresh 150 kB difference array per 4K call was paged in anew each
+    # time the allocator handed its freed pages back to the system.
+    for i in range(len(weights) - 1, 0, -1):
+        weights[i] -= weights[i - 1]
+    return np.add.reduceat(weights[1:], grid.col_edges()[:-1], axis=1)
 
 
 def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:

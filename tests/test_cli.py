@@ -12,7 +12,7 @@ from vq360.cli import main
 from vq360.geometry import FieldOfView, Resolution
 from vq360.grade import variant_layout_26
 from vq360.mask import bank_centers, jaccard_index, load_mask_npz
-from vq360.session import SessionConfig, evaluate_session, synthetic_trace
+from vq360.session import SessionConfig, approximation_error_study, evaluate_session, synthetic_trace
 
 
 def run(capsys, *argv):
@@ -218,6 +218,30 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
     assert sorted(rows) == sorted(expected)
 
 
+def test_study_segment_ms_sets_the_error_table_schedule(tmp_path, capsys):
+    """--segment-ms is the segment length of the error table's variant
+    schedule: 500 ms is no whole number of frames at 25 fps (exit 3), while
+    400 ms is, and the table then matches approximation_error_study."""
+    recipe = {"seed": 6, "duration_s": 2.0, "fps": 25.0}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": "a", "synthetic": recipe}]))
+    argv = [
+        "study", "--manifest", str(manifest), "--resolution", "960x480",
+        "--segments", "400", "--grids", "3x6", "--out", str(tmp_path / "out"),
+    ]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "frame period" in err
+    code, _, _ = run(capsys, *argv, "--segment-ms", "400")
+    assert code == 0
+    res = Resolution(960, 480)
+    config = SessionConfig(
+        segment_ms=400.0, fov=FieldOfView(100.0, 85.0), resolution=res, layout=variant_layout_26(res)
+    )
+    (report,) = approximation_error_study([synthetic_trace(**recipe)], config, [(3, 6)])
+    rows = (tmp_path / "out" / "error_table.csv").read_text().strip().split("\n")
+    assert rows[1] == f"3,6,{report.mean_relative_error:.6f},{report.excluded_frames}"
+
+
 def test_study_can_skip_error_table(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([
@@ -266,8 +290,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (evaluate + ["--t-q", "-0.1"], "t_q"),
         (study + ["--t-q", "nan"], "t_q"),
         (study + ["--segments", "500,fast"], "segment lengths"),
+        # Flags are checked before a --footprint file is read.
+        (evaluate + ["--footprint", "missing.json", "--t-q", "2"], "t_q"),
+        (evaluate + ["--footprint", "missing.json", "--fps", "7"], "frame period"),
+        (study + ["--footprint", "missing.json", "--segments", "500,fast"], "segment lengths"),
+        (study + ["--footprint", "missing.json", "--grids", "3x6,banana"], "grid"),
         (evaluate + ["--method", "vaqm", "--grid", "3x6"], "bank grid"),
         (study + ["--grid", "3x6"], "bank grid"),
+        (study + ["--segment-ms", "0"], "segment length"),
         (evaluate + ["--fov", "200,85"], "field of view"),
         (evaluate + ["--fps", "0"], "frame period"),
         (evaluate + ["--fps", "inf"], "frame period"),

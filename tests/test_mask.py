@@ -14,16 +14,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vq360 import mask as mask_module
 from vq360.geometry import (
     FieldOfView,
     Resolution,
     SphericalPoint,
     angular_distance_deg,
+    column_centers_deg,
     equivalent_pixels_viewport,
     row_centers_deg,
     spherical_to_cartesian,
 )
+from vq360.grade import variant_layout_26
 from vq360.mask import (
+    BOUNDARY_EPS,
     _membership_raster,
     _project_spans,
     _spans_to_raster,
@@ -41,6 +45,7 @@ from vq360.mask import (
     write_mask_npz,
     write_mask_pgm,
 )
+from vq360.session import _sin_prefix, _tile_weight_sums
 
 FOV = FieldOfView(100.0, 85.0)
 RES = Resolution(960, 480)
@@ -294,6 +299,228 @@ def test_analytic_spans_keep_boundary_ties(pog):
     res = Resolution(60, 30)
     fov = FieldOfView(90.0, 90.0)
     assert_spans_match_oracle(SphericalPoint(*pog), fov, res)
+
+
+def per_face_spans(pog, fov, res):
+    """Reference span kernel: every face's interval in closed form.
+
+    Each face test n.v >= -BOUNDARY_EPS allows, along the column at
+    azimuth theta, polar angles in [-delta - w, pi - delta + w] with
+    delta = atan2(n_z, A), A = n_x sin(theta) + n_y cos(theta),
+    R = hypot(A, n_z) and w = asin(BOUNDARY_EPS / R); a face with
+    R <= BOUNDARY_EPS passes the whole column.  The five intervals are
+    intersected and rounded to row centers.
+    """
+    normals = mask_module._world_face_normals(pog, fov)
+    theta = np.deg2rad(column_centers_deg(res))
+    a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
+    b = normals[:, 2:]
+    delta = np.arctan2(b, a)
+    r = np.sqrt(a * a + b * b)
+    passes = r <= BOUNDARY_EPS
+    w = np.arcsin(BOUNDARY_EPS / np.maximum(r, BOUNDARY_EPS))
+    w[passes] = np.inf
+    lo = -(delta + w).min(axis=0)
+    hi = math.pi - (delta - w).max(axis=0)
+    pitch = math.pi / res.n_v
+    top = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
+    bot = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+    top = np.clip(top, 0, res.n_v).astype(np.int32)
+    bot = np.clip(bot, -1, res.n_v - 1).astype(np.int32)
+    empty = top > bot
+    top[empty] = res.n_v
+    bot[empty] = -1
+    return top, bot
+
+
+def assert_spans_match_per_face(pog, fov, res):
+    expected_top, expected_bot = per_face_spans(pog, fov, res)
+    top, bot = _project_spans(pog, fov, res)
+    assert top.dtype == bot.dtype == np.int32
+    assert np.array_equal(top, expected_top)
+    assert np.array_equal(bot, expected_bot)
+
+
+def face_groups(pog, fov):
+    """Faces bounding the top end, the bottom end, and steep faces."""
+    nz = mask_module._world_face_normals(pog, fov)[:, 2]
+    steep = np.abs(nz) <= mask_module._STEEP_NZ
+    return (
+        int(np.count_nonzero(~steep & (nz < 0.0))),
+        int(np.count_nonzero(~steep & (nz > 0.0))),
+        int(np.count_nonzero(steep)),
+    )
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    n_v=st.integers(min_value=2, max_value=240),
+)
+def test_binding_face_spans_equal_per_face_spans(theta, phi, fov_theta, fov_phi, n_v):
+    assert_spans_match_per_face(
+        SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
+    )
+
+
+# (pog, fov, (top-end faces, bottom-end faces, steep faces)).  The two
+# sides and the forward face share the sign of n_z, so with sides of
+# ordinary width the top end has 0, 1, 4 or 5 faces; a near-zero width
+# makes the sides steep and leaves 2 or 3.
+BRANCH_CASES = [
+    ((30.0, 60.0), (100.0, 85.0), (1, 4, 0)),
+    ((200.0, 91.0), (0.001, 85.0), (2, 1, 2)),
+    ((200.0, 170.0), (0.001, 85.0), (3, 0, 2)),
+    ((30.0, 120.0), (100.0, 85.0), (4, 1, 0)),
+    ((123.0, 180.0), (100.0, 85.0), (5, 0, 0)),
+    ((0.0, 0.0), (100.0, 85.0), (0, 5, 0)),
+    ((180.0, 90.0), (100.0, 85.0), (1, 1, 3)),
+    ((200.0, 43.5), (100.0, 87.0), (0, 4, 1)),
+    ((200.0, 17.0), (100.0, 34.0), (0, 4, 1)),
+    ((200.0, 89.99), (100.0, 85.0), (1, 4, 0)),
+    ((200.0, 90.000001), (100.0, 85.0), (1, 1, 3)),
+    ((30.0, 60.0), (179.99999, 179.99999), (0, 5, 0)),
+    ((180.0, 90.0), (179.99999, 179.99999), (0, 0, 5)),
+    ((75.0, 100.0), (0.5, 0.3), (4, 1, 0)),
+    ((75.0, 90.0), (0.5, 0.3), (1, 1, 3)),
+    ((75.0, 100.0), (0.0004, 0.0003), (2, 1, 2)),
+    ((1.0, 91.0), (2.225073858507e-311, 1.0), (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("n_v", [30, 480, 1920])
+@pytest.mark.parametrize("pog, fov, groups", BRANCH_CASES)
+def test_binding_face_spans_every_branch(pog, fov, groups, n_v):
+    pog, fov = SphericalPoint(*pog), FieldOfView(*fov)
+    assert face_groups(pog, fov) == groups
+    assert_spans_match_per_face(pog, fov, Resolution(2 * n_v, n_v))
+
+
+def least_c_rule_misses_a_row(pog, fov, res):
+    """True if at some column the face of least c, taken with its own
+    tolerance, moves a column end across a row center that the per-face
+    bound of another face of its group puts on the other side."""
+    normals = mask_module._world_face_normals(pog, fov)
+    theta = np.deg2rad(column_centers_deg(res))
+    a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
+    nz = normals[:, 2:]
+    r = np.hypot(a, nz)
+    rows = np.deg2rad(row_centers_deg(res))
+    for sign in (-1.0, 1.0):
+        group = np.flatnonzero((np.sign(nz[:, 0]) == sign) & (np.abs(nz[:, 0]) > mask_module._STEEP_NZ))
+        if len(group) < 2:
+            continue
+        # Per-face end: lower bound of the top end, upper bound of the bottom end.
+        ends = math.pi / 2 - sign * (np.arctan(a[group] / np.abs(nz[group])) + BOUNDARY_EPS / r[group])
+        cols = np.arange(res.n_h)
+        least_c = ends[np.argmin(a[group] / np.abs(nz[group]), axis=0), cols]
+        exact = ends.max(axis=0) if sign < 0 else ends.min(axis=0)
+        low, high = np.minimum(least_c, exact), np.maximum(least_c, exact)
+        if np.any((rows[:, None] > low) & (rows[:, None] < high)):
+            return True
+    return False
+
+
+# (pog, fov, n_v): a viewport corner, where two faces of one end cross,
+# placed on a column center and between the two faces' tolerances of a
+# row center, at the top end (PoG below the equator) and the bottom end.
+CORNER_TIE_CASES = [
+    ((344.0370653835663, 104.5468405991792), (100.0, 85.0), 777),
+    ((79.99210769480675, 144.39837119896404), (100.0, 85.0), 1000),
+    ((305.65736994823135, 36.299882532522915), (60.0, 40.0), 777),
+    ((150.18301204642037, 28.397382283038528), (30.0, 170.0), 1920),
+]
+
+
+@pytest.mark.parametrize("pog, fov, n_v", CORNER_TIE_CASES)
+def test_binding_face_spans_at_corner_near_ties(pog, fov, n_v):
+    pog, fov, res = SphericalPoint(*pog), FieldOfView(*fov), Resolution(2 * n_v, n_v)
+    assert least_c_rule_misses_a_row(pog, fov, res)
+    assert_spans_match_per_face(pog, fov, res)
+    assert_spans_match_oracle(pog, fov, res)
+
+
+@pytest.mark.parametrize("n_v", [30, 481, 1920])
+@pytest.mark.parametrize("end", ["top", "bottom"])
+def test_spans_keep_rows_within_a_tilted_face_tolerance(end, n_v):
+    """At the viewport's middle column the top (bottom) face plane passes
+    half its tolerance BOUNDARY_EPS above (below) a row center: the
+    oracle keeps that row, and so must the spans."""
+    res = Resolution(2 * n_v, n_v)
+    fov = FieldOfView(100.0, 60.0)
+    col = res.n_h // 3
+    row = n_v // 5 if end == "top" else n_v - 1 - n_v // 5
+    offset = 0.5 * BOUNDARY_EPS if end == "top" else -0.5 * BOUNDARY_EPS
+    edge = math.radians(row_centers_deg(res)[row]) + offset
+    phi = math.degrees(edge + math.radians(fov.phi_deg / 2.0) * (1.0 if end == "top" else -1.0))
+    pog = SphericalPoint(float(column_centers_deg(res)[col]), phi)
+    nz = mask_module._world_face_normals(pog, fov)[0 if end == "top" else 1, 2]
+    assert abs(nz) > mask_module._STEEP_NZ
+    top, bot = _project_spans(pog, fov, res)
+    assert (top[col] if end == "top" else bot[col]) == row
+    assert_spans_match_per_face(pog, fov, res)
+    assert_spans_match_oracle(pog, fov, res)
+
+
+@pytest.mark.parametrize("phi, end", [(90.0115, "top"), (89.9885, "bottom")])
+def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
+    """The left face has |n_z| = 1.5e-4, just above _STEEP_NZ, so its
+    tolerance is 6.5e-9 rad at column 300, where its plane crosses 0.9 of
+    that above (below) the equator, a row center at n_v = 481."""
+    res = Resolution(962, 481)
+    fov = FieldOfView(100.0, 60.0)
+    pog = SphericalPoint(162.4532218849912, phi)
+    nz = mask_module._world_face_normals(pog, fov)[2, 2]
+    assert mask_module._STEEP_NZ < abs(nz) < 2.0 * mask_module._STEEP_NZ
+    top, bot = _project_spans(pog, fov, res)
+    assert (top[300] if end == "top" else bot[300]) == 240
+    assert_spans_match_per_face(pog, fov, res)
+    assert_spans_match_oracle(pog, fov, res)
+
+
+def test_steep_face_nz_values_reach_the_per_face_path():
+    """The steep faces of BRANCH_CASES hold n_z = +0.0 and |n_z| ~ 1e-17."""
+    equator = mask_module._world_face_normals(SphericalPoint(180.0, 90.0), FOV)[:, 2]
+    assert equator[2:].tolist() == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, v) > 0 for v in equator[2:])
+    top_through_pole = mask_module._world_face_normals(SphericalPoint(200.0, 43.5), FieldOfView(100.0, 87.0))
+    assert 0.0 < -top_through_pole[0, 2] < 1e-15
+    top_through_pole = mask_module._world_face_normals(SphericalPoint(200.0, 17.0), FieldOfView(100.0, 34.0))
+    assert 0.0 < top_through_pole[0, 2] < 1e-15
+
+
+@pytest.mark.parametrize("pog", [(180.0, 90.0), (0.0, 90.0), (37.0, 90.0)])
+def test_binding_face_spans_with_negative_zero_nz(monkeypatch, pog):
+    """n_z = -0.0 turns atan2's +pi into -pi on the per-face path."""
+    normals = mask_module._world_face_normals(SphericalPoint(*pog), FOV)
+    normals[normals[:, 2] == 0.0, 2] = -0.0
+    monkeypatch.setattr(mask_module, "_world_face_normals", lambda pog, fov: normals.copy())
+    assert_spans_match_per_face(SphericalPoint(*pog), FOV, Resolution(60, 30))
+    assert_spans_match_per_face(SphericalPoint(*pog), FOV, RES)
+
+
+def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
+    """300 gaze points 3 degrees apart along a great circle through both
+    poles whose longitude drifts across the seam; every 30th point is a
+    pole or on the equator."""
+    res = Resolution(3840, 1920)
+    grid = variant_layout_26(res).grid
+    for k in range(300):
+        along = (3.0 * k) % 360.0
+        meridian = (340.0 + 0.13 * k) % 360.0
+        if along <= 180.0:
+            pog = SphericalPoint(meridian, along)
+        else:
+            pog = SphericalPoint((meridian + 180.0) % 360.0, 360.0 - along)
+        expected = per_face_spans(pog, FOV, res)
+        spans = _project_spans(pog, FOV, res)
+        assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
+        # The row differences taken apart, as np.diff, then per tile.
+        rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
+        weights = np.diff(_sin_prefix(res)[rows], axis=0)
+        assert np.array_equal(_tile_weight_sums(*spans, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
 
 
 # ---------------------------------------------------------------------------
