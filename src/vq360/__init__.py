@@ -6,15 +6,10 @@ from .geometry import (
     Resolution,
     SphericalPoint,
     angular_distance_deg,
-    cartesian_to_spherical,
     equivalent_pixels_picture,
     equivalent_pixels_viewport,
-    pixel_to_spherical,
-    rotate_phi,
-    rotate_theta,
     solid_angle_sr,
     spherical_to_cartesian,
-    spherical_to_pixel,
 )
 from .grade import (
     GradeMap,
@@ -26,15 +21,12 @@ from .grade import (
     variant_layout_26,
 )
 from .mask import (
-    BoundarySampleSet,
     ViewportMask,
     bank_centers,
-    base_viewport_boundary,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
-    load_mask_npz,
     nearest_center_index,
     project_viewport,
     write_mask_npz,
@@ -46,8 +38,6 @@ from .pooling import (
     QualityTimeline,
     frame_quality,
     make_timeline,
-    window_fraction,
-    window_mean,
     write_frame_csv,
 )
 from .session import (

@@ -44,7 +44,7 @@ class SphericalPoint:
 
 @dataclass(frozen=True)
 class CartesianVector:
-    """A 3D direction; use :func:`cartesian_to_spherical` to read angles."""
+    """A 3D direction; use :func:`cartesian_to_spherical_arrays` to read angles."""
 
     x: float
     y: float
@@ -150,23 +150,6 @@ def spherical_to_cartesian(point: SphericalPoint) -> CartesianVector:
     return CartesianVector(float(x), float(y), float(z))
 
 
-def cartesian_to_spherical(vec: CartesianVector) -> SphericalPoint:
-    norm = math.sqrt(vec.x * vec.x + vec.y * vec.y + vec.z * vec.z)
-    if norm < 1e-12:
-        raise ValueError("cannot convert a zero vector to spherical coordinates")
-    theta, phi = cartesian_to_spherical_arrays(
-        np.float64(vec.x), np.float64(vec.y), np.float64(vec.z)
-    )
-    return SphericalPoint(float(theta), float(phi))
-
-
-def pixel_to_spherical(col: int, row: int, res: Resolution) -> SphericalPoint:
-    """Angles of a pixel center."""
-    if not (0 <= col < res.n_h and 0 <= row < res.n_v):
-        raise ValueError(f"pixel ({col}, {row}) outside a {res.n_h}x{res.n_v} frame")
-    return SphericalPoint((col + 0.5) * res.column_pitch_deg, (row + 0.5) * res.row_pitch_deg)
-
-
 def spherical_to_pixel_arrays(
     theta_deg: np.ndarray, phi_deg: np.ndarray, res: Resolution
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,12 +157,6 @@ def spherical_to_pixel_arrays(
     col = np.minimum((theta_deg / FULL_TURN_DEG * res.n_h).astype(np.int64), res.n_h - 1)
     row = np.minimum((phi_deg / HALF_TURN_DEG * res.n_v).astype(np.int64), res.n_v - 1)
     return col, row
-
-
-def spherical_to_pixel(point: SphericalPoint, res: Resolution) -> tuple[int, int]:
-    """Pixel containing the given direction; inverse of :func:`pixel_to_spherical`."""
-    col, row = spherical_to_pixel_arrays(np.float64(point.theta_deg), np.float64(point.phi_deg), res)
-    return int(col), int(row)
 
 
 def solid_angle_sr(fov: FieldOfView) -> float:
@@ -226,16 +203,6 @@ def phi_rotation_matrix(phi_target_deg: float) -> np.ndarray:
     )
 
 
-def rotate_phi(xyz: np.ndarray, phi_target_deg: float) -> np.ndarray:
-    """Apply :func:`phi_rotation_matrix` to row vectors of shape (..., 3)."""
-    return np.asarray(xyz, dtype=np.float64) @ phi_rotation_matrix(phi_target_deg).T
-
-
-def rotate_phi_inverse(xyz: np.ndarray, phi_target_deg: float) -> np.ndarray:
-    """Undo :func:`rotate_phi` (the matrix is orthogonal, so its transpose)."""
-    return np.asarray(xyz, dtype=np.float64) @ phi_rotation_matrix(phi_target_deg)
-
-
 def theta_rotation_matrix(delta_deg: float) -> np.ndarray:
     """Rotation about +z adding ``delta_deg`` to every azimuth."""
     d = math.radians(delta_deg)
@@ -248,11 +215,6 @@ def theta_rotation_matrix(delta_deg: float) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-def rotate_theta(theta_deg: np.ndarray | float, delta_deg: float) -> np.ndarray | float:
-    """Horizontal shift of azimuths, wrapped to [0, 360)."""
-    return (theta_deg + delta_deg) % FULL_TURN_DEG
 
 
 def angular_distance_deg(a: SphericalPoint, b: SphericalPoint) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Resolution, SphericalPoint, spherical_to_pixel_arrays
+from .geometry import Resolution, spherical_to_pixel_arrays
 
 FOOTPRINT_AREA_ONLY = "area-only"
 FOOTPRINT_AREA_NEIGHBORS = "area+neighbors"
@@ -66,12 +66,6 @@ class TileGrid:
         tc = np.minimum(pixel_col // (self.resolution.n_h // self.cols), self.cols - 1)
         return tr, tc
 
-    def tile_of_pixel(self, pixel_row: int, pixel_col: int) -> tuple[int, int]:
-        if not (0 <= pixel_row < self.resolution.n_v and 0 <= pixel_col < self.resolution.n_h):
-            raise ValueError(f"pixel ({pixel_row},{pixel_col}) outside frame")
-        tr, tc = self.tiles_of_pixels(pixel_row, pixel_col)
-        return int(tr), int(tc)
-
 
 @dataclass(frozen=True)
 class VariantLayout:
@@ -99,36 +93,32 @@ class VariantLayout:
     def variant_count(self) -> int:
         return len(self.areas)
 
-    def area_of_tile(self, tile_row: int, tile_col: int) -> int:
-        if not (0 <= tile_row < self.grid.rows and 0 <= tile_col < self.grid.cols):
-            raise ValueError(f"tile ({tile_row},{tile_col}) outside the grid")
-        return int(self._area_table[tile_row, tile_col])
-
-    def area_containing(self, pog: SphericalPoint) -> int:
-        """Index of the variant whose area contains the PoG pixel."""
-        return int(self._areas_at(np.float64(pog.theta_deg), np.float64(pog.phi_deg)))
-
     def _areas_at(self, theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-        """Area under each PoG of angle arrays, by the pixel rule of
-        spherical_to_pixel and the tile rule of TileGrid.tile_of_pixel."""
+        """Area under each PoG of angle arrays: the pixel holding the
+        direction (spherical_to_pixel_arrays: truncated, clamped to the
+        last column and row), then the tile holding that pixel
+        (TileGrid.tiles_of_pixels: floor division by the tile size,
+        remainder pixels in the last tile row and column)."""
         col, row = spherical_to_pixel_arrays(theta_deg, phi_deg, self.grid.resolution)
         return self._area_table[self.grid.tiles_of_pixels(row, col)]
 
 
 @dataclass(frozen=True)
 class GradeMap:
-    """Dense per-pixel quality levels in [0, 1]."""
+    """Dense per-pixel quality levels in [0, 1], as a read-only float64 copy."""
 
     resolution: Resolution
     grades: np.ndarray
 
     def __post_init__(self) -> None:
+        grades = np.array(self.grades, dtype=np.float64)
         expected = (self.resolution.n_v, self.resolution.n_h)
-        if self.grades.shape != expected:
-            raise ValueError(f"grade raster shape {self.grades.shape} != {expected}")
-        if self.grades.size and (float(self.grades.min()) < 0.0 or float(self.grades.max()) > 1.0):
+        if grades.shape != expected:
+            raise ValueError(f"grade raster shape {grades.shape} != {expected}")
+        if grades.size and (float(grades.min()) < 0.0 or float(grades.max()) > 1.0):
             raise ValueError("grades must lie in [0, 1]")
-        self.grades.setflags(write=False)
+        grades.setflags(write=False)
+        object.__setattr__(self, "grades", grades)
 
 
 def variant_layout_26(res: Resolution) -> VariantLayout:

@@ -7,7 +7,11 @@ built in three steps: sample the boundary of the base viewport (centered
 at theta=180, phi=90), rotate the samples to the requested point of gaze
 (PoG), then rasterize the closed polyline on the pixel grid and fill the
 interior, weighting each pixel row by sin(phi) to compensate the uneven
-spherical sampling of the equirectangular mapping.
+spherical sampling of the equirectangular mapping.  Each side of the base
+boundary is a function of one parameter (azimuth on the top and bottom
+arcs, polar angle on the left and right meridians), and ``_side_points``
+is the one evaluator of it: ``_base_polyline`` calls it for the uniform
+samples, and the pole subdivision for the midpoints it inserts.
 
 Masks may wrap around the theta=0/360 seam (splitting into two raster
 components) and may contain a pole, in which case every column's span
@@ -20,10 +24,9 @@ that is not near-vertical bounds only one end of a column, set by the
 sign of its normal's z; at each end the binding face is the one with the
 least cot(phi) crossing, so a column end costs one arctan.  Near-vertical
 faces, and column ends that land near a row center, take the per-face
-atan2 form.  For
-the approximated method (avaqm) this module also holds the uniform grid
-of bank centers and the rule that snaps a point of gaze to the nearest
-one.
+atan2 form.  For the approximated method (avaqm) this module also holds
+the uniform grid of bank centers and the rule that snaps a point of gaze
+to the nearest one.
 """
 
 from __future__ import annotations
@@ -79,22 +82,6 @@ _SIDE_TOP = 0
 _SIDE_RIGHT = 1
 _SIDE_BOTTOM = 2
 _SIDE_LEFT = 3
-
-
-@dataclass(frozen=True)
-class BoundarySampleSet:
-    """Boundary of the base viewport: corners, side midpoints, side samples.
-
-    ``corners`` holds A (top-left), B (top-right), C (bottom-left) and
-    D (bottom-right).  ``side_midpoints`` holds E (top), F (bottom),
-    G (left), H (right).  ``side_samples`` maps side name to the ordered
-    interior samples of that side (``samples_per_side`` points each).
-    """
-
-    corners: tuple[SphericalPoint, SphericalPoint, SphericalPoint, SphericalPoint]
-    side_midpoints: tuple[SphericalPoint, SphericalPoint, SphericalPoint, SphericalPoint]
-    side_samples: dict[str, tuple[SphericalPoint, ...]]
-    samples_per_side: int
 
 
 @dataclass(frozen=True)
@@ -162,124 +149,56 @@ def arc_phi_deg(coeffs: tuple[float, float, float], theta_deg: float) -> float:
     return phi
 
 
-def base_viewport_boundary(fov: FieldOfView, samples_per_side: int = DEFAULT_SAMPLES_PER_SIDE) -> BoundarySampleSet:
-    """Corners, midpoints and per-side samples of the base viewport.
-
-    Left/right sides are meridians (vertical lines on the frame) sampled
-    uniformly in phi; top/bottom sides are great-circle arcs sampled at
-    uniformly spaced azimuths between the corner abscissas.
-    """
-    if samples_per_side < 1:
-        raise ValueError(f"samples_per_side must be >= 1, got {samples_per_side}")
-    half_t = fov.theta_deg / 2.0
-    half_p = fov.phi_deg / 2.0
-    theta_left = 180.0 - half_t
-    theta_right = 180.0 + half_t
-    phi_top, phi_bottom = corner_colatitudes_deg(fov)
-
-    a = SphericalPoint(theta_left, phi_top)
-    b = SphericalPoint(theta_right, phi_top)
-    c = SphericalPoint(theta_left, phi_bottom)
-    d = SphericalPoint(theta_right, phi_bottom)
-    e = SphericalPoint(180.0, 90.0 - half_p)
-    f = SphericalPoint(180.0, 90.0 + half_p)
-    g = SphericalPoint(theta_left, 90.0)
-    h = SphericalPoint(theta_right, 90.0)
-
-    top_coeffs = arc_coefficients(a, b)
-    bottom_coeffs = arc_coefficients(c, d)
-    interior = np.linspace(0.0, 1.0, samples_per_side + 2)[1:-1]
-
-    top = tuple(
-        SphericalPoint(t, arc_phi_deg(top_coeffs, t))
-        for t in theta_left + interior * (theta_right - theta_left)
-    )
-    bottom = tuple(
-        SphericalPoint(t, arc_phi_deg(bottom_coeffs, t))
-        for t in theta_right + interior * (theta_left - theta_right)
-    )
-    right = tuple(
-        SphericalPoint(theta_right, p) for p in phi_top + interior * (phi_bottom - phi_top)
-    )
-    left = tuple(
-        SphericalPoint(theta_left, p) for p in phi_bottom + interior * (phi_top - phi_bottom)
-    )
-
-    return BoundarySampleSet(
-        corners=(a, b, c, d),
-        side_midpoints=(e, f, g, h),
-        side_samples={"top": top, "right": right, "bottom": bottom, "left": left},
-        samples_per_side=samples_per_side,
-    )
-
-
 @lru_cache(maxsize=32)
 def _base_polyline(fov_theta: float, fov_phi: float, samples_per_side: int):
     """Closed base-frame polyline with per-vertex side id and side parameter.
 
-    Corner vertices are duplicated so that every segment lies on a single
+    The sides run top (A to B), right (B to D), bottom (D to C) and left
+    (C to A), each from its first corner through ``samples_per_side``
+    uniformly spaced interior parameters to its last corner.  Corner
+    vertices are thus duplicated so that every segment lies on a single
     side (the duplicate pairs form zero-length segments the rasterizer
     skips).  Returns (theta, phi, side, param) float64/int8 arrays.
     """
+    if samples_per_side < 1:
+        raise ValueError(f"samples_per_side must be >= 1, got {samples_per_side}")
     fov = FieldOfView(fov_theta, fov_phi)
-    bset = base_viewport_boundary(fov, samples_per_side)
-    a, b, c, d = bset.corners
-    theta: list[float] = []
-    phi: list[float] = []
-    side: list[int] = []
-    param: list[float] = []
-
-    def add(point: SphericalPoint, side_id: int, par: float) -> None:
-        theta.append(point.theta_deg)
-        phi.append(point.phi_deg)
-        side.append(side_id)
-        param.append(par)
-
-    add(a, _SIDE_TOP, a.theta_deg)
-    for p in bset.side_samples["top"]:
-        add(p, _SIDE_TOP, p.theta_deg)
-    add(b, _SIDE_TOP, b.theta_deg)
-
-    add(b, _SIDE_RIGHT, b.phi_deg)
-    for p in bset.side_samples["right"]:
-        add(p, _SIDE_RIGHT, p.phi_deg)
-    add(d, _SIDE_RIGHT, d.phi_deg)
-
-    add(d, _SIDE_BOTTOM, d.theta_deg)
-    for p in bset.side_samples["bottom"]:
-        add(p, _SIDE_BOTTOM, p.theta_deg)
-    add(c, _SIDE_BOTTOM, c.theta_deg)
-
-    add(c, _SIDE_LEFT, c.phi_deg)
-    for p in bset.side_samples["left"]:
-        add(p, _SIDE_LEFT, p.phi_deg)
-    add(a, _SIDE_LEFT, a.phi_deg)
-
-    return (
-        np.array(theta, dtype=np.float64),
-        np.array(phi, dtype=np.float64),
-        np.array(side, dtype=np.int8),
-        np.array(param, dtype=np.float64),
-    )
+    theta_left, theta_right = 180.0 - fov_theta / 2.0, 180.0 + fov_theta / 2.0
+    phi_top, phi_bottom = corner_colatitudes_deg(fov)
+    first = np.array([[theta_left], [phi_top], [theta_right], [phi_bottom]])
+    last = np.array([[theta_right], [phi_bottom], [theta_left], [phi_top]])
+    interior = np.linspace(0.0, 1.0, samples_per_side + 2)[1:-1]
+    param = np.hstack([first, first + interior * (last - first), last]).ravel()
+    side = np.repeat(np.array([_SIDE_TOP, _SIDE_RIGHT, _SIDE_BOTTOM, _SIDE_LEFT], dtype=np.int8), samples_per_side + 2)
+    theta, phi = _side_points(fov, side, param)
+    # The arc formula misses the corner colatitudes by about an ulp.
+    corners = phi.reshape(4, -1)
+    corners[:, 0] = [phi_top, phi_top, phi_bottom, phi_bottom]
+    corners[:, -1] = [phi_top, phi_bottom, phi_bottom, phi_top]
+    return theta, phi, side, param
 
 
 def _side_points(fov: FieldOfView, side_ids: np.ndarray, params: np.ndarray):
-    """Evaluate true base-frame boundary points for (side, parameter) pairs."""
-    bset_corners = base_viewport_boundary(fov, 1)
-    a, b, c, d = bset_corners.corners
-    top_coeffs = arc_coefficients(a, b)
-    bottom_coeffs = arc_coefficients(c, d)
+    """Base-frame boundary points for (side, parameter) pairs.
+
+    The left and right sides are meridians parametrized by polar angle;
+    the top and bottom sides are great-circle arcs through the corners,
+    parametrized by azimuth.
+    """
+    theta_left, theta_right = 180.0 - fov.theta_deg / 2.0, 180.0 + fov.theta_deg / 2.0
+    phi_top, phi_bottom = corner_colatitudes_deg(fov)
+    arcs = {
+        _SIDE_TOP: arc_coefficients(SphericalPoint(theta_left, phi_top), SphericalPoint(theta_right, phi_top)),
+        _SIDE_BOTTOM: arc_coefficients(SphericalPoint(theta_left, phi_bottom), SphericalPoint(theta_right, phi_bottom)),
+    }
+    meridians = {_SIDE_RIGHT: theta_right, _SIDE_LEFT: theta_left}
     theta = np.empty_like(params)
     phi = np.empty_like(params)
     for i, (s, par) in enumerate(zip(side_ids, params)):
-        if s == _SIDE_TOP:
-            theta[i], phi[i] = par, arc_phi_deg(top_coeffs, par)
-        elif s == _SIDE_BOTTOM:
-            theta[i], phi[i] = par, arc_phi_deg(bottom_coeffs, par)
-        elif s == _SIDE_RIGHT:
-            theta[i], phi[i] = b.theta_deg, par
+        if s in arcs:
+            theta[i], phi[i] = par, arc_phi_deg(arcs[s], par)
         else:
-            theta[i], phi[i] = a.theta_deg, par
+            theta[i], phi[i] = meridians[s], par
     return theta, phi
 
 
@@ -493,16 +412,18 @@ def _rotate_xyz_to_pog(xyz_base: np.ndarray, pog: SphericalPoint):
     return (t + (pog.theta_deg - 180.0)) % 360.0, p
 
 
-def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side: int, gap_cap_deg: float):
+def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side: int):
     """Rotated boundary polyline with pole-stretched segments refined.
 
     A segment is bisected (inserting the true boundary point at the
     midpoint of its base-frame side parameter) while its rotated azimuth
-    span exceeds both the cap and SUBDIVISION_STRETCH times its arc
-    length; arc length is rotation-invariant, so un-stretched segments
-    keep the sampling density chosen by samples_per_side.
+    span exceeds both the cap SUBDIVISION_REF_DEG / samples_per_side and
+    SUBDIVISION_STRETCH times its arc length; arc length is
+    rotation-invariant, so un-stretched segments keep the sampling
+    density chosen by samples_per_side.
     """
     theta_b, phi_b, side, param = _base_polyline(fov.theta_deg, fov.phi_deg, samples_per_side)
+    gap_cap_deg = SUBDIVISION_REF_DEG / samples_per_side
     xyz_b = np.stack(spherical_to_cartesian_arrays(theta_b, phi_b), axis=-1)
     theta, phi = _rotate_xyz_to_pog(xyz_b, pog)
     for _ in range(MAX_SUBDIVISION_PASSES):
@@ -592,10 +513,7 @@ def _polyline_spans(
     samples_per_side: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column spans of the sampled boundary polyline (the paper's rasterizer)."""
-    if samples_per_side < 1:
-        raise ValueError(f"samples_per_side must be >= 1, got {samples_per_side}")
-    gap_cap = SUBDIVISION_REF_DEG / samples_per_side
-    theta, phi = _subdivided_polyline(pog, fov, samples_per_side, gap_cap)
+    theta, phi = _subdivided_polyline(pog, fov, samples_per_side)
     north, south = _pole_containment(pog, fov)
     return _column_spans(theta, phi, res, north, south)
 
@@ -771,16 +689,3 @@ def write_mask_npz(mask: ViewportMask, path: str) -> None:
         resolution=np.array([mask.resolution.n_h, mask.resolution.n_v]),
     )
     _atomic_write_bytes(path, buffer.getvalue())
-
-
-def load_mask_npz(path: str) -> ViewportMask:
-    with np.load(path) as data:
-        res = Resolution(int(data["resolution"][0]), int(data["resolution"][1]))
-        weights = data["weights"]
-        return ViewportMask(
-            resolution=res,
-            weights=weights,
-            pog=SphericalPoint(float(data["pog"][0]), float(data["pog"][1])),
-            fov=FieldOfView(float(data["fov"][0]), float(data["fov"][1])),
-            area=float(np.sum(weights, dtype=np.float64)),
-        )

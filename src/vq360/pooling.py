@@ -61,13 +61,6 @@ class QualityTimeline:
         return tuple(map(FrameQuality, range(self.q_frame.size), self.q_frame.tolist(), self.mask_area.tolist()))
 
 
-def _q_values(q_frame: np.ndarray) -> np.ndarray:
-    values = np.asarray(q_frame, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("empty window")
-    return values
-
-
 def frame_quality(
     mask: ViewportMask,
     grade: GradeMap,
@@ -93,22 +86,21 @@ def frame_quality(
     return FrameQuality(frame_index, numerator / denominator, denominator)
 
 
-def window_mean(q_frame: np.ndarray) -> float:
-    """Arithmetic mean of the frame qualities."""
-    return float(_q_values(q_frame).mean())
+def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAULT_T_Q) -> QualityTimeline:
+    """Aggregate per-frame qualities and denominators into a QualityTimeline.
 
-
-def window_fraction(q_frame: np.ndarray, t_q: float = DEFAULT_T_Q) -> float:
-    """Percentage of frames whose quality strictly exceeds the threshold."""
+    The window quality is the arithmetic mean of the frame qualities; the
+    window fraction is the percentage of frames whose quality strictly
+    exceeds the threshold t_q.
+    """
+    values = np.asarray(q_frame, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError("empty window")
     if not 0.0 <= t_q <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {t_q}")
-    values = _q_values(q_frame)
-    return float(100.0 * np.count_nonzero(values > t_q) / values.size)
-
-
-def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAULT_T_Q) -> QualityTimeline:
-    """Aggregate per-frame qualities and denominators into a QualityTimeline."""
-    return QualityTimeline(q_frame, mask_area, window_mean(q_frame), window_fraction(q_frame, t_q), t_q)
+    q_window = float(values.mean())
+    f_window = float(100.0 * np.count_nonzero(values > t_q) / values.size)
+    return QualityTimeline(q_frame, mask_area, q_window, f_window, t_q)
 
 
 def write_frame_csv(q_frame: np.ndarray, path: str) -> None:

@@ -118,15 +118,6 @@ class SessionTrace:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    @classmethod
-    def from_points(cls, frames_per_second: float, points: Sequence[SphericalPoint]) -> "SessionTrace":
-        """A trace from one SphericalPoint per frame."""
-        return cls(
-            frames_per_second,
-            np.array([p.theta_deg for p in points], dtype=np.float64),
-            np.array([p.phi_deg for p in points], dtype=np.float64),
-        )
-
     @cached_property
     def samples(self) -> tuple[SphericalPoint, ...]:
         """The PoGs as points, built on first use."""

@@ -11,7 +11,7 @@ import vq360.session
 from vq360.cli import main
 from vq360.geometry import FieldOfView, Resolution
 from vq360.grade import variant_layout_26
-from vq360.mask import bank_centers, jaccard_index, load_mask_npz
+from vq360.mask import bank_centers
 from vq360.session import SessionConfig, approximation_error_study, evaluate_session, synthetic_trace
 
 
@@ -19,6 +19,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_npz(path):
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
 
 
 def test_mask_command_writes_outputs(tmp_path, capsys):
@@ -32,9 +37,9 @@ def test_mask_command_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert "equivalent pixels" in out
     assert pgm.read_bytes().startswith(b"P5\n960 480\n255\n")
-    mask = load_mask_npz(str(npz))
-    assert mask.pog.theta_deg == 320.0 and mask.pog.phi_deg == 110.0
-    support = mask.weights > 0.0
+    mask = read_npz(npz)
+    assert mask["pog"].tolist() == [320.0, 110.0]
+    support = mask["weights"] > 0.0
     assert support[:, 0].any() and support[:, -1].any()
 
 
@@ -46,7 +51,7 @@ def test_mask_central_pog_is_symmetric(tmp_path, capsys):
         "--out", str(tmp_path / "center.pgm"), "--npz", str(npz),
     )
     assert code == 0
-    support = load_mask_npz(str(npz)).weights > 0.0
+    support = read_npz(npz)["weights"] > 0.0
     assert np.array_equal(support, support[:, ::-1])
     assert np.array_equal(support, support[::-1, :])
 
@@ -64,9 +69,9 @@ def test_mask_exact_close_to_default(tmp_path, capsys):
         "--out", str(tmp_path / "exact.pgm"), "--npz", str(tmp_path / "exact.npz"),
     )
     assert code == 0
-    fast = load_mask_npz(str(tmp_path / "fast.npz"))
-    exact = load_mask_npz(str(tmp_path / "exact.npz"))
-    assert jaccard_index(fast, exact) >= 0.995
+    fast = read_npz(tmp_path / "fast.npz")["weights"] > 0.0
+    exact = read_npz(tmp_path / "exact.npz")["weights"] > 0.0
+    assert np.count_nonzero(fast & exact) / np.count_nonzero(fast | exact) >= 0.995
 
 
 def test_synth_trace_deterministic(tmp_path, capsys):

@@ -6,24 +6,21 @@ import numpy as np
 import pytest
 
 from vq360.geometry import (
-    CartesianVector,
     FieldOfView,
     Resolution,
     SphericalPoint,
     angular_distance_deg,
-    cartesian_to_spherical,
     cartesian_to_spherical_arrays,
+    column_centers_deg,
     equivalent_pixels_picture,
     equivalent_pixels_viewport,
-    pixel_to_spherical,
-    rotate_phi,
-    rotate_phi_inverse,
-    rotate_theta,
+    phi_rotation_matrix,
     row_centers_deg,
     solid_angle_sr,
     spherical_to_cartesian,
     spherical_to_cartesian_arrays,
-    spherical_to_pixel,
+    spherical_to_pixel_arrays,
+    theta_rotation_matrix,
 )
 
 RES_4K = Resolution(3840, 1920)
@@ -46,17 +43,14 @@ def test_spherical_to_cartesian_axes():
 
 
 def test_cartesian_to_spherical_examples():
-    p = cartesian_to_spherical(CartesianVector(0.0, -1.0, 0.0))
-    assert p.theta_deg == pytest.approx(180.0, abs=1e-12)
-    assert p.phi_deg == pytest.approx(90.0, abs=1e-12)
-    south = cartesian_to_spherical(CartesianVector(0.0, 0.0, -1.0))
-    assert south.theta_deg == 0.0
-    assert south.phi_deg == pytest.approx(180.0, abs=1e-12)
-
-
-def test_cartesian_to_spherical_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        cartesian_to_spherical(CartesianVector(0.0, 0.0, 0.0))
+    theta, phi = cartesian_to_spherical_arrays(np.array([0.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, -1.0]))
+    assert theta[0] == pytest.approx(180.0, abs=1e-12)
+    assert phi[0] == pytest.approx(90.0, abs=1e-12)
+    assert theta[1] == 0.0
+    assert phi[1] == pytest.approx(180.0, abs=1e-12)
+    # Angles do not depend on the vector's length.
+    scaled = cartesian_to_spherical_arrays(np.float64(0.0), np.float64(-3.0), np.float64(0.0))
+    assert scaled == pytest.approx((180.0, 90.0), abs=1e-12)
 
 
 def test_round_trip_property():
@@ -79,25 +73,23 @@ def test_spherical_point_normalization():
 
 
 def test_pixel_center_examples():
-    p = pixel_to_spherical(1919, 959, RES_4K)
-    assert p.theta_deg == pytest.approx(179.953125, abs=1e-12)
-    assert p.phi_deg == pytest.approx(89.953125, abs=1e-12)
-    q = pixel_to_spherical(0, 0, Resolution(4, 2))
-    assert (q.theta_deg, q.phi_deg) == (45.0, 45.0)
+    assert column_centers_deg(RES_4K)[1919] == pytest.approx(179.953125, abs=1e-12)
+    assert row_centers_deg(RES_4K)[959] == pytest.approx(89.953125, abs=1e-12)
+    small = Resolution(4, 2)
+    assert column_centers_deg(small).tolist() == [45.0, 135.0, 225.0, 315.0]
+    assert row_centers_deg(small).tolist() == [45.0, 135.0]
 
 
 def test_pixel_round_trip_identity():
     res = Resolution(64, 32)
-    for row in range(res.n_v):
-        for col in range(res.n_h):
-            assert spherical_to_pixel(pixel_to_spherical(col, row, res), res) == (col, row)
-
-
-def test_pixel_out_of_range():
-    with pytest.raises(ValueError):
-        pixel_to_spherical(3840, 0, RES_4K)
-    with pytest.raises(ValueError):
-        pixel_to_spherical(0, -1, RES_4K)
+    theta, phi = np.meshgrid(column_centers_deg(res), row_centers_deg(res))
+    col, row = spherical_to_pixel_arrays(theta, phi, res)
+    want_row, want_col = np.indices((res.n_v, res.n_h))
+    assert np.array_equal(col, want_col)
+    assert np.array_equal(row, want_row)
+    # The far frame edges are clamped into the last column and row.
+    edge = spherical_to_pixel_arrays(np.array([360.0]), np.array([180.0]), res)
+    assert (edge[0][0], edge[1][0]) == (res.n_h - 1, res.n_v - 1)
 
 
 def test_solid_angle_examples():
@@ -158,8 +150,10 @@ def test_equivalent_pixels_viewport_hemisphere_limit():
 
 def test_rotate_phi_examples():
     center = np.array([0.0, -1.0, 0.0])
-    assert np.allclose(rotate_phi(center, 90.0), center, atol=1e-15)
-    assert np.allclose(rotate_phi(center, 0.0), [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(phi_rotation_matrix(90.0) @ center, center, atol=1e-15)
+    assert np.allclose(phi_rotation_matrix(0.0) @ center, [0.0, 0.0, 1.0], atol=1e-15)
+    lowered = cartesian_to_spherical_arrays(*(phi_rotation_matrix(135.0) @ center))
+    assert lowered == pytest.approx((180.0, 135.0), abs=1e-12)
 
 
 def test_rotations_preserve_norm_and_invert():
@@ -167,18 +161,19 @@ def test_rotations_preserve_norm_and_invert():
     vecs = rng.normal(size=(500, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     for target in (0.0, 17.0, 90.0, 141.5, 180.0):
-        rotated = rotate_phi(vecs, target)
+        rotated = vecs @ phi_rotation_matrix(target).T
         assert np.abs(np.linalg.norm(rotated, axis=1) - 1.0).max() < 1e-12
-        back = rotate_phi_inverse(rotated, target)
+        back = rotated @ phi_rotation_matrix(target)
         assert np.abs(back - vecs).max() < 1e-12
 
 
 def test_rotate_theta_wraps():
-    assert rotate_theta(180.0, 140.0) == pytest.approx(320.0)
-    assert rotate_theta(350.0, 20.0) == pytest.approx(10.0)
-    values = np.array([0.0, 90.0, 359.5])
-    shifted = rotate_theta(values, 1.0)
-    assert np.allclose(shifted, [1.0, 91.0, 0.5])
+    theta = np.array([180.0, 350.0, 0.0, 90.0, 359.5])
+    delta = np.array([140.0, 20.0, 1.0, 1.0, 1.0])
+    xyz = np.stack(spherical_to_cartesian_arrays(theta, np.full(theta.size, 60.0)), axis=-1)
+    shifted = [cartesian_to_spherical_arrays(*(theta_rotation_matrix(d) @ v)) for v, d in zip(xyz, delta)]
+    assert wrap_delta_deg([t for t, _ in shifted], [320.0, 10.0, 1.0, 91.0, 0.5]).max() < 1e-9
+    assert np.allclose([p for _, p in shifted], 60.0)
 
 
 def test_angular_distance_examples():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vq360.geometry import Resolution, SphericalPoint
+from vq360.geometry import Resolution
 from vq360.grade import (
     GradeMap,
     TileGrid,
@@ -29,6 +29,11 @@ def neighbor_footprint_oracle(grid, tiles):
                 if 0 <= rr < grid.rows:
                     out.add((rr, (c + dc) % grid.cols))
     return frozenset(out)
+
+
+def area_of_tile(layout, tile):
+    """Index of the area listing the tile, read from the layout's areas."""
+    return next(index for index, area in enumerate(layout.areas) if tile in area)
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +65,17 @@ def test_tile_slices_partition_frame():
 
 def test_tile_of_pixel_matches_slices():
     grid = TileGrid(3, 7, Resolution(100, 50))
+    expected_rows = np.empty((50, 100), dtype=int)
+    expected_cols = np.empty((50, 100), dtype=int)
     for tr in range(grid.rows):
         for tc in range(grid.cols):
             rows, cols = grid.tile_slices(tr, tc)
-            for pr in (rows.start, rows.stop - 1):
-                for pc in (cols.start, cols.stop - 1):
-                    assert grid.tile_of_pixel(pr, pc) == (tr, tc)
+            expected_rows[rows, cols] = tr
+            expected_cols[rows, cols] = tc
+    pixel_row, pixel_col = np.indices((50, 100))
+    tile_row, tile_col = grid.tiles_of_pixels(pixel_row, pixel_col)
+    assert np.array_equal(tile_row, expected_rows)
+    assert np.array_equal(tile_col, expected_cols)
 
 
 def test_tile_grid_validation():
@@ -76,8 +86,6 @@ def test_tile_grid_validation():
     grid = TileGrid(2, 2, RES)
     with pytest.raises(ValueError):
         grid.tile_slices(2, 0)
-    with pytest.raises(ValueError):
-        grid.tile_of_pixel(480, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +102,13 @@ def test_variant_layout_26_structure():
         for c in range(8):
             index = 1 + (r - 1) * 8 + c
             assert layout.areas[index] == ((r, c),)
-            assert layout.area_of_tile(r, c) == index
+            assert area_of_tile(layout, (r, c)) == index
 
 
 def test_variant_layout_26_area_containing():
     layout = variant_layout_26(RES)
-    assert layout.area_containing(SphericalPoint(180.0, 90.0)) == 13
-    assert layout.area_containing(SphericalPoint(0.0, 0.0)) == 0
-    assert layout.area_containing(SphericalPoint(0.0, 180.0)) == 25
+    areas = layout._areas_at(np.array([180.0, 0.0, 0.0]), np.array([90.0, 0.0, 180.0]))
+    assert areas.tolist() == [13, 0, 25]
 
 
 def test_variant_layout_26_rejects_small_frames():
@@ -139,7 +146,7 @@ def test_footprint_neighbors_matches_enumeration_oracle():
 
 def test_footprint_neighbors_wraps_columns():
     layout = variant_layout_26(RES)
-    tiles = hq_tile_set(layout, layout.area_of_tile(2, 0), "area+neighbors")
+    tiles = hq_tile_set(layout, area_of_tile(layout, (2, 0)), "area+neighbors")
     assert (2, 7) in tiles and (2, 1) in tiles
     assert (1, 7) in tiles and (3, 7) in tiles
 
@@ -166,7 +173,7 @@ def test_footprint_validation():
 
 def test_binary_grade_map_marks_exactly_the_footprint():
     layout = variant_layout_26(RES)
-    variant = layout.area_of_tile(2, 0)
+    variant = area_of_tile(layout, (2, 0))
     grade = binary_grade_map(layout, variant, "area+neighbors")
     assert set(np.unique(grade.grades)) <= {0.0, 1.0}
     expected = np.zeros((RES.n_v, RES.n_h))
@@ -189,6 +196,15 @@ def test_grade_map_validation():
     grade = GradeMap(RES, np.zeros((480, 960)))
     with pytest.raises(ValueError):
         grade.grades[0, 0] = 1.0
+
+
+def test_grade_map_copies_the_callers_raster():
+    raster = np.zeros((480, 960))
+    grade = GradeMap(RES, raster)
+    raster[0, 0] = 1.0
+    assert raster.flags.writeable
+    assert grade.grades[0, 0] == 0.0
+    assert GradeMap(RES, raster.astype(np.float32)).grades.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

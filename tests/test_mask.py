@@ -28,18 +28,17 @@ from vq360.geometry import (
 from vq360.grade import variant_layout_26
 from vq360.mask import (
     BOUNDARY_EPS,
+    _base_polyline,
     _membership_raster,
     _project_spans,
     _spans_to_raster,
     arc_coefficients,
     arc_phi_deg,
     bank_centers,
-    base_viewport_boundary,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
-    load_mask_npz,
     nearest_center_index,
     project_viewport,
     write_mask_npz,
@@ -165,37 +164,63 @@ def test_corner_colatitudes_match_plane_intersection():
     assert top == pytest.approx(59.5016458305499, abs=1e-9)
 
 
+def base_sides(fov, samples_per_side):
+    """The base polyline as (theta, phi, side, param) arrays of shape
+    (4, samples_per_side + 2): rows top (A to B), right (B to D), bottom
+    (D to C) and left (C to A), each from its first corner to its last."""
+    return [a.reshape(4, -1) for a in _base_polyline(fov.theta_deg, fov.phi_deg, samples_per_side)]
+
+
 def test_base_boundary_landmarks():
-    boundary = base_viewport_boundary(FOV, samples_per_side=16)
-    a, b, c, d = boundary.corners
-    e, f, g, h = boundary.side_midpoints
-    assert (e.theta_deg, e.phi_deg) == (180.0, 47.5)
-    assert (f.theta_deg, f.phi_deg) == (180.0, 132.5)
-    assert (g.theta_deg, g.phi_deg) == (130.0, 90.0)
-    assert (h.theta_deg, h.phi_deg) == (230.0, 90.0)
+    # An odd count puts the middle sample of each side at its midpoint.
+    theta, phi, side, _ = base_sides(FOV, 15)
+    assert side.tolist() == [[0] * 17, [1] * 17, [2] * 17, [3] * 17]
+    midpoints = [(theta[k, 8], phi[k, 8]) for k in range(4)]
+    # E (top), H (right), F (bottom), G (left)
+    for got, want in zip(midpoints, [(180.0, 47.5), (230.0, 90.0), (180.0, 132.5), (130.0, 90.0)]):
+        assert got == pytest.approx(want, abs=1e-9)
+    # Each corner ends one side and starts the next, at the same point.
+    for k in range(4):
+        assert (theta[k, -1], phi[k, -1]) == (theta[(k + 1) % 4, 0], phi[(k + 1) % 4, 0])
     theta_a, phi_a = corner_plane_oracle(FOV)
-    assert a.theta_deg == pytest.approx(theta_a, abs=1e-9)
-    assert a.phi_deg == pytest.approx(phi_a, abs=1e-9)
-    assert b.theta_deg == pytest.approx(230.0)
-    assert c.phi_deg == pytest.approx(180.0 - phi_a, abs=1e-9)
-    assert d.phi_deg == c.phi_deg
+    assert theta[0, 0] == pytest.approx(theta_a, abs=1e-9)
+    assert phi[0, 0] == pytest.approx(phi_a, abs=1e-9)
+    assert theta[0, -1] == pytest.approx(230.0)
+    # The corners carry corner_colatitudes_deg exactly, not the arc's value.
+    top, bottom = corner_colatitudes_deg(FOV)
+    assert phi[:, 0].tolist() == [top, top, bottom, bottom]
+    assert phi[:, -1].tolist() == [top, bottom, bottom, top]
+    assert phi[2, -1] == pytest.approx(180.0 - phi_a, abs=1e-9)
+    # The rasterized base viewport reaches the landmarks: E and F bound the
+    # column just east of 180, G and H the row just south of the equator.
+    support = project_viewport(SphericalPoint(180.0, 90.0), FOV, RES).weights > 0.0
+    rows = row_centers_deg(RES)[support[:, RES.n_h // 2]]
+    cols = column_centers_deg(RES)[support[RES.n_v // 2]]
+    pitch = RES.row_pitch_deg
+    assert 47.5 <= rows.min() < 47.5 + pitch and 132.5 - pitch < rows.max() <= 132.5
+    assert 130.0 <= cols.min() < 130.0 + pitch and 230.0 - pitch < cols.max() <= 230.0
 
 
 def test_vertical_sides_are_meridians():
-    boundary = base_viewport_boundary(FOV, samples_per_side=32)
-    assert all(p.theta_deg == pytest.approx(130.0) for p in boundary.side_samples["left"])
-    assert all(p.theta_deg == pytest.approx(230.0) for p in boundary.side_samples["right"])
+    theta, phi, side, param = base_sides(FOV, 32)
+    assert np.all(theta[3] == 130.0)
+    assert np.all(theta[1] == 230.0)
+    # A meridian side is parametrized by polar angle: right goes down, left up.
+    assert np.array_equal(phi[1], param[1]) and np.array_equal(phi[3], param[3])
+    assert np.all(np.diff(phi[1]) > 0.0) and np.all(np.diff(phi[3]) < 0.0)
 
 
 def test_top_arc_passes_through_midpoint_and_oracle():
     """The corner ordinate must make the A-B arc pass through E."""
-    boundary = base_viewport_boundary(FOV, samples_per_side=24)
-    a, b, _, _ = boundary.corners
+    theta, phi, _, param = base_sides(FOV, 24)
+    a = SphericalPoint(theta[0, 0], phi[0, 0])
+    b = SphericalPoint(theta[0, -1], phi[0, -1])
     coeffs = arc_coefficients(a, b)
     assert arc_phi_deg(coeffs, 180.0) == pytest.approx(47.5, abs=1e-9)
-    for p in boundary.side_samples["top"]:
-        assert p.phi_deg == pytest.approx(arc_normal_oracle(a, b, p.theta_deg), abs=1e-9)
-        assert 130.0 < p.theta_deg < 230.0
+    assert np.array_equal(theta[0], param[0])
+    for t, p in zip(theta[0, 1:-1], phi[0, 1:-1]):
+        assert p == pytest.approx(arc_normal_oracle(a, b, t), abs=1e-9)
+        assert 130.0 < t < 230.0
 
 
 def test_arc_matches_cross_product_oracle():
@@ -218,8 +243,9 @@ def test_equator_arc_is_degenerate_90():
 
 
 def test_boundary_rejects_bad_sample_count():
-    with pytest.raises(ValueError):
-        base_viewport_boundary(FOV, samples_per_side=0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples_per_side"):
+            _base_polyline(FOV.theta_deg, FOV.phi_deg, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +261,11 @@ def test_exact_membership_trivials():
 
 
 def test_exact_membership_boundary_is_inside():
-    boundary = base_viewport_boundary(FOV, samples_per_side=4)
+    # Five samples per side: the corners, the side midpoints and more.
+    theta, phi, _, _ = _base_polyline(FOV.theta_deg, FOV.phi_deg, 5)
     base_pog = SphericalPoint(180.0, 90.0)
-    for point in boundary.corners + boundary.side_midpoints:
-        assert exact_membership(spherical_to_cartesian(point), base_pog, FOV)
+    for t, p in zip(theta, phi):
+        assert exact_membership(spherical_to_cartesian(SphericalPoint(t, p)), base_pog, FOV)
 
 
 def test_exact_membership_matches_pyramid_oracle():
@@ -676,9 +703,11 @@ def test_npz_round_trip(tmp_path):
     mask = project_viewport(SphericalPoint(320.0, 110.0), FOV, RES)
     path = tmp_path / "mask.npz"
     write_mask_npz(mask, str(path))
-    loaded = load_mask_npz(str(path))
-    assert np.array_equal(loaded.weights, mask.weights)
-    assert loaded.pog == mask.pog
-    assert loaded.fov == mask.fov
-    assert loaded.resolution == mask.resolution
-    assert loaded.area == pytest.approx(mask.area)
+    with np.load(path) as loaded:
+        assert sorted(loaded.files) == ["fov", "pog", "resolution", "weights"]
+        assert np.array_equal(loaded["weights"], mask.weights)
+        assert loaded["weights"].dtype == np.float32
+        assert loaded["pog"].tolist() == [mask.pog.theta_deg, mask.pog.phi_deg]
+        assert loaded["fov"].tolist() == [FOV.theta_deg, FOV.phi_deg]
+        assert loaded["resolution"].tolist() == [RES.n_h, RES.n_v]
+        assert float(np.sum(loaded["weights"], dtype=np.float64)) == mask.area

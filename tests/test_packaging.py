@@ -1,6 +1,7 @@
 """Packaging: the version has one source, the public surface is pinned,
 and the benchmark's hooks exist."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -33,7 +34,6 @@ def test_version_has_one_source():
 # removed from the package changes this list on purpose.
 PUBLIC_NAMES = [
     "ApproximationReport",
-    "BoundarySampleSet",
     "CartesianVector",
     "DEFAULT_T_Q",
     "FieldOfView",
@@ -51,9 +51,7 @@ PUBLIC_NAMES = [
     "angular_distance_deg",
     "approximation_error_study",
     "bank_centers",
-    "base_viewport_boundary",
     "binary_grade_map",
-    "cartesian_to_spherical",
     "corner_colatitudes_deg",
     "equivalent_pixels_picture",
     "equivalent_pixels_viewport",
@@ -67,26 +65,19 @@ PUBLIC_NAMES = [
     "jaccard_index",
     "load_batch_manifest",
     "load_footprint_json",
-    "load_mask_npz",
     "make_timeline",
     "mask",
     "nearest_center_index",
     "parse_trace",
-    "pixel_to_spherical",
     "pooling",
     "project_viewport",
-    "rotate_phi",
-    "rotate_theta",
     "segment_frames",
     "session",
     "session_report",
     "solid_angle_sr",
     "spherical_to_cartesian",
-    "spherical_to_pixel",
     "synthetic_trace",
     "variant_layout_26",
-    "window_fraction",
-    "window_mean",
     "write_frame_csv",
     "write_mask_npz",
     "write_mask_pgm",
@@ -107,3 +98,23 @@ def test_benchmark_hooks_resolve():
     assert tracing.LAYERS
     for layer, module_name, attr in tracing.LAYERS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), layer
+
+
+def benchmark_imports(path):
+    """Names a file takes from the package with ``from vq360 import ...``,
+    read from its syntax tree (the file is not imported)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "vq360" and node.level == 0
+        for alias in node.names
+    ]
+
+
+def test_benchmark_imports_are_public():
+    """The benchmark's checks import only names the package exports, so
+    deleting an export they use fails here rather than in a benchmark run."""
+    names = benchmark_imports(ROOT / "perfbench" / "checks.py")
+    assert "active_variant" in names
+    assert sorted(set(names) - set(vq360.__all__)) == []

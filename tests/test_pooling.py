@@ -11,8 +11,6 @@ from vq360.pooling import (
     FrameQuality,
     frame_quality,
     make_timeline,
-    window_fraction,
-    window_mean,
     write_frame_csv,
 )
 
@@ -114,23 +112,24 @@ def test_frame_quality_validation():
 
 def test_window_mean_and_fraction():
     values = [0.5, 0.9, 0.8, 1.0]
-    assert window_mean(values) == pytest.approx(0.8)
+    area = np.ones(4)
+    assert make_timeline(values, area).q_window == pytest.approx(0.8)
     # strictly above the threshold: 0.8 itself does not count
-    assert window_fraction(values, t_q=0.8) == pytest.approx(50.0)
-    assert window_fraction(values, t_q=0.0) == pytest.approx(100.0)
-    assert window_fraction(values, t_q=1.0) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        window_fraction(values, t_q=1.5)
-    with pytest.raises(ValueError):
-        window_mean([])
+    assert make_timeline(values, area, t_q=0.8).f_window == pytest.approx(50.0)
+    assert make_timeline(values, area, t_q=0.0).f_window == pytest.approx(100.0)
+    assert make_timeline(values, area, t_q=1.0).f_window == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="threshold"):
+        make_timeline(values, area, t_q=1.5)
+    with pytest.raises(ValueError, match="empty window"):
+        make_timeline([], [])
 
 
 def test_make_timeline_aggregates():
     q = np.array([0.7, 0.9, 0.95])
     timeline = make_timeline(q, np.ones(3), t_q=0.8)
     assert timeline.threshold == 0.8
-    assert timeline.q_window == pytest.approx(window_mean(q))
-    assert timeline.f_window == pytest.approx(window_fraction(q, 0.8))
+    assert timeline.q_window == pytest.approx(0.85)
+    assert timeline.f_window == pytest.approx(200.0 / 3.0)
     assert timeline.q_frame.tolist() == q.tolist()
     assert make_timeline(q, np.ones(3)).threshold == DEFAULT_T_Q
 

@@ -13,7 +13,6 @@ from vq360.geometry import (
     SphericalPoint,
     angular_distance_deg,
     row_centers_deg,
-    spherical_to_pixel,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
 from vq360.mask import _project_spans, bank_centers, exact_mask, nearest_center_index
@@ -45,6 +44,24 @@ def base_config(**overrides):
     kwargs = dict(segment_ms=500.0, fov=FOV, resolution=RES, layout=LAYOUT)
     kwargs.update(overrides)
     return SessionConfig(**kwargs)
+
+
+def points_trace(fps, points):
+    """A trace with one PoG per frame, from SphericalPoints."""
+    return SessionTrace(fps, [p.theta_deg for p in points], [p.phi_deg for p in points])
+
+
+def area_under(layout, theta_deg, phi_deg):
+    """Area holding a PoG, written out: the pixel is the direction's share
+    of the frame, truncated and clamped to the last column and row; the
+    tile is the pixel floor-divided by the tile size, clamped so remainder
+    pixels join the last tile row and column; the area is the one listing
+    that tile."""
+    res, grid = layout.grid.resolution, layout.grid
+    col = min(int(theta_deg / 360.0 * res.n_h), res.n_h - 1)
+    row = min(int(phi_deg / 180.0 * res.n_v), res.n_v - 1)
+    tile = (min(row // (res.n_v // grid.rows), grid.rows - 1), min(col // (res.n_h // grid.cols), grid.cols - 1))
+    return next(index for index, area in enumerate(layout.areas) if tile in area)
 
 
 def same_series(a, b):
@@ -136,7 +153,7 @@ def test_trace_arrays_normalize_like_points():
         # -1e-20 wraps to 360 in SphericalPoint and to 0 in the trace: the same direction.
         assert point.theta_deg == want.theta_deg % 360.0 and point.phi_deg == want.phi_deg
     assert trace.samples is trace.samples
-    assert SessionTrace.from_points(10.0, expected).samples == trace.samples
+    assert points_trace(10.0, expected).samples == trace.samples
     with pytest.raises(ValueError):
         trace.theta_deg[0] = 1.0
     assert trace == trace and trace != SessionTrace(10.0, theta, phi)
@@ -302,12 +319,12 @@ def test_active_variant_is_a_step_function():
     south = SphericalPoint(90.0, 170.0)
     samples = [north] * 5 + [middle] * 5
     samples[2] = south  # mid-segment movement must not retrigger adaptation
-    trace = SessionTrace.from_points(10.0, samples)
+    trace = points_trace(10.0, samples)
     config = base_config(segment_ms=500.0)
     for frame in range(5):
-        assert active_variant(trace, config, frame) == LAYOUT.area_containing(north)
+        assert active_variant(trace, config, frame) == area_under(LAYOUT, north.theta_deg, north.phi_deg) == 0
     for frame in range(5, 10):
-        assert active_variant(trace, config, frame) == LAYOUT.area_containing(middle)
+        assert active_variant(trace, config, frame) == area_under(LAYOUT, middle.theta_deg, middle.phi_deg) == 13
     with pytest.raises(ValueError):
         active_variant(trace, config, 10)
 
@@ -415,7 +432,7 @@ def test_nearest_center_rule_is_shared_on_ties():
     to the lowest tied center."""
     for rows, cols in ((3, 6), (5, 10), (10, 20)):
         pogs = tie_pogs(rows, cols)
-        trace = SessionTrace.from_points(10.0, pogs)
+        trace = points_trace(10.0, pogs)
         geometry = session_geometry(trace, base_config(method="avaqm", avaqm_grid=(rows, cols)))
         centers = bank_centers(rows, cols)
         assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
@@ -430,7 +447,7 @@ def test_nearest_center_rule_is_shared_on_ties():
 
 def test_variant_schedule_follows_segment_starts():
     """The per-frame schedule is active_variant at every frame, and the
-    array lookup gives the area of the scalar pixel and tile chain."""
+    array lookup gives the area of the scalar pixel and tile rules."""
     trace = synthetic_trace(duration_s=4.0, fps=30.0, speed_deg_per_s=120.0, seed=29)
     # 700 ms (21 frames) leaves a short last segment.
     for segment_ms in (100.0, 500.0, 700.0, 4000.0):
@@ -445,12 +462,8 @@ def test_variant_schedule_follows_segment_starts():
     phi = np.concatenate([phi, np.full(8, 90.0), np.arange(0.0, 181.0, 36.0)])
     for res in (RES, Resolution(100, 50)):
         layout = variant_layout_26(res)
-        expected = []
-        for t, p in zip(theta.tolist(), phi.tolist()):
-            col, row = spherical_to_pixel(SphericalPoint(t, p), res)
-            expected.append(layout.area_of_tile(*layout.grid.tile_of_pixel(row, col)))
+        expected = [area_under(layout, t, p) for t, p in zip(theta.tolist(), phi.tolist())]
         assert layout._areas_at(theta, phi).tolist() == expected
-        assert [layout.area_containing(SphericalPoint(t, p)) for t, p in zip(theta, phi)] == expected
 
 
 def test_pool_session_rejects_foreign_geometry():
@@ -497,7 +510,7 @@ def test_quality_bounds_and_timeline_length():
 
 def test_error_is_zero_when_trace_sits_on_bank_centers():
     samples = bank_centers(3, 6)
-    trace = SessionTrace.from_points(2.0, samples)  # one frame per 500 ms segment
+    trace = points_trace(2.0, samples)  # one frame per 500 ms segment
     config = base_config()
     reports = approximation_error_study([trace], config, [(3, 6)])
     assert reports[0].mean_relative_error == 0.0
