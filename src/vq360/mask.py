@@ -52,7 +52,6 @@ from .geometry import (
     row_centers_deg,
     spherical_to_cartesian,
     spherical_to_cartesian_arrays,
-    theta_rotation_matrix,
 )
 
 DEFAULT_SAMPLES_PER_SIDE = 64
@@ -77,6 +76,9 @@ MIN_SUBDIVISION_PARAM_DEG = 1e-5
 # centers) dot table stays in cache (1.6 MB for 200 centers).
 NEAREST_CENTER_BLOCK = 1024
 _NEAREST_TIE_DOT = 1e-12
+# Rows per block of the membership oracle: a block's float64 values at
+# 3840 columns (480 KB) stay in cache.
+_ORACLE_BLOCK_ROWS = 16
 
 _SIDE_TOP = 0
 _SIDE_RIGHT = 1
@@ -207,16 +209,18 @@ def _side_points(fov: FieldOfView, side_ids: np.ndarray, params: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def _base_face_normals(fov: FieldOfView) -> np.ndarray:
     """Inward normals of the four pyramid faces plus the forward direction.
 
     A direction v is inside the base viewport iff v . n >= 0 for all rows.
+    The array is cached per field of view and read-only.
     """
     half_t = math.radians(fov.theta_deg / 2.0)
     half_p = math.radians(fov.phi_deg / 2.0)
     sin_t, cos_t = math.sin(half_t), math.cos(half_t)
     sin_p, cos_p = math.sin(half_p), math.cos(half_p)
-    return np.array(
+    normals = np.array(
         [
             [0.0, -sin_p, -cos_p],  # top
             [0.0, -sin_p, cos_p],  # bottom
@@ -226,13 +230,27 @@ def _base_face_normals(fov: FieldOfView) -> np.ndarray:
         ],
         dtype=np.float64,
     )
+    normals.setflags(write=False)
+    return normals
+
+
+def _pog_rotation(pog: SphericalPoint) -> np.ndarray:
+    """theta_rotation_matrix(theta - 180) @ phi_rotation_matrix(phi), in closed form.
+
+    Each entry of that product is one product of a sine or cosine plus
+    exact zeros, so it is written as that product.  Adding 0.0 turns a -0
+    product into the +0 that the matrix product returns.
+    """
+    d = math.radians(pog.theta_deg - 180.0)
+    ct, st = math.cos(d), math.sin(d)
+    psi = math.radians(90.0 - pog.phi_deg)
+    c, s = math.cos(psi), math.sin(psi)
+    return np.array([[ct, st * c, st * s + 0.0], [0.0 - st, ct * c, ct * s + 0.0], [0.0, 0.0 - s, c]])
 
 
 def _world_face_normals(pog: SphericalPoint, fov: FieldOfView) -> np.ndarray:
     """Face normals rotated from the base frame to the PoG frame."""
-    normals = _base_face_normals(fov)
-    rot = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
-    return normals @ rot.T
+    return _base_face_normals(fov) @ _pog_rotation(pog).T
 
 
 def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: FieldOfView) -> bool:
@@ -243,24 +261,36 @@ def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: Field
     through the sphere center; membership is the conjunction of the four
     face half-space tests and the forward-hemisphere test.
     """
-    v = pixel_dir.as_array()
-    rot = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
-    v_base = rot.T @ v
+    v_base = _pog_rotation(pog).T @ pixel_dir.as_array()
     normals = _base_face_normals(fov)
     return bool(np.all(normals @ v_base >= -BOUNDARY_EPS))
 
 
 def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> np.ndarray:
-    """Boolean raster of per-pixel-center membership, vectorized."""
+    """Boolean raster of per-pixel-center membership, vectorized.
+
+    Pixel (row, column) passes face n iff sin(phi) (n_x sin(theta) +
+    n_y cos(theta)) + n_z cos(phi) >= -BOUNDARY_EPS.  The test runs over
+    blocks of _ORACLE_BLOCK_ROWS rows in reused buffers; every pixel's
+    value is the same product and sum as in one whole-raster evaluation.
+    """
     normals = _world_face_normals(pog, fov)
     theta = np.deg2rad(column_centers_deg(res))
     phi = np.deg2rad(row_centers_deg(res))
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
+    sin_p = np.sin(phi)[:, None]
+    azimuthal = normals[:, :1] * np.sin(theta) + normals[:, 1:2] * np.cos(theta)
+    polar = normals[:, 2:] * np.cos(phi)
     inside = np.ones((res.n_v, res.n_h), dtype=bool)
-    for nx, ny, nz in normals:
-        azimuthal = nx * sin_t + ny * cos_t
-        inside &= np.outer(sin_p, azimuthal) + nz * cos_p[:, None] >= -BOUNDARY_EPS
+    value = np.empty((_ORACLE_BLOCK_ROWS, res.n_h))
+    passes = np.empty((_ORACLE_BLOCK_ROWS, res.n_h), dtype=bool)
+    for start in range(0, res.n_v, _ORACLE_BLOCK_ROWS):
+        stop = min(start + _ORACLE_BLOCK_ROWS, res.n_v)
+        block, block_value, block_passes = inside[start:stop], value[: stop - start], passes[: stop - start]
+        for face_azimuthal, face_polar in zip(azimuthal, polar):
+            np.multiply(sin_p[start:stop], face_azimuthal, out=block_value)
+            block_value += face_polar[start:stop, None]
+            np.greater_equal(block_value, -BOUNDARY_EPS, out=block_passes)
+            block &= block_passes
     return inside
 
 
@@ -536,12 +566,13 @@ def _weighted_mask(
     res: Resolution,
     center_sigma_deg: float | None,
 ) -> ViewportMask:
-    weights = inside * np.sin(np.deg2rad(row_centers_deg(res)))[:, None]
-    if center_sigma_deg is not None:
+    sin_rows = np.sin(np.deg2rad(row_centers_deg(res)))[:, None]
+    if center_sigma_deg is None:
+        weights = np.where(inside, sin_rows.astype(np.float32), np.float32(0.0))
+    else:
         if center_sigma_deg <= 0.0:
             raise ValueError(f"center weight sigma must be positive, got {center_sigma_deg}")
-        weights = weights * _center_weight_raster(pog, res, center_sigma_deg)
-    weights = weights.astype(np.float32)
+        weights = (inside * sin_rows * _center_weight_raster(pog, res, center_sigma_deg)).astype(np.float32)
     area = float(np.sum(weights, dtype=np.float64))
     return ViewportMask(resolution=res, weights=weights, pog=pog, fov=fov, area=area)
 

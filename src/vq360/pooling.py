@@ -106,5 +106,5 @@ def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAU
 def write_frame_csv(q_frame: np.ndarray, path: str) -> None:
     """Per-frame series as CSV with header frame,q_frame."""
     lines = ["frame,q_frame"]
-    lines.extend(f"{index},{q!r}" for index, q in enumerate(np.asarray(q_frame, dtype=np.float64).tolist()))
+    lines.extend(map("%d,%r".__mod__, enumerate(np.asarray(q_frame, dtype=np.float64).tolist())))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -33,6 +33,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -271,6 +272,35 @@ def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:
     return order
 
 
+def _load_columns(path: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """Header, frame numbers and value columns by numpy's C parser, or None.
+
+    The csv module reads the header row; when it is a known header,
+    np.loadtxt reads the rest of the same handle, so both see the same
+    lines and decoding.  The C parser accepts only rows that int() and
+    float() read to the same values and skips only the empty lines that
+    _read_rows skips, so row indices agree.  None (any exception, no row,
+    a non-finite value) leaves the file to _read_rows and _parse_columns,
+    which accept quoted fields, extra columns and rows of blank fields,
+    and report a bad row as path:line.
+    """
+    try:
+        with open(path, newline="") as handle:
+            header = tuple(name.strip() for name in next(csv.reader(handle)))
+            if header not in (TRACE_HEADER, QUATERNION_HEADER):
+                return None
+            dtype = np.dtype([("frame", np.int64), ("values", np.float64, (len(header) - 1,))])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except Exception:
+        return None
+    values = table["values"]
+    if not table.size or not np.isfinite(values).all():
+        return None
+    return header, np.ascontiguousarray(table["frame"]), np.ascontiguousarray(values)
+
+
 def _quaternion_directions(qw, qx, qy, qz, convention: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     forward = _FORWARD_BY_CONVENTION[convention]
     basis = _QUATERNION_CONVENTIONS[convention]
@@ -292,10 +322,14 @@ def parse_trace(path: str, fps: float = DEFAULT_FPS, convention: str = "y-up") -
     """
     if convention not in _QUATERNION_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
-    header, rows = _read_rows(path)
-    if header not in (TRACE_HEADER, QUATERNION_HEADER):
-        raise ValueError(f"{path}: unrecognized header {','.join(header)}")
-    frames, values = _parse_columns(path, rows, len(header))
+    loaded = _load_columns(path)
+    if loaded is None:
+        header, rows = _read_rows(path)
+        if header not in (TRACE_HEADER, QUATERNION_HEADER):
+            raise ValueError(f"{path}: unrecognized header {','.join(header)}")
+        frames, values = _parse_columns(path, rows, len(header))
+    else:
+        header, frames, values = loaded
     order = _frame_order(path, frames)
     if header == TRACE_HEADER:
         return SessionTrace(fps, values[order, 0], values[order, 1])

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vq360 import mask as mask_module
@@ -22,8 +22,10 @@ from vq360.geometry import (
     angular_distance_deg,
     column_centers_deg,
     equivalent_pixels_viewport,
+    phi_rotation_matrix,
     row_centers_deg,
     spherical_to_cartesian,
+    theta_rotation_matrix,
 )
 from vq360.grade import variant_layout_26
 from vq360.mask import (
@@ -276,6 +278,68 @@ def test_exact_membership_matches_pyramid_oracle():
             assert exact_membership(spherical_to_cartesian(point), pog, FOV) == expected
 
 
+FOV_ANGLES = st.one_of(
+    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=179.0, max_value=180.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+def assert_bitwise_equal(got, want):
+    """Equal values and equal signs of zero."""
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+)
+# theta = 180 and phi = 90 make the sines of the two rotations exact zeros.
+@example(theta=180.0, phi=90.0, fov_theta=100.0, fov_phi=85.0)
+@example(theta=180.0, phi=0.0, fov_theta=100.0, fov_phi=85.0)
+@example(theta=180.0, phi=135.0, fov_theta=100.0, fov_phi=85.0)
+@example(theta=0.0, phi=90.0, fov_theta=100.0, fov_phi=85.0)
+@example(theta=270.0, phi=90.0, fov_theta=100.0, fov_phi=85.0)
+def test_world_face_normals_equal_the_rotation_matrix_product(theta, phi, fov_theta, fov_phi):
+    pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
+    rotation = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
+    assert_bitwise_equal(mask_module._pog_rotation(pog), rotation)
+    assert_bitwise_equal(mask_module._world_face_normals(pog, fov), mask_module._base_face_normals(fov) @ rotation.T)
+
+
+def test_base_face_normals_are_cached_read_only():
+    normals = mask_module._base_face_normals(FieldOfView(100.0, 85.0))
+    assert normals is mask_module._base_face_normals(FieldOfView(100.0, 85.0))
+    with pytest.raises(ValueError):
+        normals[0, 0] = 1.0
+
+
+def one_shot_membership(pog, fov, res):
+    """The membership test over the whole raster at once, face by face."""
+    normals = mask_module._world_face_normals(pog, fov)
+    theta = np.deg2rad(column_centers_deg(res))
+    phi = np.deg2rad(row_centers_deg(res))
+    inside = np.ones((res.n_v, res.n_h), dtype=bool)
+    for nx, ny, nz in normals:
+        azimuthal = nx * np.sin(theta) + ny * np.cos(theta)
+        inside &= np.outer(np.sin(phi), azimuthal) + nz * np.cos(phi)[:, None] >= -BOUNDARY_EPS
+    return inside
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    n_v=st.integers(min_value=2, max_value=100),
+)
+def test_membership_raster_equals_one_shot_evaluation(theta, phi, fov_theta, fov_phi, n_v):
+    pog, fov, res = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
+    assert np.array_equal(_membership_raster(pog, fov, res), one_shot_membership(pog, fov, res))
+
+
 # ---------------------------------------------------------------------------
 # analytic spans
 # ---------------------------------------------------------------------------
@@ -285,13 +349,6 @@ def assert_spans_match_oracle(pog, fov, res):
     spans = _spans_to_raster(*_project_spans(pog, fov, res), res)
     oracle = _membership_raster(pog, fov, res)
     assert np.count_nonzero(spans != oracle) == 0
-
-
-FOV_ANGLES = st.one_of(
-    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
-    st.floats(min_value=179.0, max_value=180.0, exclude_max=True),
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-)
 
 
 @given(
@@ -562,12 +619,13 @@ def test_center_mask_symmetry():
 
 
 def test_weights_are_row_sines_on_support():
-    mask = project_viewport(SphericalPoint(250.0, 70.0), FOV, RES)
-    support = mask.weights > 0.0
-    expected = (support * np.sin(np.deg2rad(row_centers_deg(RES)))[:, None]).astype(np.float32)
-    assert np.array_equal(mask.weights, expected)
-    assert mask.weights.max() <= 1.0
-    assert mask.area == pytest.approx(float(expected.sum(dtype=np.float64)))
+    for build in (project_viewport, exact_mask):
+        mask = build(SphericalPoint(250.0, 70.0), FOV, RES)
+        support = mask.weights > 0.0
+        expected = (support * np.sin(np.deg2rad(row_centers_deg(RES)))[:, None]).astype(np.float32)
+        assert_bitwise_equal(mask.weights, expected)
+        assert mask.weights.max() <= 1.0
+        assert mask.area == float(expected.sum(dtype=np.float64))
 
 
 def test_center_sigma_weighting():

@@ -148,6 +148,22 @@ def test_timeline_holds_read_only_copies_and_builds_frames_on_demand():
     assert timeline != make_timeline(timeline.q_frame, timeline.mask_area)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        [0.0, 1.0, 5e-324, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 2.0**-53],
+        np.random.default_rng(8).random(36000),
+    ],
+    ids=["edge values", "36000 random"],
+)
+def test_write_frame_csv_bytes(tmp_path, q):
+    """The same bytes as formatting each row with an f-string."""
+    path = tmp_path / "frames.csv"
+    write_frame_csv(np.asarray(q), str(path))
+    rows = "".join(f"{index},{value!r}\n" for index, value in enumerate(np.asarray(q, dtype=np.float64).tolist()))
+    assert path.read_bytes() == ("frame,q_frame\n" + rows).encode("ascii")
+
+
 def test_write_frame_csv_round_trip(tmp_path):
     q = 1.0 / np.arange(1, 6)
     path = tmp_path / "frames.csv"
