@@ -18,10 +18,14 @@ holds the checkout's commit, whether its tree differed from that commit,
 a sha256 over its ``src/`` files, nproc, the Python and numpy versions the
 runs reported, and per workload and section (``end_to_end`` for
 ``--trace 0``, ``per_layer`` for ``--trace 1``) every run and each
-metric's median and quartiles.  Each workload section also carries the
-checkout it was measured on.  An existing file keeps its other workloads
-and sections, but only if it was written from the same ``src/`` tree:
-a file whose ``src_sha256`` differs is left alone and the run fails.
+metric's median and quartiles.  A run whose reference kernel mean is
+over 1.5 times the median of its side is listed in
+``reference_outliers`` with a warning, and each metric also gets its
+``median_without_outliers``; no run is dropped.  Each workload section
+also carries the checkout it was measured on.  An existing file keeps its
+other workloads and sections, but only if it was written from the same
+``src/`` tree: a file whose ``src_sha256`` differs is left alone and the
+run fails.
 With a parent, the change's file also records, for every end-to-end
 metric, how many pairs the change won, the median gap and the parent's
 interquartile range.
@@ -43,6 +47,9 @@ import time
 
 RUN_TIMEOUT_S = 1800
 RECORD_PREFIX = "record "
+# perfbench scales frames_per_s by the run's reference kernel mean, so a
+# host slowdown during the reference samples alone inflates that metric.
+REFERENCE_OUTLIER_RATIO = 1.5
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -151,14 +158,47 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _outlier_runs(runs: list[dict]) -> list[int]:
+    """Indices of the runs whose reference kernel mean is over
+    REFERENCE_OUTLIER_RATIO times the median of the runs that report one."""
+    means = {
+        i: run["record"]["reference_kernel_mean_s"]
+        for i, run in enumerate(runs)
+        if run.get("record", {}).get("reference_kernel_mean_s") is not None
+    }
+    if not means:
+        return []
+    limit = REFERENCE_OUTLIER_RATIO * statistics.median(means.values())
+    return [i for i, mean in means.items() if mean > limit]
+
+
+def reference_outliers(runs: list[dict]) -> list[dict]:
+    """Seed and reference kernel mean of every outlier run (_outlier_runs)."""
+    return [
+        {"seed": runs[i]["seed"], "reference_kernel_mean_s": runs[i]["record"]["reference_kernel_mean_s"]}
+        for i in _outlier_runs(runs)
+    ]
+
+
 def summarize(runs: list[dict], specs: dict[str, dict]) -> dict:
-    """Median and quartiles of every metric over the runs that reported it."""
+    """Median and quartiles of every metric over the runs that reported it,
+    and the median over those runs that are not reference outliers."""
+    outliers = set(_outlier_runs(runs))
     summary = {}
     names = sorted({name for run in runs for name in run.get("metrics", {})})
     for name in names:
-        values = [run["metrics"][name] for run in runs if run.get("metrics", {}).get(name) is not None]
+        reported = [i for i, run in enumerate(runs) if run.get("metrics", {}).get(name) is not None]
+        values = [runs[i]["metrics"][name] for i in reported]
+        kept = [runs[i]["metrics"][name] for i in reported if i not in outliers]
         q1, median, q3 = _quartiles(values)
-        summary[name] = {"median": median, "q1": q1, "q3": q3, "n": len(values), "unit": specs[name]["unit"]}
+        summary[name] = {
+            "median": median,
+            "median_without_outliers": statistics.median(kept) if kept else None,
+            "q1": q1,
+            "q3": q3,
+            "n": len(values),
+            "unit": specs[name]["unit"],
+        }
     return summary
 
 
@@ -275,7 +315,15 @@ def main(argv=None) -> int:
                 "seeds": args.seeds,
                 "runs": runs[label],
                 "metrics": summarize(runs[label], specs),
+                "reference_outliers": reference_outliers(runs[label]),
             }
+            for outlier in entry["reference_outliers"]:
+                print(
+                    f"warning: {workload} seed {outlier['seed']} {label}: reference kernel mean "
+                    f"{outlier['reference_kernel_mean_s']:.4g} s is over {REFERENCE_OUTLIER_RATIO:g}x the "
+                    "median of its side; its scaled metrics are suspect (the run is kept)",
+                    file=sys.stderr,
+                )
             if label == args.label and args.parent_checkout and not args.trace:
                 entry["versus"] = {
                     "label": args.parent_label,

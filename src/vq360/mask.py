@@ -19,14 +19,21 @@ extends to the corresponding frame edge.  An exact per-pixel membership
 test against the pyramid half-spaces serves as the independent oracle
 for the rasterized path.  The session engine does not rasterize: it
 takes each column's row span analytically from the five face half-spaces
-(``_project_spans``), which selects exactly the oracle's pixels.  A face
-that is not near-vertical bounds only one end of a column, set by the
-sign of its normal's z; at each end the binding face is the one with the
-least cot(phi) crossing, so a column end costs one arctan.  Near-vertical
-faces, and column ends that land near a row center, take the per-face
-atan2 form.  For the approximated method (avaqm) this module also holds
-the uniform grid of bank centers and the rule that snaps a point of gaze
-to the nearest one.
+(``_project_spans``), which selects exactly the oracle's pixels.  Every
+accepted direction lies within the corner radius r =
+atan(hypot(tan(h/2), tan(v/2))) of the PoG (56.4 degrees for a 100x85
+field of view), plus a margin for the oracle's tolerance.  So unless that
+cap holds a pole, only columns within asin(sin r / sin phi) of the PoG's
+azimuth, padded by one column, can hold a viewport pixel
+(``_column_window``); spans are taken on that run of columns, which may
+cross the seam, and every other column is empty.  A face that is not
+near-vertical bounds only one end of a column, set by the sign of its
+normal's z; at each end the binding face is the one with the least
+cot(phi) crossing, so a column end costs one arctan, mapped straight to
+row units and rounded once.  Near-vertical faces, and column ends that
+land near a row center, take the per-face atan2 form.  For the
+approximated method (avaqm) this module also holds the uniform grid of
+bank centers and the rule that snaps a point of gaze to the nearest one.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ BOUNDARY_EPS = 1e-12
 # _TILTED_SLACK, which _project_spans may leave out.
 _STEEP_NZ = 1e-4
 _TILTED_SLACK = 2.0 * BOUNDARY_EPS / _STEEP_NZ
+# Added to the cap radius that bounds the column window: far above the
+# rounding of the window's own arithmetic and of the oracle's face values.
+_WINDOW_SLACK = 1e-9
 # The projection stretches azimuth spans by ~1/sin(phi), so straight chords
 # between rotated boundary samples under-resolve pole-adjacent stretches of
 # the boundary.  Segments whose azimuth span exceeds both the per-sample cap
@@ -314,6 +324,55 @@ def _column_trig(res: Resolution) -> np.ndarray:
     return trig
 
 
+@lru_cache(maxsize=32)
+def _cap_radius(fov: FieldOfView) -> float:
+    """Angle from the PoG within which every accepted direction lies.
+
+    The pyramid's corners lie at r = atan(hypot(tan(h/2), tan(v/2))) from
+    its axis.  The oracle's tolerance widens that: a direction at angle
+    alpha from the axis, with axis component a = cos(alpha), passes the
+    four side faces only if its components along the pyramid's horizontal
+    and vertical axes are at most a tan(h/2) + E and a tan(v/2) + E in
+    magnitude, E = BOUNDARY_EPS / min(cos(h/2), cos(v/2)).  Once
+    sqrt(2) E < 1 that forces a >= 0, and then sin(alpha) <= a tan(r) +
+    sqrt(2) E, that is sin(alpha - r) <= sqrt(2) E cos(r), so alpha <=
+    r + asin(sqrt(2) E).  _WINDOW_SLACK covers the rounding of this bound
+    and of the oracle's own face values.
+    """
+    half_h = math.radians(fov.theta_deg / 2.0)
+    half_v = math.radians(fov.phi_deg / 2.0)
+    spread = math.sqrt(2.0) * BOUNDARY_EPS / min(math.cos(half_h), math.cos(half_v))
+    corner = math.atan(math.hypot(math.tan(half_h), math.tan(half_v)))
+    return corner + math.asin(min(1.0, spread)) + _WINDOW_SLACK
+
+
+def _column_window(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[int, int]:
+    """First column and column count of a cyclic run that holds every
+    column with a viewport pixel.
+
+    Every accepted direction lies within R = _cap_radius(fov) of the PoG
+    (theta, phi).  A meridian at azimuth distance d <= 90 degrees from
+    theta comes within asin(sin(phi) sin(d)) of the PoG, and one farther
+    away comes nearest at a pole.  So unless the cap holds a pole
+    (R >= 90 degrees, or sin R >= sin phi), only columns within
+    asin(sin R / sin phi) of theta can hold a viewport pixel.  The run
+    takes those, padded by one column on each side, which covers the
+    rounding of that arcsine, and may cross the seam; otherwise it is
+    every column.
+    """
+    radius = _cap_radius(fov)
+    sin_phi = math.sin(math.radians(pog.phi_deg))
+    if radius >= math.pi / 2 or math.sin(radius) >= sin_phi:
+        return 0, res.n_h
+    half = math.degrees(math.asin(math.sin(radius) / sin_phi))
+    pitch = res.column_pitch_deg
+    first = math.ceil((pog.theta_deg - half) / pitch - 0.5) - 1
+    last = math.floor((pog.theta_deg + half) / pitch - 0.5) + 1
+    if last - first + 1 >= res.n_h:
+        return 0, res.n_h
+    return first % res.n_h, last - first + 1
+
+
 def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column [lo, hi] allowed by a set of faces, one face at a time.
 
@@ -348,7 +407,8 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     interval of polar angles that _face_intervals derives; intersecting
     the five and rounding to row centers gives exactly the pixel centers
     _membership_raster accepts.  This computes the same spans with less
-    work.  A face whose n_z is not near zero bounds only one end of the
+    work, and only on the columns of _column_window: every other column is
+    empty.  A face whose n_z is not near zero bounds only one end of the
     column inside [0, pi]: the top if n_z < 0, at polar angle
     pi/2 - atan(c) - w, and the bottom if n_z > 0, at pi/2 + atan(c) + w,
     with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|, that is cot(phi)
@@ -359,10 +419,17 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     faces, |n_z| <= _STEEP_NZ, take the per-face form and are merged with
     max/min: the side and forward faces at an equator PoG have n_z = 0,
     and a face plane through a pole has |n_z| ~ 1e-16, so c is unbounded
-    there and w reaches pi/2.  Rounding picks the same row as at the exact
-    end unless a row center lies within _TILTED_SLACK of the end; such
-    column ends (a boundary through a row center, or any float tie) are
-    taken again from all five faces in the per-face form.
+    there and w reaches pi/2.
+
+    Ends are rounded in row units: row k's center is at polar angle
+    (k + 0.5) pi / n_v, so an end sits at row x = -/+ atan(c) n_v / pi +
+    n_v / 2 - 0.5, the top row is ceil(x) and the bottom row floor(x).
+    Rounding picks the same row as at the exact end unless a row center
+    lies within _TILTED_SLACK of it, that is |x - rint(x)| <= _TILTED_SLACK
+    n_v / pi; the few ulps by which this x differs from the exact
+    expression are far inside that slack.  Such column ends (a boundary
+    through a row center, or any float tie) are taken again from all five
+    faces in the per-face form, rounded as the per-face kernel rounds.
 
     The one set a single interval cannot hold is a column within about
     BOUNDARY_EPS / sin(row pitch / 2) of a face plane on its outer side,
@@ -373,57 +440,65 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     and bot = -1.
     """
     normals = _world_face_normals(pog, fov)
+    start, count = _column_window(pog, fov, res)
     trig = _column_trig(res)
-    nz = normals[:, 2]
-    steep = np.abs(nz) <= _STEEP_NZ
-    # Polar angle of each end with no tolerance; an end no tilted face
-    # bounds stays at its frame edge.
-    lo = np.zeros(res.n_h)
-    hi = np.full(res.n_h, math.pi)
-    for faces, end, sign in ((~steep & (nz < 0.0), lo, -1.0), (~steep & (nz > 0.0), hi, 1.0)):
-        if faces.any():
-            least_c = ((normals[faces, :2] / np.abs(normals[faces, 2:])) @ trig).min(axis=0)
-            np.arctan(least_c, out=end)
-            end *= sign
-            end += math.pi / 2
-    # The per-face form takes A from the product of all five faces and
-    # all columns: BLAS need not round a subset's products alike.
-    a = None
-    if steep.any():
-        a = normals[:, :2] @ trig
-        steep_lo, steep_hi = _face_intervals(a[steep], normals[steep, 2:])
-        np.maximum(lo, steep_lo, out=lo)
-        np.minimum(hi, steep_hi, out=hi)
-    top, near_top = _round_to_rows(np.maximum(lo, 0.0, out=lo), res, np.ceil)
-    bot, near_bot = _round_to_rows(np.minimum(hi, math.pi, out=hi), res, np.floor)
-    near = np.flatnonzero(near_top | near_bot)
-    if near.size:
-        if a is None:
-            a = normals[:, :2] @ trig
-        exact_lo, exact_hi = _face_intervals(a[:, near], normals[:, 2:])
-        top[near] = _round_to_rows(np.maximum(exact_lo, 0.0), res, np.ceil)[0]
-        bot[near] = _round_to_rows(np.minimum(exact_hi, math.pi), res, np.floor)[0]
-    empty = top > bot
-    top[empty] = res.n_v
-    bot[empty] = -1
-    return top, bot
-
-
-def _round_to_rows(angle: np.ndarray, res: Resolution, rounding) -> tuple[np.ndarray, np.ndarray]:
-    """Row index of polar angles in [0, pi] by np.ceil or np.floor (angle
-    is overwritten), and whether a row center lies within _TILTED_SLACK
-    of the angle."""
-    pitch = math.pi / res.n_v
-    angle /= pitch
-    angle -= 0.5
-    rows = rounding(angle)
-    # Distance in rows to the row center picked, and 1 minus it to the
-    # one on the other side.
-    angle -= rows
-    np.abs(angle, out=angle)
-    slack = _TILTED_SLACK / pitch
-    near = (angle <= slack) | (angle >= 1.0 - slack)
-    return rows.astype(np.int32), near
+    wrapped = start + count - res.n_h
+    trig = trig[:, start : start + count] if wrapped <= 0 else np.hstack((trig[:, start:], trig[:, :wrapped]))
+    scale = res.n_v / math.pi
+    # c per tilted face: top-end faces as c, bottom-end faces as -c, so
+    # that row 0 of ends is the least c of the top and row 1 minus the
+    # least c of the bottom; an end no tilted face bounds stays at its
+    # frame edge (atan(+inf) at the top, atan(-inf) at the bottom).
+    top_faces, bottom_faces, steep = [], [], []
+    for nx, ny, nz in normals.tolist():
+        if abs(nz) <= _STEEP_NZ:
+            steep.append((nx, ny, nz))
+        elif nz < 0.0:
+            top_faces.append((nx / -nz, ny / -nz))
+        else:
+            bottom_faces.append((-nx / nz, -ny / nz))
+    c = np.array(top_faces + bottom_faces).reshape(-1, 2) @ trig
+    ends = np.empty((2, count))
+    np.minimum.reduce(c[: len(top_faces)], axis=0, out=ends[0], initial=np.inf)
+    np.maximum.reduce(c[len(top_faces) :], axis=0, out=ends[1], initial=-np.inf)
+    np.arctan(ends, out=ends)
+    ends *= -scale
+    ends += res.n_v / 2 - 0.5
+    if steep:
+        steep_normals = np.array(steep)
+        lo, hi = _face_intervals(steep_normals[:, :2] @ trig, steep_normals[:, 2:])
+        lo *= scale
+        lo -= 0.5
+        hi *= scale
+        hi -= 0.5
+        np.maximum(ends[0], np.maximum(lo, -0.5, out=lo), out=ends[0])
+        np.minimum(ends[1], np.minimum(hi, res.n_v - 0.5, out=hi), out=ends[1])
+    rows = np.rint(ends)
+    np.subtract(ends, rows, out=rows)
+    np.abs(rows, out=rows)
+    near = rows <= _TILTED_SLACK * scale
+    near = near[0] | near[1]
+    np.ceil(ends[0], out=rows[0])
+    np.floor(ends[1], out=rows[1])
+    if near.any():
+        retake = np.flatnonzero(near)
+        # The per-face form takes A from the product of all five faces and
+        # all columns: BLAS need not round a subset's products alike.
+        a = normals[:, :2] @ _column_trig(res)
+        lo, hi = _face_intervals(a[:, (start + retake) % res.n_h], normals[:, 2:])
+        pitch = math.pi / res.n_v
+        rows[0, retake] = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
+        rows[1, retake] = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+    empty = rows[0] > rows[1]
+    np.copyto(rows[0], res.n_v, where=empty)
+    np.copyto(rows[1], -1, where=empty)
+    spans = np.empty((2, res.n_h), dtype=np.int32)
+    spans[0] = res.n_v
+    spans[1] = -1
+    head = count - max(wrapped, 0)
+    spans[:, start : start + head] = rows[:, :head]
+    spans[:, : count - head] = rows[:, head:]
+    return spans[0], spans[1]
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +624,32 @@ def _polyline_spans(
 
 
 def _center_weight_raster(pog: SphericalPoint, res: Resolution, sigma_deg: float) -> np.ndarray:
-    """Gaussian weight exp(-d^2 / 2 sigma^2) of each pixel's distance to the PoG."""
+    """Gaussian weight exp(-d^2 / 2 sigma^2) of each pixel's distance to the PoG.
+
+    cos(d) = sin(phi) (p_x sin(theta) + p_y cos(theta)) + p_z cos(phi) for
+    PoG direction p.  The raster is filled in blocks of _ORACLE_BLOCK_ROWS
+    rows, each step in place; every pixel's value is the same sequence of
+    operations as in one whole-raster evaluation.
+    """
     p = spherical_to_cartesian(pog)
     theta = np.deg2rad(column_centers_deg(res))
     phi = np.deg2rad(row_centers_deg(res))
+    sin_p = np.sin(phi)[:, None]
+    polar = (p.z * np.cos(phi))[:, None]
     azimuthal = p.x * np.sin(theta) + p.y * np.cos(theta)
-    cos_d = np.outer(np.sin(phi), azimuthal) + p.z * np.cos(phi)[:, None]
-    d = np.rad2deg(np.arccos(np.clip(cos_d, -1.0, 1.0)))
-    return np.exp(-0.5 * (d / sigma_deg) ** 2)
+    weights = np.empty((res.n_v, res.n_h))
+    for start in range(0, res.n_v, _ORACLE_BLOCK_ROWS):
+        block = weights[start : start + _ORACLE_BLOCK_ROWS]
+        np.multiply(sin_p[start : start + _ORACLE_BLOCK_ROWS], azimuthal, out=block)
+        block += polar[start : start + _ORACLE_BLOCK_ROWS]
+        np.clip(block, -1.0, 1.0, out=block)
+        np.arccos(block, out=block)
+        np.rad2deg(block, out=block)
+        block /= sigma_deg
+        np.square(block, out=block)
+        block *= -0.5
+        np.exp(block, out=block)
+    return weights
 
 
 def _weighted_mask(

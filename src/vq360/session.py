@@ -457,24 +457,39 @@ def _sin_prefix(res: Resolution) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(sines)))
 
 
+@lru_cache(maxsize=8)
+def _tile_edges(grid: TileGrid) -> tuple[tuple[float, ...], np.ndarray]:
+    """_sin_prefix at each tile-row edge, and the first column of each tile column."""
+    edge_prefix = tuple(_sin_prefix(grid.resolution)[grid.row_edges()].tolist())
+    col_starts = grid.col_edges()[:-1]
+    col_starts.setflags(write=False)
+    return edge_prefix, col_starts
+
+
 def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Sum of sin(phi) mask weights inside each tile, from column spans.
 
-    Clamping every tile-row edge into each column's span [top, bot + 1]
-    gives prefix-sum indices whose differences are the column's weight in
-    each tile row, so all tile rows come out of one pass.  An empty column
-    (top > bot + 1) clamps every edge to bot + 1 and adds nothing.
+    A column's weight above tile-row edge e is S[clip(e, top, bot + 1)],
+    with S = _sin_prefix; differences over the edges give its weight in
+    each tile row, so all tile rows come out of one pass.  Every row's
+    sin(phi) is positive, so S is strictly increasing and that value is
+    clip(S[e], S[top], S[bot + 1]), bit for bit: two gathers per column
+    and a max and a min per inner edge (the first edge gives
+    min(S[top], S[bot + 1]) and the last S[bot + 1]).  An empty column
+    (top > bot + 1) clamps every edge to S[bot + 1] and adds nothing.
     """
     prefix = _sin_prefix(grid.resolution)
-    # int32 like the spans, so no index array is widened to int64.
-    rows = np.clip(grid.row_edges().astype(np.int32)[:, None], top, bot + 1)
-    weights = prefix[rows]
-    # np.diff along the tile-row edges, done in place from the last edge up:
-    # a fresh 150 kB difference array per 4K call was paged in anew each
-    # time the allocator handed its freed pages back to the system.
-    for i in range(len(weights) - 1, 0, -1):
-        weights[i] -= weights[i - 1]
-    return np.add.reduceat(weights[1:], grid.col_edges()[:-1], axis=1)
+    edge_prefix, col_starts = _tile_edges(grid)
+    above = np.empty((len(edge_prefix), grid.resolution.n_h))
+    lo, hi = above[0], above[-1]
+    # Spans index rows 0..n_v, so the gathers need no bounds check.
+    prefix.take(top, out=lo, mode="clip")
+    prefix.take(bot + 1, out=hi, mode="clip")
+    for edge, row in zip(edge_prefix[1:-1], above[1:-1]):
+        np.maximum(lo, edge, out=row)
+        np.minimum(row, hi, out=row)
+    np.minimum(lo, hi, out=lo)
+    return np.add.reduceat(np.subtract(above[1:], above[:-1]), col_starts, axis=1)
 
 
 def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:

@@ -27,7 +27,7 @@ from vq360.geometry import (
     spherical_to_cartesian,
     theta_rotation_matrix,
 )
-from vq360.grade import variant_layout_26
+from vq360.grade import TileGrid, variant_layout_26
 from vq360.mask import (
     BOUNDARY_EPS,
     _base_polyline,
@@ -605,6 +605,145 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
         weights = np.diff(_sin_prefix(res)[rows], axis=0)
         assert np.array_equal(_tile_weight_sums(*spans, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
+
+
+def corner_radius_deg(fov):
+    """Angle between the pyramid's axis and its corner edges."""
+    t = math.tan(math.radians(fov.theta_deg / 2.0))
+    p = math.tan(math.radians(fov.phi_deg / 2.0))
+    return math.degrees(math.acos(1.0 / math.sqrt(1.0 + t * t + p * p)))
+
+
+def assert_window_spans(pog, fov, res):
+    """Spans equal the per-face kernel's, and the oracle holds no pixel in
+    a column outside the column window.  Returns the window."""
+    start, count = mask_module._column_window(pog, fov, res)
+    assert 0 <= start < res.n_h and 1 <= count <= res.n_h
+    assert_spans_match_per_face(pog, fov, res)
+    outside = np.ones(res.n_h, dtype=bool)
+    outside[(start + np.arange(count)) % res.n_h] = False
+    assert not _membership_raster(pog, fov, res)[:, outside].any()
+    return start, count
+
+
+def test_cap_radius_bounds_the_corners():
+    assert corner_radius_deg(FOV) == pytest.approx(56.4, abs=0.05)
+    margin = math.degrees(mask_module._cap_radius(FOV)) - corner_radius_deg(FOV)
+    assert 0.0 < margin < 1e-7
+
+
+@pytest.mark.parametrize("res", [RES, Resolution(3840, 1920)])
+@pytest.mark.parametrize("theta", [0.0, 123.4, 359.99])
+@pytest.mark.parametrize("north", [True, False])
+@pytest.mark.parametrize("radius", ["corner", "cap"])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+def test_window_where_the_cap_touches_a_pole(res, theta, north, radius, offset):
+    """The PoG 1e-9 degrees nearer or farther from a pole than the corner
+    radius, or than the cap radius the window is taken from: the window is
+    every column only while the cap holds the pole."""
+    r = corner_radius_deg(FOV) if radius == "corner" else math.degrees(mask_module._cap_radius(FOV))
+    phi = r + offset if north else 180.0 - r - offset
+    _, count = assert_window_spans(SphericalPoint(theta, phi), FOV, res)
+    holds_pole = radius == "corner" or offset < 0.0
+    assert (count == res.n_h) == holds_pole
+
+
+@pytest.mark.parametrize("res", [RES, Resolution(3840, 1920)])
+@pytest.mark.parametrize("phi", [62.0, 90.0, 118.0])
+@pytest.mark.parametrize("where", [0.0, 1e-9, 0.5, 0.999, -0.5, -1e-9])
+def test_window_across_the_seam(res, phi, where):
+    """PoGs within the window's half-width of theta = 0 (where > 0) and of
+    theta = 360 (where < 0), as a share of that half-width."""
+    radius = mask_module._cap_radius(FOV)
+    half = math.degrees(math.asin(math.sin(radius) / math.sin(math.radians(phi))))
+    theta = where * half if where >= 0.0 else 360.0 + where * half
+    start, count = assert_window_spans(SphericalPoint(theta, phi), FOV, res)
+    assert count < res.n_h
+    assert start + count > res.n_h
+
+
+@pytest.mark.parametrize(
+    "fov, pog",
+    [
+        ((100.0, 85.0), (0.0, 70.0)),
+        ((100.0, 85.0), (10.0, 60.0)),
+        ((100.0, 85.0), (200.0, 65.0)),
+        ((150.0, 120.0), (0.0, 85.0)),
+        ((150.0, 120.0), (123.0, 80.0)),
+        ((150.0, 120.0), (200.0, 95.0)),
+    ],
+)
+def test_window_covers_every_column_of_a_narrow_frame(fov, pog):
+    """No cap holds a pole here, but the padded window reaches all four columns."""
+    fov = FieldOfView(*fov)
+    assert math.sin(mask_module._cap_radius(fov)) < math.sin(math.radians(pog[1]))
+    assert assert_window_spans(SphericalPoint(*pog), fov, Resolution(4, 2))[1] == 4
+
+
+@pytest.mark.parametrize("n_h", [4, 8, 16])
+def test_window_of_a_narrow_viewport_on_a_narrow_frame(n_h):
+    _, count = assert_window_spans(SphericalPoint(100.0, 90.0), FieldOfView(10.0, 10.0), Resolution(n_h, n_h // 2))
+    assert count < n_h
+
+
+def index_clip_tile_sums(top, bot, grid):
+    """Reference tile sums: each tile-row edge clamped into each column's
+    span [top, bot + 1] as a row index into the sin(phi) prefix sums, the
+    differences over the edges, then summed per tile column."""
+    rows = np.clip(grid.row_edges().astype(np.int32)[:, None], top, bot + 1)
+    weights = np.diff(_sin_prefix(grid.resolution)[rows], axis=0)
+    return np.add.reduceat(weights, grid.col_edges()[:-1], axis=1)
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    n_v=st.integers(min_value=2, max_value=240),
+    tiles=st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=16)),
+)
+@example(theta=320.0, phi=110.0, fov_theta=100.0, fov_phi=85.0, n_v=480, tiles=(5, 8))
+@example(theta=123.0, phi=180.0, fov_theta=100.0, fov_phi=85.0, n_v=5, tiles=(5, 1))
+def test_tile_sums_equal_the_index_clip_form(theta, phi, fov_theta, fov_phi, n_v, tiles):
+    res = Resolution(2 * n_v, n_v)
+    grid = TileGrid(min(tiles[0], n_v), min(tiles[1], res.n_h), res)
+    top, bot = _project_spans(SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), res)
+    assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_v=st.integers(min_value=2, max_value=64))
+def test_tile_sums_of_any_spans_equal_the_index_clip_form(seed, n_v):
+    """Spans drawn at random, empty ones with any top > bot included."""
+    rng = np.random.default_rng(seed)
+    res = Resolution(2 * n_v, n_v)
+    grid = TileGrid(int(rng.integers(1, n_v + 1)), int(rng.integers(1, res.n_h + 1)), res)
+    top = rng.integers(0, n_v + 1, res.n_h).astype(np.int32)
+    bot = rng.integers(-1, n_v, res.n_h).astype(np.int32)
+    assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
+
+
+def one_shot_center_weights(pog, res, sigma_deg):
+    """The Gaussian center weight over the whole raster at once."""
+    p = spherical_to_cartesian(pog)
+    theta = np.deg2rad(column_centers_deg(res))
+    phi = np.deg2rad(row_centers_deg(res))
+    azimuthal = p.x * np.sin(theta) + p.y * np.cos(theta)
+    cos_d = np.outer(np.sin(phi), azimuthal) + p.z * np.cos(phi)[:, None]
+    d = np.rad2deg(np.arccos(np.clip(cos_d, -1.0, 1.0)))
+    return np.exp(-0.5 * (d / sigma_deg) ** 2)
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    sigma=st.floats(min_value=0.01, max_value=360.0),
+    n_v=st.integers(min_value=2, max_value=100),
+)
+@example(theta=180.0, phi=90.0, sigma=30.0, n_v=33)
+def test_center_weight_raster_equals_one_shot_evaluation(theta, phi, sigma, n_v):
+    pog, res = SphericalPoint(theta, phi), Resolution(2 * n_v, n_v)
+    assert_bitwise_equal(mask_module._center_weight_raster(pog, res, sigma), one_shot_center_weights(pog, res, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ and the benchmark's hooks exist."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import vq360
+from vq360.geometry import FieldOfView, Resolution
+from vq360.grade import variant_layout_26
+from vq360.session import SessionConfig, synthetic_trace
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -89,15 +93,45 @@ def test_public_surface_is_pinned():
     assert vq360.__all__ == PUBLIC_NAMES
 
 
-def test_benchmark_hooks_resolve():
-    """Every function the benchmark's tracer wraps exists, so traced runs
-    report no absent layer.  perfbench/ is read, never changed."""
+def load_tracing():
+    """perfbench/tracing.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_hooks_resolve():
+    """Every function the benchmark's tracer wraps is a function of a
+    vq360 module, so traced runs report no absent layer and a rename fails
+    here.  perfbench/ is read, never changed."""
+    tracing = load_tracing()
     assert tracing.LAYERS
     for layer, module_name, attr in tracing.LAYERS:
-        assert callable(getattr(importlib.import_module(module_name), attr, None)), layer
+        assert module_name.split(".")[0] == "vq360", layer
+        function = getattr(importlib.import_module(module_name), attr, None)
+        assert inspect.isfunction(function), layer
+        assert function.__module__.split(".")[0] == "vq360", layer
+
+
+def test_tracer_sees_every_vaqm_frame_in_the_geometry_layers():
+    """The tracer's wrappers sit where the engine looks its functions up:
+    a vaqm session records one span and one tile-sum call per frame."""
+    tracing = load_tracing()
+    res = Resolution(96, 48)
+    config = SessionConfig(segment_ms=500.0, fov=FieldOfView(100.0, 85.0), resolution=res, layout=variant_layout_26(res))
+    trace = synthetic_trace(duration_s=2.0, fps=10.0, seed=5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        vq360.session.evaluate_session(trace, config)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    stats = tracing.layer_stats(tracer.spans)
+    assert stats["session.evaluate"]["calls"] == 1
+    assert stats["mask.spans"]["calls"] == stats["session.tile_sums"]["calls"] == trace.n_frames == 20
+    assert vq360.session._project_spans is vq360.mask._project_spans
 
 
 def benchmark_imports(path):
