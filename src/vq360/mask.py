@@ -2,21 +2,27 @@
 
 The viewport is the spherical rectangle cut on the viewing sphere by a
 right rectangular pyramid (apex at the sphere center, apex angles given
-by the field of view).  Its four sides are great-circle arcs.  A mask is
-built in three steps: sample the boundary of the base viewport (centered
-at theta=180, phi=90), rotate the samples to the requested point of gaze
-(PoG), then rasterize the closed polyline on the pixel grid and fill the
-interior, weighting each pixel row by sin(phi) to compensate the uneven
-spherical sampling of the equirectangular mapping.  Each side of the base
-boundary is a function of one parameter (azimuth on the top and bottom
-arcs, polar angle on the left and right meridians), and ``_side_points``
-is the one evaluator of it: ``_base_polyline`` calls it for the uniform
-samples, and the pole subdivision for the midpoints it inserts.
+by the field of view).  Its four sides are great-circle arcs on the
+planes of the pyramid's faces.  The pyramid is described once:
+``_base_face_normals`` holds the inward face normals and the forward
+direction of the base viewport (centered at theta=180, phi=90), and
+``_world_face_normals`` rotates them to the point of gaze (PoG).  The
+boundary sampler, the membership oracle and the span kernel read them.
+
+A mask is built in three steps: sample the boundary of the base
+viewport, rotate the samples to the PoG, then rasterize the closed
+polyline on the pixel grid and fill the interior, weighting each pixel
+row by sin(phi) to compensate the uneven spherical sampling of the
+equirectangular mapping.  Each side of the base boundary is a function
+of one parameter (azimuth on the top and bottom arcs, polar angle on
+the left and right meridians), and ``_side_points`` is the one evaluator
+of it: ``_base_polyline`` calls it for the uniform samples, and the pole
+subdivision for the midpoints it inserts.
 
 Masks may wrap around the theta=0/360 seam (splitting into two raster
 components) and may contain a pole, in which case every column's span
 extends to the corresponding frame edge.  An exact per-pixel membership
-test against the pyramid half-spaces serves as the independent oracle
+test against the face half-spaces serves as the independent oracle
 for the rasterized path.  The session engine does not rasterize: it
 takes each column's row span analytically from the five face half-spaces
 (``_project_spans``), which selects exactly the oracle's pixels.  Every
@@ -129,33 +135,19 @@ def corner_colatitudes_deg(fov: FieldOfView) -> tuple[float, float]:
     return 90.0 - elev, 90.0 + elev
 
 
-def arc_coefficients(p1: SphericalPoint, p2: SphericalPoint) -> tuple[float, float, float]:
-    """Coefficients (alpha, beta, gamma) of the great circle through two points.
+def arc_phi_deg(normal: Sequence[float], theta_deg: float) -> float:
+    """Polar angle, in [0, 180], at a given azimuth of the great circle
+    on the plane with this normal.
 
-    The circle satisfies tan(phi) = -gamma / (alpha sin(theta) + beta cos(theta)).
+    On the plane n.v = 0, tan(phi) = -n_z / (n_x sin(theta) + n_y
+    cos(theta)).  The two-argument arctangent resolves the tangent's
+    sign, and the half-turn period folds the result into the valid polar
+    range, so the normal's sign and length do not matter (the equator
+    degenerate case n_x = n_y = 0 lands on 90).
     """
-    t1, p1r = math.radians(p1.theta_deg), math.radians(p1.phi_deg)
-    t2, p2r = math.radians(p2.theta_deg), math.radians(p2.phi_deg)
-    alpha = math.sin(p1r) * math.cos(t1) * math.cos(p2r) - math.sin(p2r) * math.cos(t2) * math.cos(p1r)
-    beta = -math.sin(p1r) * math.sin(t1) * math.cos(p2r) + math.sin(p2r) * math.sin(t2) * math.cos(p1r)
-    gamma = (
-        math.sin(p1r) * math.sin(t1) * math.sin(p2r) * math.cos(t2)
-        - math.sin(p2r) * math.sin(t2) * math.sin(p1r) * math.cos(t1)
-    )
-    return alpha, beta, gamma
-
-
-def arc_phi_deg(coeffs: tuple[float, float, float], theta_deg: float) -> float:
-    """Polar angle of a great circle at a given azimuth, in [0, 180].
-
-    Quadrant-correct form of the arc equation: the two-argument
-    arctangent resolves the tangent's sign, and the half-turn period
-    folds the result into the valid polar range (the equator degenerate
-    case alpha = beta = 0 lands on 90).
-    """
-    alpha, beta, gamma = coeffs
+    nx, ny, nz = normal
     t = math.radians(theta_deg)
-    phi = math.degrees(math.atan2(-gamma, alpha * math.sin(t) + beta * math.cos(t)))
+    phi = math.degrees(math.atan2(-nz, nx * math.sin(t) + ny * math.cos(t)))
     if phi < 0.0:
         phi += 180.0
     return phi
@@ -194,15 +186,13 @@ def _side_points(fov: FieldOfView, side_ids: np.ndarray, params: np.ndarray):
     """Base-frame boundary points for (side, parameter) pairs.
 
     The left and right sides are meridians parametrized by polar angle;
-    the top and bottom sides are great-circle arcs through the corners,
+    the top and bottom sides are arcs of the great circles cut by the top
+    and bottom pyramid faces (rows 0 and 1 of _base_face_normals),
     parametrized by azimuth.
     """
     theta_left, theta_right = 180.0 - fov.theta_deg / 2.0, 180.0 + fov.theta_deg / 2.0
-    phi_top, phi_bottom = corner_colatitudes_deg(fov)
-    arcs = {
-        _SIDE_TOP: arc_coefficients(SphericalPoint(theta_left, phi_top), SphericalPoint(theta_right, phi_top)),
-        _SIDE_BOTTOM: arc_coefficients(SphericalPoint(theta_left, phi_bottom), SphericalPoint(theta_right, phi_bottom)),
-    }
+    top, bottom = _base_face_normals(fov)[:2].tolist()
+    arcs = {_SIDE_TOP: top, _SIDE_BOTTOM: bottom}
     meridians = {_SIDE_RIGHT: theta_right, _SIDE_LEFT: theta_left}
     theta = np.empty_like(params)
     phi = np.empty_like(params)
@@ -266,14 +256,12 @@ def _world_face_normals(pog: SphericalPoint, fov: FieldOfView) -> np.ndarray:
 def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: FieldOfView) -> bool:
     """True iff a direction lies inside the viewing pyramid (boundary inclusive).
 
-    The direction is rotated by the inverse of the PoG rotation into the
-    base frame, where each pyramid face is the plane of a great circle
-    through the sphere center; membership is the conjunction of the four
-    face half-space tests and the forward-hemisphere test.
+    Membership is the conjunction of the four face half-space tests and
+    the forward-hemisphere test, n.v >= -BOUNDARY_EPS for each row n of
+    _world_face_normals, the normals _membership_raster and
+    _project_spans read.
     """
-    v_base = _pog_rotation(pog).T @ pixel_dir.as_array()
-    normals = _base_face_normals(fov)
-    return bool(np.all(normals @ v_base >= -BOUNDARY_EPS))
+    return bool(np.all(_world_face_normals(pog, fov) @ pixel_dir.as_array() >= -BOUNDARY_EPS))
 
 
 def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> np.ndarray:
@@ -305,9 +293,10 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
 
 
 def _pole_containment(pog: SphericalPoint, fov: FieldOfView) -> tuple[bool, bool]:
-    north = exact_membership(CartesianVector(0.0, 0.0, 1.0), pog, fov)
-    south = exact_membership(CartesianVector(0.0, 0.0, -1.0), pog, fov)
-    return north, south
+    """exact_membership of the north and south poles: a face normal's dot
+    product with (0, 0, +-1) is +-n_z."""
+    nz = _world_face_normals(pog, fov)[:, 2]
+    return bool(np.all(nz >= -BOUNDARY_EPS)), bool(np.all(nz <= BOUNDARY_EPS))
 
 
 # ---------------------------------------------------------------------------

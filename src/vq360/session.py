@@ -219,40 +219,29 @@ def _line_of(path: str, index: int) -> int:
         return next(itertools.islice(lines, index, None))
 
 
-def _malformed(row: list[str], width: int) -> bool:
-    if len(row) < width:
-        return True
-    try:
-        np.int64(int(row[0]))
-        for field in row[1:width]:
-            float(field)
-    except (ValueError, OverflowError):
-        return True
-    return False
-
-
 def _parse_columns(path: str, rows: list[list[str]], width: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer frame numbers and the finite float columns 1..width-1 of the rows.
 
-    Every row is converted in one pass; only when that fails are the rows
-    checked one at a time to find the first malformed one.
+    Each row is converted once; the first short or unreadable row is
+    reported as path:line.  Values are checked for being finite only after
+    every row has been read, so a malformed row is reported even when a
+    non-finite value comes before it.
     """
-    count = len(rows) * (width - 1)
-    try:
-        frames = np.fromiter(map(int, (row[0] for row in rows)), np.int64, len(rows))
-        values = np.fromiter(
-            map(float, itertools.chain.from_iterable(row[1:width] for row in rows)), np.float64, count
-        )
-    except (ValueError, OverflowError):
-        for index, row in enumerate(rows):
-            if _malformed(row, width):
-                raise ValueError(f"{path}:{_line_of(path, index)}: malformed row") from None
-        raise
+    frames = np.empty(len(rows), dtype=np.int64)
+    values = np.empty((len(rows), width - 1))
+    for index, row in enumerate(rows):
+        try:
+            if len(row) < width:
+                raise ValueError("short row")
+            frames[index] = int(row[0])
+            values[index] = [float(field) for field in row[1:width]]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{_line_of(path, index)}: malformed row") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         index = int(bad[0]) // (width - 1)
         raise ValueError(f"{path}:{_line_of(path, index)}: non-finite value")
-    return frames, values.reshape(len(rows), width - 1)
+    return frames, values
 
 
 def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from vq360 import mask as mask_module
 from vq360.geometry import (
+    CartesianVector,
     FieldOfView,
     Resolution,
     SphericalPoint,
@@ -34,7 +35,6 @@ from vq360.mask import (
     _membership_raster,
     _project_spans,
     _spans_to_raster,
-    arc_coefficients,
     arc_phi_deg,
     bank_centers,
     corner_colatitudes_deg,
@@ -151,6 +151,13 @@ def random_pogs(rng, count):
     ]
 
 
+FOV_ANGLES = st.one_of(
+    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=179.0, max_value=180.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
 # ---------------------------------------------------------------------------
 # base boundary
 # ---------------------------------------------------------------------------
@@ -212,36 +219,33 @@ def test_vertical_sides_are_meridians():
     assert np.all(np.diff(phi[1]) > 0.0) and np.all(np.diff(phi[3]) < 0.0)
 
 
-def test_top_arc_passes_through_midpoint_and_oracle():
-    """The corner ordinate must make the A-B arc pass through E."""
+def test_top_arc_matches_the_great_circle_through_its_corners():
     theta, phi, _, param = base_sides(FOV, 24)
     a = SphericalPoint(theta[0, 0], phi[0, 0])
     b = SphericalPoint(theta[0, -1], phi[0, -1])
-    coeffs = arc_coefficients(a, b)
-    assert arc_phi_deg(coeffs, 180.0) == pytest.approx(47.5, abs=1e-9)
     assert np.array_equal(theta[0], param[0])
     for t, p in zip(theta[0, 1:-1], phi[0, 1:-1]):
         assert p == pytest.approx(arc_normal_oracle(a, b, t), abs=1e-9)
         assert 130.0 < t < 230.0
 
 
-def test_arc_matches_cross_product_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        p1, p2 = random_pogs(rng, 2)
-        coeffs = arc_coefficients(p1, p2)
-        for theta in rng.uniform(0.0, 360.0, 5):
-            assert arc_phi_deg(coeffs, float(theta)) == pytest.approx(
-                arc_normal_oracle(p1, p2, float(theta)), abs=1e-9
-            )
+@given(fov_theta=FOV_ANGLES, fov_phi=FOV_ANGLES, samples=st.integers(min_value=1, max_value=40))
+@example(fov_theta=100.0, fov_phi=85.0, samples=15)
+def test_top_and_bottom_samples_lie_on_their_face_planes(fov_theta, fov_phi, samples):
+    """The top and bottom sides are sampled from the planes of the top and
+    bottom pyramid faces (rows 0 and 1 of the face normals), corners included."""
+    fov = FieldOfView(fov_theta, fov_phi)
+    theta, phi, _, _ = base_sides(fov, samples)
+    normals = mask_module._base_face_normals(fov)
+    for side, normal in ((0, normals[0]), (2, normals[1])):
+        for t, p in zip(theta[side], phi[side]):
+            assert abs(normal @ unit(t, p)) <= 1e-12
 
 
-def test_equator_arc_is_degenerate_90():
-    g = SphericalPoint(130.0, 90.0)
-    h = SphericalPoint(230.0, 90.0)
-    coeffs = arc_coefficients(g, h)
-    for theta in np.linspace(0.0, 359.0, 25):
-        assert arc_phi_deg(coeffs, float(theta)) == pytest.approx(90.0, abs=1e-9)
+def test_arc_of_a_polar_normal_is_the_equator():
+    for normal in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
+        for theta in np.linspace(0.0, 359.0, 25):
+            assert arc_phi_deg(normal, float(theta)) == 90.0
 
 
 def test_boundary_rejects_bad_sample_count():
@@ -278,11 +282,44 @@ def test_exact_membership_matches_pyramid_oracle():
             assert exact_membership(spherical_to_cartesian(point), pog, FOV) == expected
 
 
-FOV_ANGLES = st.one_of(
-    st.floats(min_value=0.0, max_value=180.0, exclude_min=True, exclude_max=True),
-    st.floats(min_value=179.0, max_value=180.0, exclude_max=True),
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    n_v=st.integers(min_value=2, max_value=60),
 )
+def test_exact_membership_at_pixel_centers_equals_the_raster(theta, phi, fov_theta, fov_phi, n_v):
+    pog, fov, res = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
+    raster = _membership_raster(pog, fov, res)
+    for row, p in enumerate(row_centers_deg(res)):
+        for col, t in enumerate(column_centers_deg(res)):
+            assert exact_membership(spherical_to_cartesian(SphericalPoint(t, p)), pog, fov) == raster[row, col]
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+)
+# The first two put the top face plane through the north pole, the third
+# the bottom face plane through the south pole.
+@example(theta=200.0, phi=43.5, fov_theta=100.0, fov_phi=87.0)
+@example(theta=200.0, phi=17.0, fov_theta=100.0, fov_phi=34.0)
+@example(theta=200.0, phi=136.5, fov_theta=100.0, fov_phi=87.0)
+@example(theta=180.0, phi=90.0, fov_theta=100.0, fov_phi=85.0)
+@example(theta=123.0, phi=180.0, fov_theta=100.0, fov_phi=85.0)
+def test_pole_containment_equals_membership_of_the_poles(theta, phi, fov_theta, fov_phi):
+    pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
+    poles = (CartesianVector(0.0, 0.0, 1.0), CartesianVector(0.0, 0.0, -1.0))
+    assert mask_module._pole_containment(pog, fov) == tuple(exact_membership(pole, pog, fov) for pole in poles)
+
+
+def test_pole_containment_where_a_face_plane_holds_a_pole():
+    """The oracle's tolerance keeps a pole that lies on a face plane."""
+    assert mask_module._pole_containment(SphericalPoint(200.0, 43.5), FieldOfView(100.0, 87.0)) == (True, False)
+    assert mask_module._pole_containment(SphericalPoint(200.0, 136.5), FieldOfView(100.0, 87.0)) == (False, True)
 
 
 def assert_bitwise_equal(got, want):
