@@ -189,9 +189,9 @@ def cmd_mask(args) -> int:
     pog = _parse_pog(args.pog)
     with _flag_values():
         if args.exact:
-            mask = exact_mask(pog, fov, res, args.center_sigma)
+            mask = exact_mask(pog, fov, res)
         else:
-            mask = project_viewport(pog, fov, res, args.samples, args.center_sigma)
+            mask = project_viewport(pog, fov, res, args.samples)
     closed_form = equivalent_pixels_viewport(res, fov)
     write_mask_pgm(mask, args.out)
     if args.npz:
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pog", required=True, help="point of gaze as theta,phi in degrees")
     p.add_argument("--exact", action="store_true", help="use the per-pixel membership oracle")
-    p.add_argument("--center-sigma", type=float, help="optional Gaussian center weighting sigma in degrees")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--npz", help="also write a lossless NPZ raster")
     p.set_defaults(handler=cmd_mask)

@@ -184,39 +184,6 @@ def equivalent_pixels_viewport(res: Resolution, fov: FieldOfView) -> float:
     return equivalent_pixels_picture(res) * solid_angle_sr(fov) / (4.0 * math.pi)
 
 
-def phi_rotation_matrix(phi_target_deg: float) -> np.ndarray:
-    """Rotation lowering the frame-center direction to polar angle ``phi_target_deg``.
-
-    The rotation is about the -x axis by (90 - phi_target) degrees:
-    applying it to (0, -1, 0) yields the direction (180, phi_target).
-    ``phi_target_deg = 90`` gives the identity.
-    """
-    psi = math.radians(90.0 - phi_target_deg)
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, c, s],
-            [0.0, -s, c],
-        ],
-        dtype=np.float64,
-    )
-
-
-def theta_rotation_matrix(delta_deg: float) -> np.ndarray:
-    """Rotation about +z adding ``delta_deg`` to every azimuth."""
-    d = math.radians(delta_deg)
-    c, s = math.cos(d), math.sin(d)
-    return np.array(
-        [
-            [c, s, 0.0],
-            [-s, c, 0.0],
-            [0.0, 0.0, 1.0],
-        ],
-        dtype=np.float64,
-    )
-
-
 def angular_distance_deg(a: SphericalPoint, b: SphericalPoint) -> float:
     """Great-circle distance between two directions, in degrees."""
     va = spherical_to_cartesian(a)

@@ -61,9 +61,7 @@ from .geometry import (
     SphericalPoint,
     cartesian_to_spherical_arrays,
     column_centers_deg,
-    phi_rotation_matrix,
     row_centers_deg,
-    spherical_to_cartesian,
     spherical_to_cartesian_arrays,
 )
 
@@ -88,6 +86,8 @@ SUBDIVISION_REF_DEG = 64.0
 SUBDIVISION_STRETCH = 1.8
 MAX_SUBDIVISION_PASSES = 32
 MIN_SUBDIVISION_PARAM_DEG = 1e-5
+# Rotated boundary samples this close to a pole have no azimuth of their own.
+_POLE_VERTEX_DEG = 1e-9
 # PoGs per block when snapping to the nearest bank center: the (PoGs x
 # centers) dot table stays in cache (1.6 MB for 200 centers).
 NEAREST_CENTER_BLOCK = 1024
@@ -107,7 +107,7 @@ class ViewportMask:
     """Weighted raster of the projected viewport.
 
     ``weights`` is a dense float32 raster, zero outside the viewport and
-    sin(phi_row) (optionally scaled by a center weight <= 1) inside.
+    sin(phi_row) inside.
     ``area`` is the equivalent-pixel sum of weights.
     """
 
@@ -235,11 +235,14 @@ def _base_face_normals(fov: FieldOfView) -> np.ndarray:
 
 
 def _pog_rotation(pog: SphericalPoint) -> np.ndarray:
-    """theta_rotation_matrix(theta - 180) @ phi_rotation_matrix(phi), in closed form.
+    """Rotation taking the base frame to the PoG frame, in closed form.
 
-    Each entry of that product is one product of a sine or cosine plus
-    exact zeros, so it is written as that product.  Adding 0.0 turns a -0
-    product into the +0 that the matrix product returns.
+    It is the product Rz(theta - 180) Rx(phi) of a tilt about -x by
+    90 - phi, which lowers the base center (0, -1, 0) to polar angle phi,
+    and a turn about +z adding theta - 180 to every azimuth.  Each entry
+    of that product is one product of a sine or cosine plus exact zeros,
+    so it is written as that product.  Adding 0.0 turns a -0 product into
+    the +0 that the matrix product returns.
     """
     d = math.radians(pog.theta_deg - 180.0)
     ct, st = math.cos(d), math.sin(d)
@@ -500,10 +503,35 @@ def _short_way_deg(delta: np.ndarray) -> np.ndarray:
     return (delta + 180.0) % 360.0 - 180.0
 
 
-def _rotate_xyz_to_pog(xyz_base: np.ndarray, pog: SphericalPoint):
-    xyz = xyz_base @ phi_rotation_matrix(pog.phi_deg).T
-    t, p = cartesian_to_spherical_arrays(xyz[..., 0], xyz[..., 1], xyz[..., 2])
-    return (t + (pog.theta_deg - 180.0)) % 360.0, p
+def _on_pole(phi: np.ndarray) -> np.ndarray:
+    return (phi < _POLE_VERTEX_DEG) | (phi > 180.0 - _POLE_VERTEX_DEG)
+
+
+def _split_pole_vertices(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each vertex within _POLE_VERTEX_DEG of a pole by two vertices
+    at that pole, with the azimuths of its neighbours before and after it
+    on the closed polyline.
+
+    A boundary sample that rotates onto a pole has rounding residue for an
+    azimuth, so its chords would sweep columns outside the viewport.  The
+    split turns them into meridian chords, which cross no column, and one
+    chord along the pole's edge row; _pole_containment extends the spans
+    to that edge.  Only base samples with x = 0, the centers of the top
+    and bottom arcs, can rotate onto a pole, so no two pole vertices are
+    neighbours.
+    """
+    at = np.flatnonzero(_on_pole(phi))
+    if not at.size:
+        return theta, phi
+    before, after = theta[at - 1], theta[(at + 1) % theta.size]
+    first = at + np.arange(at.size)
+    copies = np.ones(theta.size, dtype=np.intp)
+    copies[at] = 2
+    theta = np.repeat(theta, copies)
+    phi = np.repeat(phi, copies)
+    theta[first], theta[first + 1] = before, after
+    phi[first] = phi[first + 1] = np.where(phi[first] < 90.0, 0.0, 180.0)
+    return theta, phi
 
 
 def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side: int):
@@ -514,14 +542,22 @@ def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side
     span exceeds both the cap SUBDIVISION_REF_DEG / samples_per_side and
     SUBDIVISION_STRETCH times its arc length; arc length is
     rotation-invariant, so un-stretched segments keep the sampling
-    density chosen by samples_per_side.
+    density chosen by samples_per_side.  A segment with an end on a pole
+    counts as stretched, and the refined polyline's pole vertices are
+    split by _split_pole_vertices.  Samples are rotated by _pog_rotation.
     """
     theta_b, phi_b, side, param = _base_polyline(fov.theta_deg, fov.phi_deg, samples_per_side)
     gap_cap_deg = SUBDIVISION_REF_DEG / samples_per_side
+    rotation = _pog_rotation(pog).T
     xyz_b = np.stack(spherical_to_cartesian_arrays(theta_b, phi_b), axis=-1)
-    theta, phi = _rotate_xyz_to_pog(xyz_b, pog)
+    theta, phi = cartesian_to_spherical_arrays(*(xyz_b @ rotation).T)
     for _ in range(MAX_SUBDIVISION_PASSES):
         gaps = np.abs(_short_way_deg(np.diff(theta)))
+        # A vertex on a pole has no azimuth of its own to measure a gap by;
+        # refining its segments gives _split_pole_vertices neighbours on
+        # the boundary's own meridians.
+        pole = _on_pole(phi)
+        gaps[pole[:-1] | pole[1:]] = np.inf
         arcs = np.rad2deg(np.arccos(np.clip(np.sum(xyz_b[:-1] * xyz_b[1:], axis=1), -1.0, 1.0)))
         same_side = side[:-1] == side[1:]
         wide_param = np.abs(param[1:] - param[:-1]) > MIN_SUBDIVISION_PARAM_DEG
@@ -533,13 +569,13 @@ def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side
         mid_side = side[idx]
         mid_theta_b, mid_phi_b = _side_points(fov, mid_side, mid_param)
         mid_xyz_b = np.stack(spherical_to_cartesian_arrays(mid_theta_b, mid_phi_b), axis=-1)
-        mid_theta, mid_phi = _rotate_xyz_to_pog(mid_xyz_b, pog)
+        mid_theta, mid_phi = cartesian_to_spherical_arrays(*(mid_xyz_b @ rotation).T)
         theta = np.insert(theta, idx + 1, mid_theta)
         phi = np.insert(phi, idx + 1, mid_phi)
         side = np.insert(side, idx + 1, mid_side)
         param = np.insert(param, idx + 1, mid_param)
         xyz_b = np.insert(xyz_b, idx + 1, mid_xyz_b, axis=0)
-    return theta, phi
+    return _split_pole_vertices(theta, phi)
 
 
 def _column_spans(
@@ -612,49 +648,9 @@ def _polyline_spans(
     return _column_spans(theta, phi, res, north, south)
 
 
-def _center_weight_raster(pog: SphericalPoint, res: Resolution, sigma_deg: float) -> np.ndarray:
-    """Gaussian weight exp(-d^2 / 2 sigma^2) of each pixel's distance to the PoG.
-
-    cos(d) = sin(phi) (p_x sin(theta) + p_y cos(theta)) + p_z cos(phi) for
-    PoG direction p.  The raster is filled in blocks of _ORACLE_BLOCK_ROWS
-    rows, each step in place; every pixel's value is the same sequence of
-    operations as in one whole-raster evaluation.
-    """
-    p = spherical_to_cartesian(pog)
-    theta = np.deg2rad(column_centers_deg(res))
-    phi = np.deg2rad(row_centers_deg(res))
-    sin_p = np.sin(phi)[:, None]
-    polar = (p.z * np.cos(phi))[:, None]
-    azimuthal = p.x * np.sin(theta) + p.y * np.cos(theta)
-    weights = np.empty((res.n_v, res.n_h))
-    for start in range(0, res.n_v, _ORACLE_BLOCK_ROWS):
-        block = weights[start : start + _ORACLE_BLOCK_ROWS]
-        np.multiply(sin_p[start : start + _ORACLE_BLOCK_ROWS], azimuthal, out=block)
-        block += polar[start : start + _ORACLE_BLOCK_ROWS]
-        np.clip(block, -1.0, 1.0, out=block)
-        np.arccos(block, out=block)
-        np.rad2deg(block, out=block)
-        block /= sigma_deg
-        np.square(block, out=block)
-        block *= -0.5
-        np.exp(block, out=block)
-    return weights
-
-
-def _weighted_mask(
-    inside: np.ndarray,
-    pog: SphericalPoint,
-    fov: FieldOfView,
-    res: Resolution,
-    center_sigma_deg: float | None,
-) -> ViewportMask:
+def _weighted_mask(inside: np.ndarray, pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> ViewportMask:
     sin_rows = np.sin(np.deg2rad(row_centers_deg(res)))[:, None]
-    if center_sigma_deg is None:
-        weights = np.where(inside, sin_rows.astype(np.float32), np.float32(0.0))
-    else:
-        if center_sigma_deg <= 0.0:
-            raise ValueError(f"center weight sigma must be positive, got {center_sigma_deg}")
-        weights = (inside * sin_rows * _center_weight_raster(pog, res, center_sigma_deg)).astype(np.float32)
+    weights = np.where(inside, sin_rows.astype(np.float32), np.float32(0.0))
     area = float(np.sum(weights, dtype=np.float64))
     return ViewportMask(resolution=res, weights=weights, pog=pog, fov=fov, area=area)
 
@@ -669,7 +665,6 @@ def project_viewport(
     fov: FieldOfView,
     res: Resolution,
     samples_per_side: int = DEFAULT_SAMPLES_PER_SIDE,
-    center_sigma_deg: float | None = None,
 ) -> ViewportMask:
     """Rasterized viewport mask for an arbitrary point of gaze.
 
@@ -683,9 +678,6 @@ def project_viewport(
         Frame size in pixels.
     samples_per_side : int
         Boundary samples per viewport side (accuracy knob).
-    center_sigma_deg : float, optional
-        When given, additionally weight pixels by a Gaussian of their
-        angular distance to the PoG (peak weight 1 at the center).
 
     Returns
     -------
@@ -695,18 +687,12 @@ def project_viewport(
     """
     top, bot = _polyline_spans(pog, fov, res, samples_per_side)
     inside = _spans_to_raster(top, bot, res)
-    return _weighted_mask(inside, pog, fov, res, center_sigma_deg)
+    return _weighted_mask(inside, pog, fov, res)
 
 
-def exact_mask(
-    pog: SphericalPoint,
-    fov: FieldOfView,
-    res: Resolution,
-    center_sigma_deg: float | None = None,
-) -> ViewportMask:
+def exact_mask(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> ViewportMask:
     """Oracle mask: per-pixel-center membership against the viewing pyramid."""
-    inside = _membership_raster(pog, fov, res)
-    return _weighted_mask(inside, pog, fov, res, center_sigma_deg)
+    return _weighted_mask(_membership_raster(pog, fov, res), pog, fov, res)
 
 
 def jaccard_index(a: ViewportMask, b: ViewportMask) -> float:

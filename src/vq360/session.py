@@ -538,10 +538,10 @@ def _hq_flags(config: SessionConfig) -> np.ndarray:
 
 
 def _pooled(
-    geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig
+    geometry: SessionGeometry, variants: np.ndarray, hq: np.ndarray, config: SessionConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame quality and denominator, gathered from (masks x variants) tables."""
-    hq = _hq_flags(config)
+    """Per-frame quality and denominator, gathered from (masks x variants)
+    tables; hq is _hq_flags(config)."""
     rows = geometry.mask_rows
     numerator = (geometry.tile_sums @ hq.T)[rows, variants]
     if config.normalization == NORMALIZATION_ANALYTIC:
@@ -563,7 +563,7 @@ def _check_geometry(geometry: SessionGeometry, trace: SessionTrace, config: Sess
 def pool_session(trace: SessionTrace, config: SessionConfig, geometry: SessionGeometry) -> QualityTimeline:
     """Stage 2: quality timeline of a session from its stage-1 geometry."""
     _check_geometry(geometry, trace, config)
-    q, area = _pooled(geometry, _variant_per_frame(trace, config), config)
+    q, area = _pooled(geometry, _variant_per_frame(trace, config), _hq_flags(config), config)
     return make_timeline(q, area, config.t_q)
 
 
@@ -601,12 +601,14 @@ def approximation_error_study(
     vaqm_config = replace(config, method=METHOD_VAQM, avaqm_grid=None)
     if exact_geometries is None:
         exact_geometries = [session_geometry(trace, vaqm_config) for trace in traces]
+    # Every pool below shares the layout and footprint of config.
+    hq = _hq_flags(config)
     exact_q: list[np.ndarray] = []
     variant_series: list[np.ndarray] = []
     for trace, geometry in zip(traces, exact_geometries, strict=True):
         _check_geometry(geometry, trace, vaqm_config)
         variant_series.append(_variant_per_frame(trace, config))
-        exact_q.append(_pooled(geometry, variant_series[-1], vaqm_config)[0])
+        exact_q.append(_pooled(geometry, variant_series[-1], hq, vaqm_config)[0])
     reports = []
     for grid_dims in grids:
         bank_config = replace(config, method=METHOD_AVAQM, avaqm_grid=grid_dims)
@@ -614,7 +616,7 @@ def approximation_error_study(
         errors = []
         excluded = 0
         for trace, q, variants in zip(traces, exact_q, variant_series):
-            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, bank_config)[0]
+            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, hq, bank_config)[0]
             usable = q > 0.0
             excluded += int(np.count_nonzero(~usable))
             errors.append(np.abs(approx[usable] - q[usable]) / q[usable])

@@ -287,6 +287,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             main(argv)
         assert info.value.code == 2
     capsys.readouterr()
+    # Masks carry no weight besides sin(phi), and no flag for one.
+    with pytest.raises(SystemExit) as info:
+        main(["mask", "--pog", "180,90", "--out", str(tmp_path / "m.pgm"), "--center-sigma", "30"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --center-sigma 30" in capsys.readouterr().err
     # Rejected before any input is read: the trace and manifest do not exist.
     mask = ["mask", "--pog", "180,90", "--resolution", "96x48", "--out", str(tmp_path / "m.pgm")]
     synth = ["synth-trace", "--out", str(tmp_path / "t.csv")]
@@ -310,8 +315,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (mask + ["--fov", "0,85"], "field of view"),
         (mask + ["--resolution", "0x0"], "resolution"),
         (mask + ["--samples", "0"], "samples_per_side"),
-        (mask + ["--center-sigma", "0"], "sigma"),
-        (mask + ["--exact", "--center-sigma", "-1"], "sigma"),
         (synth + ["--duration-s", "0"], "no frames"),
         (synth + ["--duration-s", "inf"], "no frames"),
         (synth + ["--dwell", "2"], "dwell"),

@@ -14,14 +14,14 @@ from vq360.geometry import (
     column_centers_deg,
     equivalent_pixels_picture,
     equivalent_pixels_viewport,
-    phi_rotation_matrix,
     row_centers_deg,
     solid_angle_sr,
     spherical_to_cartesian,
     spherical_to_cartesian_arrays,
     spherical_to_pixel_arrays,
-    theta_rotation_matrix,
 )
+
+from rotations import phi_rotation_matrix, theta_rotation_matrix
 
 RES_4K = Resolution(3840, 1920)
 FOV_DEFAULT = FieldOfView(100.0, 85.0)

@@ -23,10 +23,8 @@ from vq360.geometry import (
     angular_distance_deg,
     column_centers_deg,
     equivalent_pixels_viewport,
-    phi_rotation_matrix,
     row_centers_deg,
     spherical_to_cartesian,
-    theta_rotation_matrix,
 )
 from vq360.grade import TileGrid, variant_layout_26
 from vq360.mask import (
@@ -47,6 +45,8 @@ from vq360.mask import (
     write_mask_pgm,
 )
 from vq360.session import _sin_prefix, _tile_weight_sums
+
+from rotations import phi_rotation_matrix, theta_rotation_matrix
 
 FOV = FieldOfView(100.0, 85.0)
 RES = Resolution(960, 480)
@@ -760,29 +760,6 @@ def test_tile_sums_of_any_spans_equal_the_index_clip_form(seed, n_v):
     assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
 
 
-def one_shot_center_weights(pog, res, sigma_deg):
-    """The Gaussian center weight over the whole raster at once."""
-    p = spherical_to_cartesian(pog)
-    theta = np.deg2rad(column_centers_deg(res))
-    phi = np.deg2rad(row_centers_deg(res))
-    azimuthal = p.x * np.sin(theta) + p.y * np.cos(theta)
-    cos_d = np.outer(np.sin(phi), azimuthal) + p.z * np.cos(phi)[:, None]
-    d = np.rad2deg(np.arccos(np.clip(cos_d, -1.0, 1.0)))
-    return np.exp(-0.5 * (d / sigma_deg) ** 2)
-
-
-@given(
-    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
-    phi=st.floats(min_value=0.0, max_value=180.0),
-    sigma=st.floats(min_value=0.01, max_value=360.0),
-    n_v=st.integers(min_value=2, max_value=100),
-)
-@example(theta=180.0, phi=90.0, sigma=30.0, n_v=33)
-def test_center_weight_raster_equals_one_shot_evaluation(theta, phi, sigma, n_v):
-    pog, res = SphericalPoint(theta, phi), Resolution(2 * n_v, n_v)
-    assert_bitwise_equal(mask_module._center_weight_raster(pog, res, sigma), one_shot_center_weights(pog, res, sigma))
-
-
 # ---------------------------------------------------------------------------
 # projected masks
 # ---------------------------------------------------------------------------
@@ -802,16 +779,6 @@ def test_weights_are_row_sines_on_support():
         assert_bitwise_equal(mask.weights, expected)
         assert mask.weights.max() <= 1.0
         assert mask.area == float(expected.sum(dtype=np.float64))
-
-
-def test_center_sigma_weighting():
-    plain = project_viewport(SphericalPoint(180.0, 90.0), FOV, RES)
-    weighted = project_viewport(SphericalPoint(180.0, 90.0), FOV, RES, center_sigma_deg=30.0)
-    assert np.array_equal(weighted.weights > 0.0, plain.weights > 0.0)
-    assert np.all(weighted.weights <= plain.weights + 1e-7)
-    assert weighted.area < plain.area
-    with pytest.raises(ValueError):
-        project_viewport(SphericalPoint(180.0, 90.0), FOV, RES, center_sigma_deg=0.0)
 
 
 def test_wraparound_column_shift_is_exact():
@@ -844,6 +811,22 @@ def test_pole_mask_matches_exact_at_high_sampling():
     raster = project_viewport(SphericalPoint(180.0, 30.0), FOV, RES, samples_per_side=1024)
     oracle = exact_mask(SphericalPoint(180.0, 30.0), FOV, RES)
     assert np.array_equal(raster.weights > 0.0, oracle.weights > 0.0)
+
+
+@pytest.mark.parametrize("theta", [47.74, 200.0])
+def test_boundary_sample_on_a_pole_keeps_to_the_viewport(theta):
+    """With the top (bottom) face plane through the north (south) pole, a
+    boundary sample rotates onto the pole and its azimuth is rounding
+    residue.  The mask stays as close to the oracle as at phi +- 0.1."""
+    res = Resolution(3840, 1920)
+
+    def mismatch(phi):
+        pog = SphericalPoint(theta, phi)
+        top, bot = mask_module._polyline_spans(pog, FOV, res, 4)
+        return np.count_nonzero(_spans_to_raster(top, bot, res) != _membership_raster(pog, FOV, res))
+
+    for phi in (FOV.phi_deg / 2.0, 180.0 - FOV.phi_deg / 2.0):
+        assert mismatch(phi) <= max(mismatch(phi - 0.1), mismatch(phi + 0.1)) + 2
 
 
 def test_jaccard_convergence_and_area_constancy():

@@ -154,11 +154,12 @@ def test_benchmark_imports_are_public():
     assert sorted(set(names) - set(vq360.__all__)) == []
 
 
-def private_helpers_and_references():
-    """Module-level private functions and classes of src/vq360, as
-    {name: file}, and every name referenced from outside its own
-    definition: a Name or an attribute anywhere in the package, but not
-    the import that brings it into another module."""
+def helpers_and_references():
+    """Module-level functions and classes of src/vq360 that the package
+    does not export, as {name: file}, and every name referenced from
+    outside its own definition: a Name or an attribute anywhere in the
+    package, but not the import that brings it into another module."""
+    exported = set(vq360.__all__)
     helpers, referenced = {}, set()
     for path in sorted((ROOT / "src" / "vq360").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -170,17 +171,18 @@ def private_helpers_and_references():
             }
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(statement.name)
-                if statement.name.startswith("_") and not statement.name.startswith("__"):
+                if statement.name not in exported:
                     helpers[statement.name] = path.name
             referenced |= names
     return helpers, referenced
 
 
 def test_every_private_helper_is_reached():
-    """A private helper no other definition names is dead code: delete it
-    rather than keep it for the tests.  The functions the benchmark's
-    tracer wraps by name count as reached."""
-    helpers, referenced = private_helpers_and_references()
+    """A function or class the package does not export, `_`-prefixed or
+    not, is dead code when no other definition names it: delete it (or
+    move it into the tests) rather than keep it for the tests.  The
+    functions the benchmark's tracer wraps by name count as reached."""
+    helpers, referenced = helpers_and_references()
     referenced |= {attr for _, _, attr in load_tracing().LAYERS}
-    assert "_project_spans" in helpers
+    assert {"_project_spans", "cartesian_to_spherical_arrays"} <= helpers.keys()
     assert sorted(f"{file}:{name}" for name, file in helpers.items() if name not in referenced) == []
