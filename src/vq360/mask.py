@@ -392,7 +392,7 @@ def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
+def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-column row spans [top, bot] of the exact viewport, analytically.
 
     Each face test n.v >= -BOUNDARY_EPS allows, along a column, the
@@ -428,8 +428,9 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     whose tolerance band then touches pixels at both poles; the span
     keeps one end.
 
-    Returns int32 arrays of shape (n_h,); empty columns have top = n_v
-    and bot = -1.
+    Returns int32 arrays top and bot of shape (n_h,), where empty columns
+    have top = n_v and bot = -1, and whether any column end was taken
+    again.
     """
     normals = _world_face_normals(pog, fov)
     start, count = _column_window(pog, fov, res)
@@ -472,7 +473,8 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     near = near[0] | near[1]
     np.ceil(ends[0], out=rows[0])
     np.floor(ends[1], out=rows[1])
-    if near.any():
+    retook = bool(near.any())
+    if retook:
         retake = np.flatnonzero(near)
         # The per-face form takes A from the product of all five faces and
         # all columns: BLAS need not round a subset's products alike.
@@ -490,7 +492,7 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     head = count - max(wrapped, 0)
     spans[:, start : start + head] = rows[:, :head]
     spans[:, : count - head] = rows[:, head:]
-    return spans[0], spans[1]
+    return spans[0], spans[1], retook
 
 
 # ---------------------------------------------------------------------------

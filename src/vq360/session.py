@@ -15,9 +15,10 @@ per-frame pooling reduces to per-tile sums of mask weights, and the
 engine runs in two stages.  Stage 1, :func:`session_geometry`, depends
 only on the trace, the field of view, the resolution, the tile grid and
 the method: it takes the analytic per-column spans of the viewing
-pyramid for every distinct mask (each frame's PoG for vaqm, each bank
-center for avaqm), reduces them to one row of per-tile weight sums per
-mask and records which row each frame uses.  Stage 2,
+pyramid for every distinct mask (each frame's PoG for vaqm; for avaqm
+one center per bank row, rolled to the row's other centers), reduces
+them to one row of per-tile weight sums per mask and records which row
+each frame uses.  Stage 2,
 :func:`pool_session`, applies the segment schedule, the HQ footprint and
 the normalization: one product of the tile sums with the per-variant HQ
 flags gives a (masks x variants) table, from which each frame's quality
@@ -455,8 +456,9 @@ def _tile_edges(grid: TileGrid) -> tuple[tuple[float, ...], np.ndarray]:
     return edge_prefix, col_starts
 
 
-def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Sum of sin(phi) mask weights inside each tile, from column spans.
+def _tile_row_weights(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
+    """Sum of sin(phi) mask weights of each column inside each tile row,
+    shape (tile rows, n_h), from column spans.
 
     A column's weight above tile-row edge e is S[clip(e, top, bot + 1)],
     with S = _sin_prefix; differences over the edges give its weight in
@@ -468,7 +470,7 @@ def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
     (top > bot + 1) clamps every edge to S[bot + 1] and adds nothing.
     """
     prefix = _sin_prefix(grid.resolution)
-    edge_prefix, col_starts = _tile_edges(grid)
+    edge_prefix = _tile_edges(grid)[0]
     above = np.empty((len(edge_prefix), grid.resolution.n_h))
     lo, hi = above[0], above[-1]
     # Spans index rows 0..n_v, so the gathers need no bounds check.
@@ -478,19 +480,58 @@ def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
         np.maximum(lo, edge, out=row)
         np.minimum(row, hi, out=row)
     np.minimum(lo, hi, out=lo)
-    return np.add.reduceat(np.subtract(above[1:], above[:-1]), col_starts, axis=1)
+    return np.subtract(above[1:], above[:-1])
+
+
+def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
+    """Sum of sin(phi) mask weights inside each tile, from column spans:
+    _tile_row_weights summed over each tile column's pixel columns."""
+    return np.add.reduceat(_tile_row_weights(top, bot, grid), _tile_edges(grid)[1], axis=1)
 
 
 def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:
     """Tile sums of the exact viewport at each PoG, shape (PoGs, tiles)."""
     spans = (_project_spans(pog, config.fov, config.resolution) for pog in pogs)
-    return np.stack([_tile_weight_sums(top, bot, config.layout.grid).ravel() for top, bot in spans])
+    return np.stack([_tile_weight_sums(top, bot, config.layout.grid).ravel() for top, bot, _ in spans])
 
 
 def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[tuple, np.ndarray]:
-    """Bank centers and their tile sums, shape (centers, tiles)."""
+    """Bank centers and their tile sums, shape (centers, tiles).
+
+    The centers of a bank row share phi and, when the bank's column count
+    divides n_h, sit n_h / cols pixel columns apart.  Then only the row's
+    first center is projected: center j's per-column tile-row weights are
+    the first center's rolled by j n_h / cols columns, taken as a view of
+    those weights laid twice side by side, and one reduceat per center
+    sums them per tile.  Each tile sees the same values in the same order
+    as after projecting center j, so the sums are bitwise equal.  That
+    holds because every column end that _project_spans did not take again
+    lies more than _TILTED_SLACK from a row center, far beyond the rounding
+    by which the centers' arithmetic differs, so it rounds alike at every
+    center of the row.  A row whose first center had an end taken again,
+    and every row when the column count does not divide n_h, is projected
+    center by center.
+    """
     centers = bank_centers(*grid_dims)
-    return centers, _tile_sums_at(centers, config)
+    cols = grid_dims[1]
+    fov, res, grid = config.fov, config.resolution, config.layout.grid
+    n_h = res.n_h
+    col_starts = _tile_edges(grid)[1]
+    sums = np.empty((len(centers), grid.rows * grid.cols))
+    doubled = np.empty((grid.rows, 2 * n_h))
+    for first in range(0, len(centers), cols):
+        row = centers[first : first + cols]
+        top, bot, retook = _project_spans(row[0], fov, res)
+        weights = _tile_row_weights(top, bot, grid)
+        if retook or n_h % cols:
+            rest = (_project_spans(pog, fov, res) for pog in row[1:])
+            views = itertools.chain([weights], (_tile_row_weights(t, b, grid) for t, b, _ in rest))
+        else:
+            np.concatenate((weights, weights), axis=1, out=doubled)
+            views = (doubled[:, n_h - shift : 2 * n_h - shift] for shift in range(0, n_h, n_h // cols))
+        for index, view in enumerate(views, first):
+            np.add.reduceat(view, col_starts, axis=1, out=sums[index].reshape(grid.rows, grid.cols))
+    return centers, sums
 
 
 def _bank_geometry(
@@ -511,9 +552,13 @@ def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeome
     """Stage 1: per-mask tile sums and each frame's mask.
 
     Method "vaqm" projects the exact viewport at every frame's PoG;
-    "avaqm" projects each bank center once and gives every frame the
-    center nearest to its PoG.  Only the trace, FoV, resolution, tile
-    grid, method and bank grid matter, so one geometry serves every
+    "avaqm" builds the bank's tile sums and gives every frame the center
+    nearest to its PoG.  The bank projects one center per bank row and
+    rolls its per-column tile-row weights to the row's other centers; a
+    row whose first center has a column end taken again, and every row
+    when the bank's column count does not divide n_h, is projected center
+    by center (see _bank_tile_sums).  Only the trace, FoV, resolution,
+    tile grid, method and bank grid matter, so one geometry serves every
     segment length, footprint, normalization and threshold.
     """
     if config.method == METHOD_AVAQM:
@@ -593,7 +638,7 @@ def approximation_error_study(
     the nearest-mask quality q' share the same grade map; the error is
     |q' - q| / q, and frames with q = 0 are excluded from the mean and
     counted.  ``exact_geometries`` may pass each trace's vaqm stage-1
-    geometry when the caller already has it; each bank grid is projected
+    geometry when the caller already has it; each bank grid is built
     once for all traces.
     """
     if not traces:

@@ -383,7 +383,8 @@ def test_membership_raster_equals_one_shot_evaluation(theta, phi, fov_theta, fov
 
 
 def assert_spans_match_oracle(pog, fov, res):
-    spans = _spans_to_raster(*_project_spans(pog, fov, res), res)
+    top, bot, _ = _project_spans(pog, fov, res)
+    spans = _spans_to_raster(top, bot, res)
     oracle = _membership_raster(pog, fov, res)
     assert np.count_nonzero(spans != oracle) == 0
 
@@ -456,7 +457,7 @@ def per_face_spans(pog, fov, res):
 
 def assert_spans_match_per_face(pog, fov, res):
     expected_top, expected_bot = per_face_spans(pog, fov, res)
-    top, bot = _project_spans(pog, fov, res)
+    top, bot, _ = _project_spans(pog, fov, res)
     assert top.dtype == bot.dtype == np.int32
     assert np.array_equal(top, expected_top)
     assert np.array_equal(bot, expected_bot)
@@ -579,7 +580,8 @@ def test_spans_keep_rows_within_a_tilted_face_tolerance(end, n_v):
     pog = SphericalPoint(float(column_centers_deg(res)[col]), phi)
     nz = mask_module._world_face_normals(pog, fov)[0 if end == "top" else 1, 2]
     assert abs(nz) > mask_module._STEEP_NZ
-    top, bot = _project_spans(pog, fov, res)
+    top, bot, retook = _project_spans(pog, fov, res)
+    assert retook
     assert (top[col] if end == "top" else bot[col]) == row
     assert_spans_match_per_face(pog, fov, res)
     assert_spans_match_oracle(pog, fov, res)
@@ -595,7 +597,8 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
     pog = SphericalPoint(162.4532218849912, phi)
     nz = mask_module._world_face_normals(pog, fov)[2, 2]
     assert mask_module._STEEP_NZ < abs(nz) < 2.0 * mask_module._STEEP_NZ
-    top, bot = _project_spans(pog, fov, res)
+    top, bot, retook = _project_spans(pog, fov, res)
+    assert retook
     assert (top[300] if end == "top" else bot[300]) == 240
     assert_spans_match_per_face(pog, fov, res)
     assert_spans_match_oracle(pog, fov, res)
@@ -636,7 +639,7 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
         else:
             pog = SphericalPoint((meridian + 180.0) % 360.0, 360.0 - along)
         expected = per_face_spans(pog, FOV, res)
-        spans = _project_spans(pog, FOV, res)
+        spans = _project_spans(pog, FOV, res)[:2]
         assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
         # The row differences taken apart, as np.diff, then per tile.
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
@@ -745,7 +748,7 @@ def index_clip_tile_sums(top, bot, grid):
 def test_tile_sums_equal_the_index_clip_form(theta, phi, fov_theta, fov_phi, n_v, tiles):
     res = Resolution(2 * n_v, n_v)
     grid = TileGrid(min(tiles[0], n_v), min(tiles[1], res.n_h), res)
-    top, bot = _project_spans(SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), res)
+    top, bot, _ = _project_spans(SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), res)
     assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
 
 

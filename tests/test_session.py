@@ -508,6 +508,53 @@ def test_avaqm_geometry_is_one_row_per_bank_center():
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
 
 
+BANK_CASES = [
+    (fov, res, grid, grid[0])
+    for fov in ((100.0, 85.0), (90.0, 90.0), (120.0, 90.0))
+    for res in ((960, 480), (3840, 1920))
+    for grid in ((3, 6), (5, 10), (10, 20))
+] + [
+    # 13 columns do not divide 960: every center is projected.
+    ((100.0, 85.0), (960, 480), (7, 13), 7 * 13),
+    # Rows 5 and 14 have column ends on row centers, the other 18 none.
+    ((100.0, 85.0), (360, 180), (20, 40), 18 + 2 * 40),
+    # Every row has column ends on row centers.
+    ((90.0, 90.0), (360, 180), (20, 40), 20 * 40),
+]
+
+
+@pytest.mark.parametrize("fov, res, grid, projections", BANK_CASES)
+def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, grid, projections):
+    """A bank row is projected once and rolled to its other centers, with
+    the bits of projecting every center, unless its first center had a
+    column end taken again or the column count does not divide n_h; then
+    it is projected center by center."""
+    res = Resolution(*res)
+    config = base_config(
+        fov=FieldOfView(*fov), resolution=res, layout=variant_layout_26(res), method="avaqm", avaqm_grid=grid
+    )
+    centers = bank_centers(*grid)
+    expected = session_module._tile_sums_at(centers, config)
+    project = session_module._project_spans
+    rows, cols = grid
+    projected = []
+    for first in range(0, len(centers), cols):
+        row = centers[first : first + cols]
+        projected += row if project(row[0], config.fov, res)[2] or res.n_h % cols else row[:1]
+    calls = []
+
+    def counted(pog, fov, res):
+        calls.append(pog)
+        return project(pog, fov, res)
+
+    monkeypatch.setattr(session_module, "_project_spans", counted)
+    bank, sums = session_module._bank_tile_sums(config, grid)
+    assert bank == centers
+    assert sums.tobytes() == expected.tobytes()
+    assert calls == projected
+    assert len(calls) == projections
+
+
 def tie_pogs(rows, cols):
     """PoGs equidistant from two or more bank centers: both poles, the
     theta = 0 seam at each center row, and the points halfway between
@@ -584,7 +631,7 @@ def test_tile_weight_sums_match_row_by_row_loop():
     prefix = np.concatenate(([0.0], np.cumsum(np.sin(np.deg2rad(row_centers_deg(RES))))))
     edges = grid.row_edges()
     for pog in (SphericalPoint(180.0, 30.0), SphericalPoint(320.0, 110.0), SphericalPoint(10.0, 179.0)):
-        top, bot = _project_spans(pog, FOV, RES)
+        top, bot, _ = _project_spans(pog, FOV, RES)
         expected = np.empty((grid.rows, grid.cols))
         for r in range(grid.rows):
             lo = np.maximum(top, edges[r])
