@@ -206,7 +206,7 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
         "--segments", "500,2000,6000", "--grids", "3x6,5x10", "--out", str(tmp_path / "out"),
     )
     assert code == 0
-    # One projection per bank row: its other centers are rolled copies.
+    # One projection per bank row: the row's other centers take its weights, rolled.
     assert len(calls) == 30 + 60 + 3 + 5
 
     monkeypatch.undo()
