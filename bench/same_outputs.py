@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Check that two vq360 checkouts write byte-identical outputs.
+
+Run from anywhere, with the checkouts' roots as arguments:
+
+    python3 bench/same_outputs.py --checkout . --parent-checkout ../parent --seeds 1301,1302
+
+For every benchmark workload and seed it builds the workload's inputs
+once in a temporary directory with ``perfbench/workloads.py`` of
+``--checkout``, runs the workload's command line (``vq360 evaluate`` or
+``vq360 study``) once with each checkout's ``src/`` first on the path,
+and compares every file the two runs wrote, byte for byte.  It prints
+one line per workload and seed and exits 1 if any output differs or any
+run fails.
+
+Standard library only, besides the numpy that perfbench's workloads use.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+RUN_TIMEOUT_S = 600
+# As in perfbench: one BLAS/OpenMP thread per process.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seeds as A,B,C, got {text!r}") from None
+
+
+def _parse_args(argv):
+    parser = argparse.ArgumentParser(description="compare the outputs of two vq360 checkouts byte for byte")
+    parser.add_argument("--checkout", required=True, help="root of the changed checkout; its perfbench builds the inputs")
+    parser.add_argument("--parent-checkout", required=True, help="root of the checkout to compare against")
+    parser.add_argument("--seeds", type=_parse_seeds, default=[1301, 1302], help="workload seeds as A,B,C")
+    parser.add_argument("--workload", action="append", help="workload name; repeat for more (default: all)")
+    return parser.parse_args(argv)
+
+
+def _files(root: str) -> dict[str, str]:
+    """Every file under root, as {path relative to root: absolute path}."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            found[os.path.relpath(path, root)] = path
+    return found
+
+
+def differing_files(a: str, b: str) -> list[str]:
+    """Relative paths of the files that differ between two directories in
+    bytes, or that only one of them holds, sorted."""
+    files_a, files_b = _files(a), _files(b)
+    differ = []
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if name not in files_a or name not in files_b:
+            differ.append(name)
+            continue
+        with open(files_a[name], "rb") as handle_a, open(files_b[name], "rb") as handle_b:
+            if handle_a.read() != handle_b.read():
+                differ.append(name)
+    return differ
+
+
+def _run(root: str, argv: tuple[str, ...], out: str) -> subprocess.CompletedProcess:
+    """The command line with root's src/ first on the path, writing to out."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.abspath(root), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.update({var: "1" for var in THREAD_VARS})
+    os.makedirs(out)
+    command = [sys.executable, "-m", "vq360.cli", *(a.replace("{out}", out) for a in argv)]
+    return subprocess.run(command, cwd=out, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    for root in (args.checkout, args.parent_checkout):
+        if not os.path.isdir(os.path.join(root, "src", "vq360")):
+            print(f"error: no src/vq360 under {root}", file=sys.stderr)
+            return 2
+    sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
+    import workloads
+
+    names = args.workload or workloads.NAMES
+    unknown = sorted(set(names) - set(workloads.NAMES))
+    if unknown:
+        print(f"error: unknown workload {', '.join(unknown)}; known: {', '.join(workloads.NAMES)}", file=sys.stderr)
+        return 2
+    status = 0
+    for name in names:
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory(prefix="vq360-same-") as work:
+                inputs = os.path.join(work, "inputs")
+                os.makedirs(inputs)
+                workload = workloads.build(name, inputs, seed)
+                outs = {side: os.path.join(work, side) for side in ("change", "parent")}
+                done = {
+                    side: _run(root, workload.argv, outs[side])
+                    for side, root in (("change", args.checkout), ("parent", args.parent_checkout))
+                }
+                failed = [f"{side} exited {d.returncode}: {d.stderr.strip()}" for side, d in done.items() if d.returncode]
+                if failed:
+                    print(f"{name} seed {seed}: " + "; ".join(failed))
+                    status = 1
+                    continue
+                differ = differing_files(outs["change"], outs["parent"])
+                if differ:
+                    print(f"{name} seed {seed}: DIFFERENT {', '.join(differ)}")
+                    status = 1
+                else:
+                    print(f"{name} seed {seed}: identical ({', '.join(sorted(_files(outs['change'])))})")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,12 +22,10 @@ from .grade import (
 )
 from .mask import (
     ViewportMask,
-    bank_centers,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
-    nearest_center_index,
     project_viewport,
     write_mask_npz,
     write_mask_pgm,
@@ -46,8 +44,10 @@ from .session import (
     SessionTrace,
     active_variant,
     approximation_error_study,
+    bank_centers,
     evaluate_session,
     load_batch_manifest,
+    nearest_center_index,
     parse_trace,
     segment_frames,
     session_report,

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -84,9 +85,12 @@ def _parse_pair(text: str, separator: str, what: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"expected {what} as A{separator}B, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        values = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"expected numeric {what}, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"expected finite {what}, got {text!r}")
+    return values
 
 
 def _parse_resolution(text: str) -> Resolution:
@@ -160,8 +164,8 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
     """Session config from the flags alone.  A --footprint file path is
     kept as given; _read_footprint loads it once every flag is checked."""
     grid = _parse_grid(args.grid) if args.grid else None
-    if args.method == METHOD_AVAQM and grid is None:
-        raise UsageError("--method avaqm requires --grid ROWSxCOLS")
+    if (args.method == METHOD_AVAQM) != (grid is not None):
+        raise UsageError("--method avaqm needs a bank grid (--grid ROWSxCOLS), and --grid needs --method avaqm")
     # Every field comes from a flag.
     with _flag_values():
         return SessionConfig(
@@ -170,7 +174,6 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
             resolution=res,
             layout=variant_layout_26(res),
             hq_footprint=args.footprint,
-            method=args.method,
             avaqm_grid=grid,
             t_q=args.t_q,
             normalization=args.normalization,
@@ -261,7 +264,13 @@ def cmd_study(args) -> int:
         default_segments = [float(s) for s in args.segments.split(",")]
     except ValueError:
         raise UsageError(f"expected segment lengths as MS,MS,..., got {args.segments!r}") from None
-    base_config = _read_footprint(_session_config(args, res, fov))
+    base_config = _session_config(args, res, fov)
+    with _flag_values():
+        # The config's own check, before the manifest is read; whole frames
+        # at each trace's frame rate are checked per trace.
+        for segment_ms in default_segments:
+            replace(base_config, segment_ms=segment_ms)
+    base_config = _read_footprint(base_config)
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 

@@ -29,15 +29,21 @@ class SphericalPoint:
     """A direction on the unit sphere in degrees.
 
     ``theta_deg`` is normalized to [0, 360); ``phi_deg`` is clamped to
-    [0, 180].
+    [0, 180].  Both must be finite.
     """
 
     theta_deg: float
     phi_deg: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta_deg) % FULL_TURN_DEG
-        phi = min(max(float(self.phi_deg), 0.0), HALF_TURN_DEG)
+        theta, phi = float(self.theta_deg), float(self.phi_deg)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"angles must be finite, got ({theta}, {phi})")
+        theta %= FULL_TURN_DEG
+        # A tiny negative azimuth rounds to 360 under mod.
+        if theta == FULL_TURN_DEG:
+            theta = 0.0
+        phi = min(max(phi, 0.0), HALF_TURN_DEG)
         object.__setattr__(self, "theta_deg", theta)
         object.__setattr__(self, "phi_deg", phi)
 

@@ -193,7 +193,8 @@ def binary_grade_map(layout: VariantLayout, variant_index: int, hq_footprint="ar
 
 
 def load_footprint_json(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Explicit HQ footprint: JSON object mapping variant index to tile lists."""
+    """Explicit HQ footprint: JSON object mapping variant index to a list
+    of [row, col] tiles, each a pair of integers."""
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
@@ -204,5 +205,10 @@ def load_footprint_json(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
             index = int(key)
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer variant key {key!r}") from exc
-        footprint[index] = tuple((int(t[0]), int(t[1])) for t in tiles)
+        if not isinstance(tiles, list):
+            raise ValueError(f"{path}: variant {key}: expected a list of [row, col] tiles, got {tiles!r}")
+        for tile in tiles:
+            if not (isinstance(tile, list) and len(tile) == 2 and all(type(v) is int for v in tile)):
+                raise ValueError(f"{path}: variant {key}: tile {tile!r} is not a [row, col] pair of integers")
+        footprint[index] = tuple((row, col) for row, col in tiles)
     return footprint

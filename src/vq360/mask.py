@@ -37,9 +37,7 @@ near-vertical bounds only one end of a column, set by the sign of its
 normal's z; at each end the binding face is the one with the least
 cot(phi) crossing, so a column end costs one arctan, mapped straight to
 row units and rounded once.  Near-vertical faces, and column ends that
-land near a row center, take the per-face atan2 form.  For the
-approximated method (avaqm) this module also holds the uniform grid of
-bank centers and the rule that snaps a point of gaze to the nearest one.
+land near a row center, take the per-face atan2 form.
 """
 
 from __future__ import annotations
@@ -88,10 +86,6 @@ MAX_SUBDIVISION_PASSES = 32
 MIN_SUBDIVISION_PARAM_DEG = 1e-5
 # Rotated boundary samples this close to a pole have no azimuth of their own.
 _POLE_VERTEX_DEG = 1e-9
-# PoGs per block when snapping to the nearest bank center: the (PoGs x
-# centers) dot table stays in cache (1.6 MB for 200 centers).
-NEAREST_CENTER_BLOCK = 1024
-_NEAREST_TIE_DOT = 1e-12
 # Rows per block of the membership oracle: a block's float64 values at
 # 3840 columns (480 KB) stay in cache.
 _ORACLE_BLOCK_ROWS = 16
@@ -705,53 +699,6 @@ def jaccard_index(a: ViewportMask, b: ViewportMask) -> float:
     if union == 0:
         return 1.0
     return np.count_nonzero(sa & sb) / union
-
-
-# ---------------------------------------------------------------------------
-# bank centers
-# ---------------------------------------------------------------------------
-
-
-def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
-    """Cell-centered grid of PoG centers, row-major from the north edge."""
-    if grid_rows < 1 or grid_cols < 1:
-        raise ValueError(f"bank grid must be at least 1x1, got {grid_rows}x{grid_cols}")
-    phi_step = 180.0 / grid_rows
-    theta_step = 360.0 / grid_cols
-    return tuple(
-        SphericalPoint((j + 0.5) * theta_step, (i + 0.5) * phi_step)
-        for i in range(grid_rows)
-        for j in range(grid_cols)
-    )
-
-
-def _nearest_centers(centers: Sequence[SphericalPoint], theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-    """Index of the center nearest to each PoG on the sphere.
-
-    That is the largest dot product; dot products within _NEAREST_TIE_DOT
-    of it tie, and a tie goes to the lowest index.  The margin is far above
-    the rounding of a 3-term dot product, so one PoG resolves a tie the
-    same way as a block of NEAREST_CENTER_BLOCK PoGs does.
-    """
-    theta_c = np.array([c.theta_deg for c in centers], dtype=np.float64)
-    phi_c = np.array([c.phi_deg for c in centers], dtype=np.float64)
-    centers_xyz = np.stack(spherical_to_cartesian_arrays(theta_c, phi_c), axis=1)
-    directions = np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
-    nearest = np.empty(len(directions), dtype=np.intp)
-    for start in range(0, len(directions), NEAREST_CENTER_BLOCK):
-        dots = directions[start : start + NEAREST_CENTER_BLOCK] @ centers_xyz.T
-        ties = dots >= dots.max(axis=1, keepdims=True) - _NEAREST_TIE_DOT
-        nearest[start : start + len(dots)] = np.argmax(ties, axis=1)
-    return nearest
-
-
-def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint) -> int:
-    """Index of the center with smallest great-circle distance to the PoG.
-
-    Ties resolve to the lowest (row, col) index, as the centers are
-    stored row-major; see _nearest_centers.
-    """
-    return int(_nearest_centers(centers, np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ frame, so within a segment the delivered quality layout is frozen and
 head motion accumulates adaptation lag.  Each frame is scored by
 pooling the viewport mask at that frame's PoG with the binary grade map
 of the active variant, either projecting the exact mask at every frame
-or substituting the mask of the nearest center from a bank of uniformly
-spaced centers.
+(vaqm) or substituting the mask of the nearest center from a bank of
+uniformly spaced centers (avaqm).  A config's bank grid is the one
+choice between them: none means vaqm.  This module holds the whole bank:
+the layout of its centers, the rule that snaps a PoG to the nearest one
+and the build of its tile sums.
 
 Because the grade maps are piecewise-constant over the delivery tiles,
 per-frame pooling reduces to per-tile sums of mask weights, and the
 engine runs in two stages.  Stage 1, :func:`session_geometry`, depends
 only on the trace, the field of view, the resolution, the tile grid and
-the method: it takes the analytic per-column spans of the viewing
+the bank grid: it takes the analytic per-column spans of the viewing
 pyramid for every distinct mask (each frame's PoG for vaqm; for avaqm
 one center per bank row, rolled to the row's other centers), reduces
 them to one row of per-tile weight sums per mask and records which row
@@ -49,9 +52,10 @@ from .geometry import (
     equivalent_pixels_viewport,
     row_centers_deg,
     spherical_to_cartesian,
+    spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, hq_tile_set
-from .mask import _atomic_write_bytes, _nearest_centers, _project_spans, bank_centers
+from .mask import _atomic_write_bytes, _project_spans
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
@@ -64,6 +68,10 @@ DEFAULT_FPS = 30.0
 METHOD_VAQM = "vaqm"
 METHOD_AVAQM = "avaqm"
 QUATERNION_UNIT_TOLERANCE = 1e-3
+# PoGs per block when snapping to the nearest bank center: the (PoGs x
+# centers) dot table stays in cache (1.6 MB for 200 centers).
+NEAREST_CENTER_BLOCK = 1024
+_NEAREST_TIE_DOT = 1e-12
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
 QUATERNION_HEADER = ("frame", "qw", "qx", "qy", "qz")
@@ -143,26 +151,25 @@ class SessionConfig:
     resolution: Resolution
     layout: VariantLayout
     hq_footprint: object = "area+neighbors"
-    method: str = METHOD_VAQM
     avaqm_grid: tuple[int, int] | None = None
     t_q: float = DEFAULT_T_Q
     normalization: str = NORMALIZATION_MASK_AREA
 
     def __post_init__(self) -> None:
-        if self.segment_ms <= 0.0:
-            raise ValueError(f"segment length must be positive, got {self.segment_ms} ms")
-        if self.method not in (METHOD_VAQM, METHOD_AVAQM):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == METHOD_AVAQM and self.avaqm_grid is None:
-            raise ValueError("method avaqm requires a bank grid")
-        if self.method != METHOD_AVAQM and self.avaqm_grid is not None:
-            raise ValueError(f"a bank grid applies only to method avaqm, not {self.method}")
+        if not (math.isfinite(self.segment_ms) and self.segment_ms > 0.0):
+            raise ValueError(f"segment length must be positive and finite, got {self.segment_ms} ms")
         if self.layout.grid.resolution != self.resolution:
             raise ValueError("layout tiling and session resolution differ")
         if not 0.0 <= self.t_q <= 1.0:
             raise ValueError(f"quality threshold t_q must lie in [0, 1], got {self.t_q}")
         if self.normalization not in (NORMALIZATION_MASK_AREA, NORMALIZATION_ANALYTIC):
             raise ValueError(f"unknown normalization {self.normalization!r}")
+
+    @property
+    def method(self) -> str:
+        """The method the bank grid selects: "avaqm" with one (the nearest
+        center's mask per frame), "vaqm" without (the exact viewport)."""
+        return METHOD_VAQM if self.avaqm_grid is None else METHOD_AVAQM
 
 
 @dataclass(frozen=True)
@@ -495,16 +502,60 @@ def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:
     return np.stack([_tile_weight_sums(top, bot, config.layout.grid).ravel() for top, bot, _ in spans])
 
 
-def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[tuple, np.ndarray]:
-    """Bank centers and their tile sums, shape (centers, tiles).
+def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
+    """Cell-centered grid of PoG centers, row-major from the north edge."""
+    if grid_rows < 1 or grid_cols < 1:
+        raise ValueError(f"bank grid must be at least 1x1, got {grid_rows}x{grid_cols}")
+    phi_step = 180.0 / grid_rows
+    theta_step = 360.0 / grid_cols
+    return tuple(
+        SphericalPoint((j + 0.5) * theta_step, (i + 0.5) * phi_step)
+        for i in range(grid_rows)
+        for j in range(grid_cols)
+    )
 
-    The centers of a bank row share phi and, when the bank's column count
-    divides n_h, sit n_h / cols pixel columns apart.  Then only the row's
-    first center is projected: center j's per-column tile-row weights are
-    the first center's rolled by j n_h / cols columns, taken as a view of
-    those weights laid twice side by side, and one reduceat per center
-    sums them per tile.  Each tile sees the same values in the same order
-    as after projecting center j, so the sums are bitwise equal.  That
+
+def _nearest_centers(centers: Sequence[SphericalPoint], theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+    """Index of the center nearest to each PoG on the sphere.
+
+    That is the largest dot product; dot products within _NEAREST_TIE_DOT
+    of it tie, and a tie goes to the lowest index.  The margin is far above
+    the rounding of a 3-term dot product, so one PoG resolves a tie the
+    same way as a block of NEAREST_CENTER_BLOCK PoGs does.
+    """
+    theta_c = np.array([c.theta_deg for c in centers], dtype=np.float64)
+    phi_c = np.array([c.phi_deg for c in centers], dtype=np.float64)
+    centers_xyz = np.stack(spherical_to_cartesian_arrays(theta_c, phi_c), axis=1)
+    directions = np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
+    nearest = np.empty(len(directions), dtype=np.intp)
+    for start in range(0, len(directions), NEAREST_CENTER_BLOCK):
+        dots = directions[start : start + NEAREST_CENTER_BLOCK] @ centers_xyz.T
+        ties = dots >= dots.max(axis=1, keepdims=True) - _NEAREST_TIE_DOT
+        nearest[start : start + len(dots)] = np.argmax(ties, axis=1)
+    return nearest
+
+
+def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint) -> int:
+    """Index of the center with smallest great-circle distance to the PoG.
+
+    Ties resolve to the lowest (row, col) index, as the centers are
+    stored row-major; see _nearest_centers.
+    """
+    return int(_nearest_centers(centers, np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
+
+
+def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
+    """Centers and tile sums, shape (centers, tiles), of the bank of
+    config.avaqm_grid.
+
+    The centers of a bank row (bank_centers) share phi and, when the
+    bank's column count divides n_h, sit n_h / cols pixel columns apart.
+    Then only the row's first center is projected: center j's per-column
+    tile-row weights are the first center's rolled by j n_h / cols
+    columns, taken as a view of those weights laid twice side by side, and
+    one reduceat per center sums them per tile.  Each tile sees the same
+    values in the same order as after projecting center j, so the sums
+    are bitwise equal.  That
     holds because every column end that _project_spans did not take again
     lies more than _TILTED_SLACK from a row center, far beyond the rounding
     by which the centers' arithmetic differs, so it rounds alike at every
@@ -512,8 +563,8 @@ def _bank_tile_sums(config: SessionConfig, grid_dims: tuple[int, int]) -> tuple[
     and every row when the column count does not divide n_h, is projected
     center by center.
     """
-    centers = bank_centers(*grid_dims)
-    cols = grid_dims[1]
+    centers = bank_centers(*config.avaqm_grid)
+    cols = config.avaqm_grid[1]
     fov, res, grid = config.fov, config.resolution, config.layout.grid
     n_h = res.n_h
     col_starts = _tile_edges(grid)[1]
@@ -545,24 +596,25 @@ def _bank_geometry(
 
 
 def _geometry_key(config: SessionConfig) -> tuple:
-    return (config.fov, config.resolution, config.layout.grid, config.method, config.avaqm_grid)
+    return (config.fov, config.resolution, config.layout.grid, config.avaqm_grid)
 
 
 def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeometry:
     """Stage 1: per-mask tile sums and each frame's mask.
 
-    Method "vaqm" projects the exact viewport at every frame's PoG;
-    "avaqm" builds the bank's tile sums and gives every frame the center
-    nearest to its PoG.  The bank projects one center per bank row and
-    rolls its per-column tile-row weights to the row's other centers; a
-    row whose first center has a column end taken again, and every row
-    when the bank's column count does not divide n_h, is projected center
-    by center (see _bank_tile_sums).  Only the trace, FoV, resolution,
-    tile grid, method and bank grid matter, so one geometry serves every
-    segment length, footprint, normalization and threshold.
+    Without a bank grid (vaqm) it projects the exact viewport at every
+    frame's PoG; with one (avaqm) it builds the bank's tile sums and gives
+    every frame the center nearest to its PoG.  The bank projects one
+    center per bank row and rolls its per-column tile-row weights to the
+    row's other centers; a row whose first center has a column end taken
+    again, and every row when the bank's column count does not divide
+    n_h, is projected center by center (see _bank_tile_sums).  Only the
+    trace, FoV, resolution, tile grid and bank grid matter, so one
+    geometry serves every segment length, footprint, normalization and
+    threshold.
     """
-    if config.method == METHOD_AVAQM:
-        return _bank_geometry(config, _bank_tile_sums(config, config.avaqm_grid), trace)
+    if config.avaqm_grid is not None:
+        return _bank_geometry(config, _bank_tile_sums(config), trace)
     pogs = map(SphericalPoint, trace.theta_deg.tolist(), trace.phi_deg.tolist())
     return SessionGeometry(_geometry_key(config), _tile_sums_at(pogs, config), np.arange(trace.n_frames))
 
@@ -643,7 +695,7 @@ def approximation_error_study(
     """
     if not traces:
         raise ValueError("no traces given")
-    vaqm_config = replace(config, method=METHOD_VAQM, avaqm_grid=None)
+    vaqm_config = replace(config, avaqm_grid=None)
     if exact_geometries is None:
         exact_geometries = [session_geometry(trace, vaqm_config) for trace in traces]
     # Every pool below shares the layout and footprint of config.
@@ -656,8 +708,8 @@ def approximation_error_study(
         exact_q.append(_pooled(geometry, variant_series[-1], hq, vaqm_config)[0])
     reports = []
     for grid_dims in grids:
-        bank_config = replace(config, method=METHOD_AVAQM, avaqm_grid=grid_dims)
-        bank = _bank_tile_sums(bank_config, grid_dims)
+        bank_config = replace(config, avaqm_grid=grid_dims)
+        bank = _bank_tile_sums(bank_config)
         errors = []
         excluded = 0
         for trace, q, variants in zip(traces, exact_q, variant_series):

@@ -309,6 +309,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (evaluate + ["--method", "vaqm", "--grid", "3x6"], "bank grid"),
         (study + ["--grid", "3x6"], "bank grid"),
         (study + ["--segment-ms", "0"], "segment length"),
+        (study + ["--segment-ms", "nan"], "segment length"),
+        (study + ["--segments", "0"], "segment length"),
+        (study + ["--segments", "500,-500"], "segment length"),
+        (study + ["--segments", "nan"], "segment length"),
+        (study + ["--segments", "inf"], "segment length"),
+        (study + ["--footprint", "missing.json", "--segments", "0"], "segment length"),
+        # Non-finite numbers in any pair flag.
+        (evaluate + ["--resolution", "infx2"], "finite resolution"),
+        (evaluate + ["--resolution", "nanx2"], "finite resolution"),
+        (evaluate + ["--method", "avaqm", "--grid", "infx2"], "finite grid"),
+        (evaluate + ["--method", "avaqm", "--grid", "3xnan"], "finite grid"),
+        (study + ["--grids", "3x6,infx2"], "finite grid"),
+        (evaluate + ["--fov", "nan,85"], "finite FoV"),
+        (mask + ["--resolution", "infx2"], "finite resolution"),
+        (mask + ["--pog", "nan,0"], "finite PoG"),
+        (mask + ["--pog", "10,inf"], "finite PoG"),
         (evaluate + ["--fov", "200,85"], "field of view"),
         (evaluate + ["--fps", "0"], "frame period"),
         (evaluate + ["--fps", "inf"], "frame period"),
@@ -370,6 +386,16 @@ def test_data_errors_exit_3(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "r"),
     )
     assert code == 3 and f"{trace}:3: non-finite value" in err
+
+    footprint = tmp_path / "footprint.json"
+    for tiles in ([[1]], [1], 5):
+        footprint.write_text(json.dumps({"0": tiles}))
+        code, _, err = run(
+            capsys,
+            "evaluate", "--trace", str(trace), "--resolution", "960x480",
+            "--footprint", str(footprint), "--out-prefix", str(tmp_path / "r"),
+        )
+        assert code == 3 and f"{footprint}: variant 0: " in err
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

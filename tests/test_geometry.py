@@ -70,6 +70,12 @@ def test_spherical_point_normalization():
     assert SphericalPoint(-10.0, 90.0).theta_deg == pytest.approx(350.0)
     assert SphericalPoint(0.0, 200.0).phi_deg == 180.0
     assert SphericalPoint(0.0, -5.0).phi_deg == 0.0
+    # A tiny negative azimuth rounds to 360 under mod and folds to 0, as in SessionTrace.
+    assert SphericalPoint(-1e-20, 90.0).theta_deg == 0.0
+    assert SphericalPoint(360.0, 90.0).theta_deg == 0.0
+    for theta, phi in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 90.0), (10.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SphericalPoint(theta, phi)
 
 
 def test_pixel_center_examples():

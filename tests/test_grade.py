@@ -225,3 +225,10 @@ def test_load_footprint_json(tmp_path):
     path.write_text(json.dumps({"first": [[0, 0]]}))
     with pytest.raises(ValueError, match="non-integer"):
         load_footprint_json(str(path))
+
+    # Each tile is a [row, col] pair of JSON integers.
+    for tiles in ([[1]], [1], 5, [[0, 1, 2]], [[0.0, 1]], [["0", 1]], [[True, 1]], [None]):
+        path.write_text(json.dumps({"0": [[0, 0]], "3": tiles}))
+        with pytest.raises(ValueError) as info:
+            load_footprint_json(str(path))
+        assert str(info.value).startswith(f"{path}: variant 3: "), tiles

@@ -34,17 +34,15 @@ from vq360.mask import (
     _project_spans,
     _spans_to_raster,
     arc_phi_deg,
-    bank_centers,
     corner_colatitudes_deg,
     exact_mask,
     exact_membership,
     jaccard_index,
-    nearest_center_index,
     project_viewport,
     write_mask_npz,
     write_mask_pgm,
 )
-from vq360.session import _sin_prefix, _tile_weight_sums
+from vq360.session import _sin_prefix, _tile_weight_sums, bank_centers, nearest_center_index
 
 from rotations import phi_rotation_matrix, theta_rotation_matrix
 

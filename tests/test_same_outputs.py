@@ -1,0 +1,54 @@
+"""The byte-identity check's comparison of two output directories."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    spec = importlib.util.spec_from_file_location("bench_same_outputs", ROOT / "bench" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_tree(root, files):
+    for name, payload in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)
+
+
+FILES = {
+    "run_frames.csv": b"frame,q\n0,0.5\n1,0.25\n",
+    "run_summary.json": b'{"q_window": 0.375}\n',
+    "tables/segment_table.csv": b"content,segment_ms\nwalk,500\n",
+}
+
+
+def test_identical_directories_do_not_differ(tmp_path, same_outputs):
+    write_tree(tmp_path / "a", FILES)
+    write_tree(tmp_path / "b", FILES)
+    assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "b")) == []
+
+
+def test_one_changed_byte_and_missing_files_differ(tmp_path, same_outputs):
+    write_tree(tmp_path / "a", FILES)
+    changed = dict(FILES)
+    # 0.25 and 0.26 differ in one byte; the line count is the same.
+    changed["run_frames.csv"] = FILES["run_frames.csv"].replace(b"0.25", b"0.26")
+    del changed["run_summary.json"]
+    changed["extra.csv"] = b""
+    write_tree(tmp_path / "b", changed)
+    assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "b")) == [
+        "extra.csv",
+        "run_frames.csv",
+        "run_summary.json",
+    ]
+    # A nested file is compared by its relative path.
+    write_tree(tmp_path / "c", dict(FILES, **{"tables/segment_table.csv": b"content,segment_ms\nwalk,501\n"}))
+    assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "c")) == ["tables/segment_table.csv"]

@@ -16,7 +16,7 @@ from vq360.geometry import (
     row_centers_deg,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
-from vq360.mask import _project_spans, bank_centers, exact_mask, nearest_center_index
+from vq360.mask import _project_spans, exact_mask
 from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
@@ -29,8 +29,10 @@ from vq360.session import (
     _variant_per_frame,
     active_variant,
     approximation_error_study,
+    bank_centers,
     evaluate_session,
     load_batch_manifest,
+    nearest_center_index,
     parse_trace,
     pool_session,
     segment_frames,
@@ -428,12 +430,14 @@ def test_active_variant_is_a_step_function():
 
 
 def test_session_config_validation():
-    with pytest.raises(ValueError):
-        base_config(segment_ms=0.0)
-    with pytest.raises(ValueError):
-        base_config(method="exactly")
-    with pytest.raises(ValueError):
+    for segment_ms in (0.0, -500.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            base_config(segment_ms=segment_ms)
+    # The bank grid alone selects the method.
+    with pytest.raises(TypeError):
         base_config(method="avaqm")
+    assert base_config().method == "vaqm"
+    assert base_config(avaqm_grid=(3, 6)).method == "avaqm"
     with pytest.raises(ValueError):
         base_config(resolution=Resolution(1920, 960))
     for t_q in (-0.1, 1.5, math.nan):
@@ -459,7 +463,7 @@ def test_vaqm_matches_dense_reference():
 
 def test_avaqm_matches_dense_reference():
     trace = synthetic_trace(duration_s=2.0, fps=10.0, speed_deg_per_s=60.0, seed=22)
-    config = base_config(method="avaqm", avaqm_grid=(3, 6))
+    config = base_config(avaqm_grid=(3, 6))
     fast = evaluate_session(trace, config)
     dense = _evaluate_session_dense(trace, config)
     assert fast.q_frame == pytest.approx(dense.q_frame, rel=1e-5, abs=1e-7)
@@ -487,7 +491,7 @@ def test_all_tiles_high_quality_gives_unit_quality():
 def test_one_geometry_serves_every_segment_length():
     """Stage 2 on a shared stage-1 geometry gives the same bits as a fresh evaluation."""
     trace = synthetic_trace(duration_s=4.0, fps=30.0, speed_deg_per_s=60.0, seed=23)
-    for config in (base_config(), base_config(method="avaqm", avaqm_grid=(5, 10))):
+    for config in (base_config(), base_config(avaqm_grid=(5, 10))):
         geometry = session_geometry(trace, config)
         for segment_ms, footprint, normalization in (
             (100.0, "area-only", "mask-area"),
@@ -502,7 +506,7 @@ def test_one_geometry_serves_every_segment_length():
 
 def test_avaqm_geometry_is_one_row_per_bank_center():
     trace = synthetic_trace(duration_s=2.0, fps=10.0, speed_deg_per_s=60.0, seed=24)
-    geometry = session_geometry(trace, base_config(method="avaqm", avaqm_grid=(5, 10)))
+    geometry = session_geometry(trace, base_config(avaqm_grid=(5, 10)))
     centers = bank_centers(5, 10)
     assert geometry.tile_sums.shape == (50, LAYOUT.grid.rows * LAYOUT.grid.cols)
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
@@ -531,7 +535,7 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
     it is projected center by center."""
     res = Resolution(*res)
     config = base_config(
-        fov=FieldOfView(*fov), resolution=res, layout=variant_layout_26(res), method="avaqm", avaqm_grid=grid
+        fov=FieldOfView(*fov), resolution=res, layout=variant_layout_26(res), avaqm_grid=grid
     )
     centers = bank_centers(*grid)
     expected = session_module._tile_sums_at(centers, config)
@@ -548,7 +552,7 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
         return project(pog, fov, res)
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
-    bank, sums = session_module._bank_tile_sums(config, grid)
+    bank, sums = session_module._bank_tile_sums(config)
     assert bank == centers
     assert sums.tobytes() == expected.tobytes()
     assert calls == projected
@@ -578,7 +582,7 @@ def test_nearest_center_rule_is_shared_on_ties():
     for rows, cols in ((3, 6), (5, 10), (10, 20)):
         pogs = tie_pogs(rows, cols)
         trace = points_trace(10.0, pogs)
-        geometry = session_geometry(trace, base_config(method="avaqm", avaqm_grid=(rows, cols)))
+        geometry = session_geometry(trace, base_config(avaqm_grid=(rows, cols)))
         centers = bank_centers(rows, cols)
         assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
         for pog, row in zip(trace.samples, geometry.mask_rows):
@@ -616,7 +620,7 @@ def test_pool_session_rejects_foreign_geometry():
     geometry = session_geometry(trace, base_config())
     for config in (
         base_config(fov=FieldOfView(90.0, 90.0)),
-        base_config(method="avaqm", avaqm_grid=(3, 6)),
+        base_config(avaqm_grid=(3, 6)),
     ):
         with pytest.raises(ValueError, match="another trace or configuration"):
             pool_session(trace, config, geometry)
@@ -682,7 +686,7 @@ def test_error_study_reuses_exact_geometries():
     for a, b in zip(fresh, reused):
         assert np.array_equal(a.per_frame_errors, b.per_frame_errors)
         assert a.excluded_frames == b.excluded_frames
-    avaqm = session_geometry(traces[0], base_config(method="avaqm", avaqm_grid=(3, 6)))
+    avaqm = session_geometry(traces[0], base_config(avaqm_grid=(3, 6)))
     with pytest.raises(ValueError, match="another trace or configuration"):
         approximation_error_study(traces[:1], config, [(3, 6)], [avaqm])
 
@@ -742,7 +746,7 @@ def test_load_batch_manifest(tmp_path):
 
 def test_session_report_contents():
     trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=27)
-    config = base_config(method="avaqm", avaqm_grid=(3, 6))
+    config = base_config(avaqm_grid=(3, 6))
     timeline = evaluate_session(trace, config)
     report = session_report(timeline, config, trace, frame_csv="frames.csv")
     assert report["q_window"] == timeline.q_window
@@ -755,9 +759,7 @@ def test_session_report_contents():
     assert report["frame_series"] == "frames.csv"
     assert report["hq_footprint"] == "area+neighbors"
     json.dumps(report)
-    # vaqm uses no bank: a vaqm config cannot carry a grid, and its report has none.
-    with pytest.raises(ValueError, match="bank grid applies only to method avaqm"):
-        base_config(avaqm_grid=(3, 6))
+    # vaqm uses no bank, and its report has no grid.
     config = base_config()
     report = session_report(evaluate_session(trace, config), config, trace)
     assert report["method"] == "vaqm" and "avaqm_grid" not in report
