@@ -10,8 +10,8 @@ once in a temporary directory with ``perfbench/workloads.py`` of
 ``--checkout``, runs the workload's command line (``vq360 evaluate`` or
 ``vq360 study``) once with each checkout's ``src/`` first on the path,
 and compares every file the two runs wrote, byte for byte.  It prints
-one line per workload and seed and exits 1 if any output differs or any
-run fails.
+one line per workload and seed and exits 1 if any output differs, any
+run fails or a run writes no file at all.
 
 Standard library only, besides the numpy that perfbench's workloads use.
 """
@@ -70,6 +70,18 @@ def differing_files(a: str, b: str) -> list[str]:
     return differ
 
 
+def compare_outputs(change: str, parent: str) -> tuple[bool, str]:
+    """Whether two runs' output directories hold the same files byte for
+    byte, with at least one file between them, and the line that says so."""
+    differ = differing_files(change, parent)
+    if differ:
+        return False, f"DIFFERENT {', '.join(differ)}"
+    written = sorted(_files(change))
+    if not written:
+        return False, "no output file written, nothing compared"
+    return True, f"identical ({', '.join(written)})"
+
+
 def _run(root: str, argv: tuple[str, ...], out: str) -> subprocess.CompletedProcess:
     """The command line with root's src/ first on the path, writing to out."""
     env = dict(os.environ)
@@ -112,12 +124,10 @@ def main(argv=None) -> int:
                     print(f"{name} seed {seed}: " + "; ".join(failed))
                     status = 1
                     continue
-                differ = differing_files(outs["change"], outs["parent"])
-                if differ:
-                    print(f"{name} seed {seed}: DIFFERENT {', '.join(differ)}")
+                same, verdict = compare_outputs(outs["change"], outs["parent"])
+                print(f"{name} seed {seed}: {verdict}")
+                if not same:
                     status = 1
-                else:
-                    print(f"{name} seed {seed}: identical ({', '.join(sorted(_files(outs['change'])))})")
     return status
 
 

@@ -16,7 +16,6 @@ from .grade import (
     TileGrid,
     VariantLayout,
     binary_grade_map,
-    hq_tile_set,
     load_footprint_json,
     variant_layout_26,
 )

@@ -26,7 +26,7 @@ from .geometry import (
     SphericalPoint,
     equivalent_pixels_viewport,
 )
-from .grade import FOOTPRINT_AREA_NEIGHBORS, FOOTPRINT_AREA_ONLY, load_footprint_json, variant_layout_26
+from .grade import FOOTPRINT_AREA_NEIGHBORS, FOOTPRINT_RULES, load_footprint_json, variant_layout_26
 from .mask import (
     DEFAULT_SAMPLES_PER_SIDE,
     _atomic_write_bytes,
@@ -161,8 +161,8 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
-    """Session config from the flags alone.  A --footprint file path is
-    kept as given; _read_footprint loads it once every flag is checked."""
+    """Session config from the flags alone.  A --footprint file's mapping
+    replaces the default rule in _read_footprint, once every flag is checked."""
     grid = _parse_grid(args.grid) if args.grid else None
     if (args.method == METHOD_AVAQM) != (grid is not None):
         raise UsageError("--method avaqm needs a bank grid (--grid ROWSxCOLS), and --grid needs --method avaqm")
@@ -173,17 +173,22 @@ def _session_config(args, res: Resolution, fov: FieldOfView) -> SessionConfig:
             fov=fov,
             resolution=res,
             layout=variant_layout_26(res),
-            hq_footprint=args.footprint,
+            hq_footprint=args.footprint if args.footprint in FOOTPRINT_RULES else FOOTPRINT_AREA_NEIGHBORS,
             avaqm_grid=grid,
             t_q=args.t_q,
             normalization=args.normalization,
         )
 
 
-def _read_footprint(config: SessionConfig) -> SessionConfig:
-    if config.hq_footprint in (FOOTPRINT_AREA_ONLY, FOOTPRINT_AREA_NEIGHBORS):
+def _read_footprint(config: SessionConfig, footprint: str) -> SessionConfig:
+    """The config with a --footprint file's mapping; errors name the file."""
+    if footprint in FOOTPRINT_RULES:
         return config
-    return replace(config, hq_footprint=load_footprint_json(config.hq_footprint))
+    mapping = load_footprint_json(footprint)
+    try:
+        return replace(config, hq_footprint=mapping)
+    except ValueError as exc:
+        raise ValueError(f"{footprint}: {exc}") from None
 
 
 def cmd_mask(args) -> int:
@@ -218,7 +223,7 @@ def cmd_evaluate(args) -> int:
     config = _session_config(args, res, fov)
     with _flag_values():
         segment_frames(config.segment_ms, args.fps)
-    config = _read_footprint(config)
+    config = _read_footprint(config, args.footprint)
     trace = _load_trace(args, args.trace)
     timeline = evaluate_session(trace, config)
     frame_csv = args.out_prefix + "_frames.csv"
@@ -241,12 +246,8 @@ def _manifest_trace(entry: dict, args):
 
 
 def _segment_list(entry: dict, default: list[float]) -> list[float]:
-    raw = entry.get("segment_ms")
-    if raw is None:
-        return default
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    return [float(s) for s in raw]
+    raw = entry.get("segment_ms", default)
+    return [float(s) for s in (raw if isinstance(raw, list) else [raw])]
 
 
 def _write_table(path: str, rows: list[tuple]) -> None:
@@ -270,7 +271,7 @@ def cmd_study(args) -> int:
         # at each trace's frame rate are checked per trace.
         for segment_ms in default_segments:
             replace(base_config, segment_ms=segment_ms)
-    base_config = _read_footprint(base_config)
+    base_config = _read_footprint(base_config, args.footprint)
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 

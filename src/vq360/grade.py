@@ -3,11 +3,12 @@
 A grade map assigns every pixel of the equirectangular frame a quality
 level in [0, 1].  For tiled viewport-adaptive delivery the grade is the
 variant layout's binary map: one on the tiles a variant delivers in high
-quality (its HQ footprint), zero elsewhere.  The session engine pools
-those HQ flags per tile; the dense ``binary_grade_map`` raster is the
-per-pixel form that ``pooling.frame_quality`` takes.  The 26-variant
-layout merges the top and bottom tile rows of a 5x8 grid into one area
-each, leaving the 24 middle tiles as individual areas.
+quality (its HQ footprint), zero elsewhere.  ``_hq_table`` derives the
+HQ flags of every tile and variant; the session engine pools them per
+tile, and ``binary_grade_map`` expands a variant's flags to the dense
+raster ``pooling.frame_quality`` takes.  The 26-variant layout merges
+the top and bottom tile rows of a 5x8 grid into one area each, leaving
+the 24 middle tiles as individual areas.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .geometry import Resolution, spherical_to_pixel_arrays
 
 FOOTPRINT_AREA_ONLY = "area-only"
 FOOTPRINT_AREA_NEIGHBORS = "area+neighbors"
+FOOTPRINT_RULES = (FOOTPRINT_AREA_ONLY, FOOTPRINT_AREA_NEIGHBORS)
 
 
 @dataclass(frozen=True)
@@ -138,53 +140,49 @@ def variant_layout_26(res: Resolution) -> VariantLayout:
     return VariantLayout(grid, tuple(areas))
 
 
-def hq_tile_set(layout: VariantLayout, variant_index: int, hq_footprint="area+neighbors") -> frozenset[tuple[int, int]]:
-    """Tiles delivered in high quality for a variant under a footprint rule.
+def _hq_table(layout: VariantLayout, hq_footprint) -> np.ndarray:
+    """HQ flags of every variant under a footprint rule, as a bool array of
+    shape (variants, tile rows, tile cols).
 
     The rule is "area-only" (just the variant's own tiles),
     "area+neighbors" (plus the 8-neighborhood of each tile, wrapping in
     theta across columns 0/cols-1 and clamped at the top/bottom rows), or
-    a mapping from variant index to an explicit tile list.
+    a mapping from every variant index to a non-empty list of in-grid tiles.
     """
-    if not (0 <= variant_index < layout.variant_count):
-        raise ValueError(f"variant {variant_index} outside 0..{layout.variant_count - 1}")
     grid = layout.grid
-    if hq_footprint == FOOTPRINT_AREA_ONLY:
-        return frozenset(layout.areas[variant_index])
-    if hq_footprint == FOOTPRINT_AREA_NEIGHBORS:
-        tiles: set[tuple[int, int]] = set()
-        for r, c in layout.areas[variant_index]:
-            for dr in (-1, 0, 1):
-                rr = r + dr
-                if rr < 0 or rr >= grid.rows:
-                    continue
-                for dc in (-1, 0, 1):
-                    tiles.add((rr, (c + dc) % grid.cols))
-        return frozenset(tiles)
-    if isinstance(hq_footprint, dict):
+    if hq_footprint in FOOTPRINT_RULES:
+        table = layout._area_table == np.arange(layout.variant_count)[:, None, None]
+        if hq_footprint == FOOTPRINT_AREA_NEIGHBORS:
+            wide = table | np.roll(table, 1, axis=2) | np.roll(table, -1, axis=2)
+            table = wide.copy()
+            table[:, 1:] |= wide[:, :-1]
+            table[:, :-1] |= wide[:, 1:]
+        return table
+    if not isinstance(hq_footprint, dict):
+        raise ValueError(f"unknown footprint spec {hq_footprint!r}")
+    table = np.zeros((layout.variant_count, grid.rows, grid.cols), dtype=bool)
+    for variant, flags in enumerate(table):
         try:
-            listed = hq_footprint[variant_index]
+            listed = hq_footprint[variant]
         except KeyError:
-            raise ValueError(f"footprint mapping has no entry for variant {variant_index}") from None
-        tiles = set()
+            raise ValueError(f"footprint mapping has no entry for variant {variant}") from None
         for entry in listed:
             r, c = int(entry[0]), int(entry[1])
             if not (0 <= r < grid.rows and 0 <= c < grid.cols):
                 raise ValueError(f"footprint tile ({r},{c}) outside {grid.rows}x{grid.cols} grid")
-            tiles.add((r, c))
-        if not tiles:
-            raise ValueError(f"footprint for variant {variant_index} is empty")
-        return frozenset(tiles)
-    raise ValueError(f"unknown footprint spec {hq_footprint!r}")
+            flags[r, c] = True
+        if not flags.any():
+            raise ValueError(f"footprint for variant {variant} is empty")
+    return table
 
 
 def binary_grade_map(layout: VariantLayout, variant_index: int, hq_footprint="area+neighbors") -> GradeMap:
     """All-ones on the variant's high-quality tiles, zero elsewhere."""
-    raster = np.zeros((layout.grid.resolution.n_v, layout.grid.resolution.n_h))
-    for tile_row, tile_col in hq_tile_set(layout, variant_index, hq_footprint):
-        rows, cols = layout.grid.tile_slices(tile_row, tile_col)
-        raster[rows, cols] = 1.0
-    return GradeMap(layout.grid.resolution, raster)
+    if not (0 <= variant_index < layout.variant_count):
+        raise ValueError(f"variant {variant_index} outside 0..{layout.variant_count - 1}")
+    grid = layout.grid
+    raster = _hq_table(layout, hq_footprint)[variant_index].repeat(np.diff(grid.row_edges()), axis=0)
+    return GradeMap(grid.resolution, raster.repeat(np.diff(grid.col_edges()), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,10 @@ def load_footprint_json(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
     """Explicit HQ footprint: JSON object mapping variant index to a list
     of [row, col] tiles, each a pair of integers."""
     with open(path) as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object mapping variant index to tile lists")
     footprint: dict[int, tuple[tuple[int, int], ...]] = {}

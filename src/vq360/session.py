@@ -21,14 +21,14 @@ the bank grid: it takes the analytic per-column spans of the viewing
 pyramid for every distinct mask (each frame's PoG for vaqm; for avaqm
 one center per bank row, rolled to the row's other centers), reduces
 them to one row of per-tile weight sums per mask and records which row
-each frame uses.  Stage 2,
-:func:`pool_session`, applies the segment schedule, the HQ footprint and
-the normalization: one product of the tile sums with the per-variant HQ
-flags gives a (masks x variants) table, from which each frame's quality
-is gathered.  A study scores one trace under many segment lengths and
-bank grids by running stage 1 once and stage 2 many times.  No dense
-raster is ever built; the tests check the engine against a dense
-reference built on the per-pixel membership oracle.
+each frame uses.  Stage 2, :func:`pool_session`, applies the segment
+schedule, the HQ footprint and the normalization: one product of the
+tile sums with the per-variant HQ flags, which the config resolves once
+from its footprint, gives a (masks x variants) table, from which each
+frame's quality is gathered.  A study scores one trace under many
+segment lengths and bank grids by running stage 1 once and stage 2 many
+times.  No dense raster is ever built; the tests check the engine
+against a dense reference built on the per-pixel membership oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -54,7 +55,7 @@ from .geometry import (
     spherical_to_cartesian,
     spherical_to_cartesian_arrays,
 )
-from .grade import TileGrid, VariantLayout, hq_tile_set
+from .grade import TileGrid, VariantLayout, _hq_table
 from .mask import _atomic_write_bytes, _project_spans
 from .pooling import (
     DEFAULT_T_Q,
@@ -137,14 +138,11 @@ class SessionTrace:
     def n_frames(self) -> int:
         return self.theta_deg.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.frames_per_second
-
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Delivery and evaluation parameters of one session run."""
+    """Delivery and evaluation parameters of one session run; ``_hq``
+    holds the footprint's HQ flags (_hq_table), shape (variants, tiles)."""
 
     segment_ms: float
     fov: FieldOfView
@@ -160,10 +158,18 @@ class SessionConfig:
             raise ValueError(f"segment length must be positive and finite, got {self.segment_ms} ms")
         if self.layout.grid.resolution != self.resolution:
             raise ValueError("layout tiling and session resolution differ")
+        grid = self.avaqm_grid
+        # type() is int rejects bools.
+        pair = type(grid) is tuple and len(grid) == 2 and all(type(n) is int and n > 0 for n in grid)
+        if not (grid is None or pair):
+            raise ValueError(f"bank grid must be a pair of positive integers, got {grid!r}")
         if not 0.0 <= self.t_q <= 1.0:
             raise ValueError(f"quality threshold t_q must lie in [0, 1], got {self.t_q}")
         if self.normalization not in (NORMALIZATION_MASK_AREA, NORMALIZATION_ANALYTIC):
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        hq = _hq_table(self.layout, self.hq_footprint).reshape(self.layout.variant_count, -1).astype(np.float64)
+        hq.setflags(write=False)
+        object.__setattr__(self, "_hq", hq)
 
     @property
     def method(self) -> str:
@@ -624,22 +630,10 @@ def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeome
 # ---------------------------------------------------------------------------
 
 
-def _hq_flags(config: SessionConfig) -> np.ndarray:
-    """Per variant, 1 on its HQ tiles and 0 elsewhere, shape (variants, tiles)."""
-    grid = config.layout.grid
-    flags = np.zeros((config.layout.variant_count, grid.rows, grid.cols))
-    for variant in range(config.layout.variant_count):
-        for r, c in hq_tile_set(config.layout, variant, config.hq_footprint):
-            flags[variant, r, c] = 1.0
-    return flags.reshape(config.layout.variant_count, -1)
-
-
-def _pooled(
-    geometry: SessionGeometry, variants: np.ndarray, hq: np.ndarray, config: SessionConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _pooled(geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame quality and denominator, gathered from (masks x variants)
-    tables; hq is _hq_flags(config)."""
-    rows = geometry.mask_rows
+    tables of the tile sums and the config's HQ flags."""
+    rows, hq = geometry.mask_rows, config._hq
     numerator = (geometry.tile_sums @ hq.T)[rows, variants]
     if config.normalization == NORMALIZATION_ANALYTIC:
         denominator = np.full(numerator.shape, equivalent_pixels_viewport(config.resolution, config.fov))
@@ -660,7 +654,7 @@ def _check_geometry(geometry: SessionGeometry, trace: SessionTrace, config: Sess
 def pool_session(trace: SessionTrace, config: SessionConfig, geometry: SessionGeometry) -> QualityTimeline:
     """Stage 2: quality timeline of a session from its stage-1 geometry."""
     _check_geometry(geometry, trace, config)
-    q, area = _pooled(geometry, _variant_per_frame(trace, config), _hq_flags(config), config)
+    q, area = _pooled(geometry, _variant_per_frame(trace, config), config)
     return make_timeline(q, area, config.t_q)
 
 
@@ -698,14 +692,12 @@ def approximation_error_study(
     vaqm_config = replace(config, avaqm_grid=None)
     if exact_geometries is None:
         exact_geometries = [session_geometry(trace, vaqm_config) for trace in traces]
-    # Every pool below shares the layout and footprint of config.
-    hq = _hq_flags(config)
     exact_q: list[np.ndarray] = []
     variant_series: list[np.ndarray] = []
     for trace, geometry in zip(traces, exact_geometries, strict=True):
         _check_geometry(geometry, trace, vaqm_config)
         variant_series.append(_variant_per_frame(trace, config))
-        exact_q.append(_pooled(geometry, variant_series[-1], hq, vaqm_config)[0])
+        exact_q.append(_pooled(geometry, variant_series[-1], vaqm_config)[0])
     reports = []
     for grid_dims in grids:
         bank_config = replace(config, avaqm_grid=grid_dims)
@@ -713,7 +705,7 @@ def approximation_error_study(
         errors = []
         excluded = 0
         for trace, q, variants in zip(traces, exact_q, variant_series):
-            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, hq, bank_config)[0]
+            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, bank_config)[0]
             usable = q > 0.0
             excluded += int(np.count_nonzero(~usable))
             errors.append(np.abs(approx[usable] - q[usable]) / q[usable])
@@ -761,10 +753,15 @@ def _manifest_entry_problem(entry) -> str | None:
                 return f"unknown key {key!r}"
             if not _is_number(value) or (key == "seed" and not isinstance(value, int)):
                 return f"synthetic {key!r} must be {'an integer' if key == 'seed' else 'a number'}"
-    segments = entry.get("segment_ms", 0.0)
-    listed = isinstance(segments, list) and segments and all(map(_is_number, segments))
-    if not (_is_number(segments) or listed):
+    if "segment_ms" not in entry:
+        return None
+    segments = entry["segment_ms"]
+    listed = segments if isinstance(segments, list) else [segments]
+    if not (listed and all(map(_is_number, listed))):
         return "'segment_ms' must be a number or a non-empty list of numbers"
+    # NaN fails the comparison; an integer past the float range fails it too.
+    if not all(0.0 < length <= sys.float_info.max for length in listed):
+        return f"'segment_ms' must be positive and finite, got {segments!r}"
     return None
 
 
@@ -772,8 +769,9 @@ def load_batch_manifest(path: str) -> list[dict]:
     """Batch run description: JSON list of {content, trace | synthetic, segment_ms}.
 
     Entries may hold only those keys, content must be a string without a
-    carriage return, and a synthetic recipe may hold only the
-    synthetic_trace parameters in RECIPE_KEYS, each a number.
+    carriage return, a synthetic recipe may hold only the synthetic_trace
+    parameters in RECIPE_KEYS, each a number, and segment_ms is a positive
+    finite number or a non-empty list of them.
     """
     with open(path) as handle:
         raw = json.load(handle)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,16 @@ def test_data_errors_exit_3(tmp_path, capsys):
         )
         assert code == 3 and f"{manifest}: entry 1: 'content' must be a string" in err
 
+    # Segment lengths are checked in the manifest, before any trace is read:
+    # the listed trace does not exist.
+    for segments in (0, math.nan, [500, -500]):
+        manifest.write_text(json.dumps([{"trace": str(tmp_path / "missing.csv"), "segment_ms": segments}]))
+        code, _, err = run(
+            capsys,
+            "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+        )
+        assert code == 3 and f"{manifest}: entry 0: 'segment_ms' must be positive and finite" in err
+
     trace.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n1,nan,0,0,0\n")
     code, _, err = run(
         capsys,
@@ -396,6 +407,29 @@ def test_data_errors_exit_3(tmp_path, capsys):
             "--footprint", str(footprint), "--out-prefix", str(tmp_path / "r"),
         )
         assert code == 3 and f"{footprint}: variant 0: " in err
+
+    # A footprint file is checked against the layout before the trace or
+    # the manifest is read: neither exists here.
+    full = {str(v): [[2, 3]] for v in range(26)}
+    for mapping, problem in (
+        ({k: v for k, v in full.items() if k != "1"}, "footprint mapping has no entry for variant 1"),
+        ({**full, "4": [[5, 0]]}, "footprint tile (5,0) outside 5x8 grid"),
+        ({**full, "4": []}, "footprint for variant 4 is empty"),
+    ):
+        footprint.write_text(json.dumps(mapping))
+        for argv in (
+            ["evaluate", "--trace", str(tmp_path / "missing.csv"), "--out-prefix", str(tmp_path / "r")],
+            ["study", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")],
+        ):
+            code, _, err = run(capsys, *argv, "--resolution", "960x480", "--footprint", str(footprint))
+            assert code == 3 and f"error: {footprint}: {problem}" in err, argv
+    footprint.write_text("{not json")
+    code, _, err = run(
+        capsys,
+        "evaluate", "--trace", str(tmp_path / "missing.csv"), "--footprint", str(footprint),
+        "--out-prefix", str(tmp_path / "r"),
+    )
+    assert code == 3 and f"error: {footprint}: " in err
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

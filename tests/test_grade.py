@@ -10,8 +10,8 @@ from vq360.grade import (
     GradeMap,
     TileGrid,
     VariantLayout,
+    _hq_table,
     binary_grade_map,
-    hq_tile_set,
     load_footprint_json,
     variant_layout_26,
 )
@@ -29,6 +29,11 @@ def neighbor_footprint_oracle(grid, tiles):
                 if 0 <= rr < grid.rows:
                     out.add((rr, (c + dc) % grid.cols))
     return frozenset(out)
+
+
+def hq_tiles(layout, variant, footprint):
+    """The HQ tiles of one variant: its row of the footprint table, as a set."""
+    return frozenset(map(tuple, np.argwhere(_hq_table(layout, footprint)[variant]).tolist()))
 
 
 def area_of_tile(layout, tile):
@@ -133,20 +138,22 @@ def test_variant_layout_rejects_bad_partitions():
 
 def test_footprint_area_only():
     layout = variant_layout_26(RES)
+    table = _hq_table(layout, "area-only")
+    assert table.dtype == bool and table.shape == (26, 5, 8)
     for variant in range(layout.variant_count):
-        assert hq_tile_set(layout, variant, "area-only") == frozenset(layout.areas[variant])
+        assert hq_tiles(layout, variant, "area-only") == frozenset(layout.areas[variant])
 
 
 def test_footprint_neighbors_matches_enumeration_oracle():
     layout = variant_layout_26(RES)
     for variant in range(layout.variant_count):
         expected = neighbor_footprint_oracle(layout.grid, layout.areas[variant])
-        assert hq_tile_set(layout, variant, "area+neighbors") == expected
+        assert hq_tiles(layout, variant, "area+neighbors") == expected
 
 
 def test_footprint_neighbors_wraps_columns():
     layout = variant_layout_26(RES)
-    tiles = hq_tile_set(layout, area_of_tile(layout, (2, 0)), "area+neighbors")
+    tiles = hq_tiles(layout, area_of_tile(layout, (2, 0)), "area+neighbors")
     assert (2, 7) in tiles and (2, 1) in tiles
     assert (1, 7) in tiles and (3, 7) in tiles
 
@@ -154,21 +161,29 @@ def test_footprint_neighbors_wraps_columns():
 def test_footprint_explicit_mapping():
     layout = variant_layout_26(RES)
     mapping = {v: [(2, 3), (2, 4)] for v in range(layout.variant_count)}
-    assert hq_tile_set(layout, 0, mapping) == frozenset({(2, 3), (2, 4)})
-    with pytest.raises(ValueError):
-        hq_tile_set(layout, 0, {1: [(0, 0)]})
-    with pytest.raises(ValueError):
-        hq_tile_set(layout, 0, {0: [(9, 0)]})
-    with pytest.raises(ValueError):
-        hq_tile_set(layout, 0, {0: []})
+    mapping[5] = [(0, 0), (4, 7), (0, 0)]
+    assert hq_tiles(layout, 0, mapping) == frozenset({(2, 3), (2, 4)})
+    assert hq_tiles(layout, 5, mapping) == frozenset({(0, 0), (4, 7)})
+    # Every variant needs an entry, each a non-empty list of in-grid tiles.
+    for bad, message in (
+        ({1: [(0, 0)]}, "no entry for variant 0"),
+        ({v: tiles for v, tiles in mapping.items() if v != 25}, "no entry for variant 25"),
+        ({**mapping, 0: [(9, 0)]}, r"footprint tile \(9,0\) outside 5x8 grid"),
+        ({**mapping, 3: [(0, -1)]}, r"footprint tile \(0,-1\) outside 5x8 grid"),
+        ({**mapping, 0: []}, "footprint for variant 0 is empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _hq_table(layout, bad)
 
 
 def test_footprint_validation():
     layout = variant_layout_26(RES)
-    with pytest.raises(ValueError):
-        hq_tile_set(layout, 26, "area-only")
-    with pytest.raises(ValueError):
-        hq_tile_set(layout, 0, "everything")
+    for variant in (26, -1):
+        with pytest.raises(ValueError, match="outside 0..25"):
+            binary_grade_map(layout, variant, "area-only")
+    for spec in ("everything", None, [(0, 0)]):
+        with pytest.raises(ValueError, match="unknown footprint spec"):
+            _hq_table(layout, spec)
 
 
 def test_binary_grade_map_marks_exactly_the_footprint():
@@ -181,6 +196,24 @@ def test_binary_grade_map_marks_exactly_the_footprint():
         rows, cols = layout.grid.tile_slices(*tile)
         expected[rows, cols] = 1.0
     assert np.array_equal(grade.grades, expected)
+
+
+@pytest.mark.parametrize("size", [(960, 480), (102, 51), (16, 8)])
+def test_binary_grade_map_equals_tile_slices_reference(size):
+    """Every variant under every kind of footprint, with remainder pixels in
+    the last tile row and column at 102x51: the raster is the table's row
+    painted tile by tile through TileGrid.tile_slices."""
+    layout = variant_layout_26(Resolution(*size))
+    explicit = {v: [(v % 5, (3 * v) % 8), (4 - v % 5, 7)] for v in range(layout.variant_count)}
+    for footprint in ("area-only", "area+neighbors", explicit):
+        table = _hq_table(layout, footprint)
+        for variant in range(layout.variant_count):
+            expected = np.zeros((layout.grid.resolution.n_v, layout.grid.resolution.n_h))
+            for tile in np.argwhere(table[variant]).tolist():
+                rows, cols = layout.grid.tile_slices(*tile)
+                expected[rows, cols] = 1.0
+            grades = binary_grade_map(layout, variant, footprint).grades
+            assert grades.dtype == np.float64 and np.array_equal(grades, expected), (size, footprint, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "frame_quality",
     "geometry",
     "grade",
-    "hq_tile_set",
     "jaccard_index",
     "load_batch_manifest",
     "load_footprint_json",

@@ -36,6 +36,29 @@ def test_identical_directories_do_not_differ(tmp_path, same_outputs):
     assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "b")) == []
 
 
+def test_verdict_needs_a_written_file(tmp_path, same_outputs):
+    """Two runs that wrote nothing agree, but compared nothing: a failure."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "b")) == []
+    assert same_outputs.compare_outputs(str(tmp_path / "a"), str(tmp_path / "b")) == (
+        False,
+        "no output file written, nothing compared",
+    )
+    write_tree(tmp_path / "c", FILES)
+    write_tree(tmp_path / "d", FILES)
+    assert same_outputs.compare_outputs(str(tmp_path / "c"), str(tmp_path / "d")) == (
+        True,
+        "identical (run_frames.csv, run_summary.json, tables/segment_table.csv)",
+    )
+    # Files on one side only differ, whichever side is empty.
+    assert same_outputs.compare_outputs(str(tmp_path / "a"), str(tmp_path / "c"))[0] is False
+    assert same_outputs.compare_outputs(str(tmp_path / "c"), str(tmp_path / "a")) == (
+        False,
+        "DIFFERENT run_frames.csv, run_summary.json, tables/segment_table.csv",
+    )
+
+
 def test_one_changed_byte_and_missing_files_differ(tmp_path, same_outputs):
     write_tree(tmp_path / "a", FILES)
     changed = dict(FILES)

@@ -125,7 +125,6 @@ def test_synthetic_trace_step_sizes():
     speed, fps = 45.0, 30.0
     trace = synthetic_trace(duration_s=4.0, fps=fps, speed_deg_per_s=speed, seed=9)
     assert trace.n_frames == 120
-    assert trace.duration_s == pytest.approx(4.0)
     step = speed / fps
     moved = dwelled = 0
     for a, b in zip(trace.samples, trace.samples[1:]):
@@ -438,8 +437,22 @@ def test_session_config_validation():
         base_config(method="avaqm")
     assert base_config().method == "vaqm"
     assert base_config(avaqm_grid=(3, 6)).method == "avaqm"
+    # The bank grid is None or a pair of positive integers.
+    for grid in ((2.5, 6), (3,), (0, 5), (3, -6), (True, 6), (3, 6, 1), [3, 6], "3x6", 3):
+        with pytest.raises(ValueError, match="bank grid must be a pair of positive integers"):
+            base_config(avaqm_grid=grid)
     with pytest.raises(ValueError):
         base_config(resolution=Resolution(1920, 960))
+    # The footprint is resolved, and so checked, when the config is built.
+    full = {v: [(2, 3)] for v in range(LAYOUT.variant_count)}
+    for footprint, message in (
+        ("bogus", "unknown footprint spec 'bogus'"),
+        ({v: tiles for v, tiles in full.items() if v != 7}, "no entry for variant 7"),
+        ({**full, 4: [(5, 0)]}, r"footprint tile \(5,0\) outside 5x8 grid"),
+        ({**full, 4: []}, "footprint for variant 4 is empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            base_config(hq_footprint=footprint)
     for t_q in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="t_q"):
             base_config(t_q=t_q)
@@ -486,6 +499,33 @@ def test_all_tiles_high_quality_gives_unit_quality():
     )
     timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
     assert timeline.q_frame.tolist() == [1.0] * 10
+
+
+def test_footprint_table_is_built_once_per_config(monkeypatch):
+    """A config resolves its footprint into read-only float flags when it is
+    built; stage 2 and the error study only read them."""
+    calls = []
+    table = session_module._hq_table
+
+    def counted(layout, hq_footprint):
+        calls.append(hq_footprint)
+        return table(layout, hq_footprint)
+
+    monkeypatch.setattr(session_module, "_hq_table", counted)
+    config = base_config(hq_footprint="area-only")
+    assert len(calls) == 1
+    assert config._hq.dtype == np.float64 and config._hq.shape == (26, 40)
+    assert not config._hq.flags.writeable
+    assert np.array_equal(config._hq, table(LAYOUT, "area-only").reshape(26, 40))
+    trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=30)
+    geometry = session_geometry(trace, config)
+    for _ in range(3):
+        pool_session(trace, config, geometry)
+    assert len(calls) == 1
+    # One table for each config the study builds (the vaqm side and each
+    # bank grid), none for each trace it pools.
+    approximation_error_study([trace, trace], config, [(3, 6), (5, 10)])
+    assert len(calls) == 4
 
 
 def test_one_geometry_serves_every_segment_length():
@@ -706,6 +746,8 @@ def test_load_batch_manifest(tmp_path):
     entries = [
         {"trace": "a.csv", "content": "roller"},
         {"synthetic": {"seed": 1, "duration_s": 2.0}, "content": "walk"},
+        {"trace": "b.csv", "segment_ms": 500},
+        {"trace": "c.csv", "segment_ms": [500, 2000.5]},
     ]
     path.write_text(json.dumps(entries))
     assert load_batch_manifest(str(path)) == entries
@@ -733,6 +775,14 @@ def test_load_batch_manifest(tmp_path):
         ({"trace": 3}, "'trace' must be a file path"),
         ({"trace": "a.csv", "segment_ms": "500"}, "'segment_ms' must be"),
         ({"trace": "a.csv", "segment_ms": []}, "'segment_ms' must be"),
+        ({"trace": "a.csv", "segment_ms": None}, "'segment_ms' must be a number"),
+        ({"trace": "a.csv", "segment_ms": True}, "'segment_ms' must be a number"),
+        # json.load reads NaN and Infinity; an integer may overflow a float.
+        ({"trace": "a.csv", "segment_ms": 0}, "'segment_ms' must be positive and finite, got 0"),
+        ({"trace": "a.csv", "segment_ms": -500.0}, "'segment_ms' must be positive and finite"),
+        ({"trace": "a.csv", "segment_ms": math.nan}, "'segment_ms' must be positive and finite, got nan"),
+        ({"trace": "a.csv", "segment_ms": [500, math.inf]}, "'segment_ms' must be positive and finite"),
+        ({"trace": "a.csv", "segment_ms": 10**400}, "'segment_ms' must be positive and finite"),
         ({"trace": "a.csv", "content": ["x"]}, "'content' must be a string"),
         ({"trace": "a.csv", "content": 7}, "'content' must be a string"),
         ({"trace": "a.csv", "content": "a\rb"}, "'content' must be a string"),
