@@ -11,7 +11,10 @@ For every workload and seed it runs ``perfbench/run.py`` of each checkout
 in a fresh process, from that checkout's root.  Given a parent, each seed
 is one pair of runs, and the side that runs first alternates from pair to
 pair, so a drift in host speed falls on both sides alike.  From every run
-it keeps the ``record {...}`` line and the final JSON result line.
+it keeps the ``record {...}`` line and the final JSON result line.  The
+result line is read strictly (parse_result_line): a run whose last line
+holds NaN or Infinity, or lacks correct, attempted, failed or metrics,
+fails with the error "malformed result line" and that line's text.
 
 ``BENCH_<label>.json`` (in ``--out``, default the current directory)
 holds the checkout's commit, whether its tree differed from that commit,
@@ -126,20 +129,32 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     wall = time.perf_counter() - began
     lines = done.stdout.splitlines()
     record = next((json.loads(l[len(RECORD_PREFIX):]) for l in lines if l.startswith(RECORD_PREFIX)), None)
-    try:
-        result = json.loads(lines[-1]) if lines else None
-    except json.JSONDecodeError:
-        result = None
+    result = parse_result_line(lines[-1]) if lines else None
     run = {"seed": seed, "exit": done.returncode, "wall_s": wall}
-    if done.returncode != 0 or record is None or not isinstance(result, dict):
-        run["error"] = done.stderr.strip()[-2000:] or "no record or result line"
-        return run
-    run["correct"] = result["correct"]
-    run["attempted"] = result["attempted"]
-    run["failed"] = result["failed"]
-    run["metrics"] = {name: entry["value"] for name, entry in result["metrics"].items()}
-    run["record"] = _brief(record)
+    if done.returncode != 0 or record is None:
+        run["error"] = done.stderr.strip()[-2000:] or "no record line"
+    elif result is None:
+        # The line itself is kept, so that what the run printed can be read.
+        run["error"] = f"malformed result line: {lines[-1][-2000:]!r}"
+    else:
+        run.update(result, record=_brief(record))
     return run
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def parse_result_line(line: str) -> dict | None:
+    """correct, attempted, failed and each metric's value from a perfbench
+    result line, or None unless the line is a JSON object holding those
+    keys, each metric an object with a value, and no NaN or Infinity."""
+    try:
+        result = json.loads(line, parse_constant=_reject_constant)
+        metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+        return {key: result[key] for key in ("correct", "attempted", "failed")} | {"metrics": metrics}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
 
 
 def _brief(record: dict) -> dict:

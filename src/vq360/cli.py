@@ -269,9 +269,11 @@ def cmd_study(args) -> int:
     with _flag_values():
         # The config's own check, before the manifest is read; whole frames
         # at each trace's frame rate are checked per trace.
-        for segment_ms in default_segments:
-            replace(base_config, segment_ms=segment_ms)
-    base_config = _read_footprint(base_config, args.footprint)
+        configs = {segment_ms: replace(base_config, segment_ms=segment_ms) for segment_ms in default_segments}
+    if args.footprint not in FOOTPRINT_RULES:
+        # Those configs hold the default rule in place of the file's mapping.
+        base_config = _read_footprint(base_config, args.footprint)
+        configs.clear()
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
@@ -283,7 +285,9 @@ def cmd_study(args) -> int:
     for i, (entry, trace, geometry) in enumerate(zip(entries, traces, geometries)):
         content = entry.get("content", f"entry{i}")
         for segment_ms in _segment_list(entry, default_segments):
-            timeline = pool_session(trace, replace(base_config, segment_ms=segment_ms), geometry)
+            if segment_ms not in configs:
+                configs[segment_ms] = replace(base_config, segment_ms=segment_ms)
+            timeline = pool_session(trace, configs[segment_ms], geometry)
             by_key.setdefault((content, segment_ms), []).append(timeline)
     rows = [("content", "segment_ms", "n_sessions", "q_window_mean", "f_window_mean")]
     for content, segment_ms in sorted(by_key):

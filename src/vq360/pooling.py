@@ -104,7 +104,13 @@ def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAU
 
 
 def write_frame_csv(q_frame: np.ndarray, path: str) -> None:
-    """Per-frame series as CSV with header frame,q_frame."""
-    lines = ["frame,q_frame"]
-    lines.extend(map("%d,%r".__mod__, enumerate(np.asarray(q_frame, dtype=np.float64).tolist())))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    """Per-frame series as CSV with header frame,q_frame.
+
+    Each distinct value is formatted once: values are told apart by bit
+    pattern, so -0.0 keeps its own text.
+    """
+    values = np.asarray(q_frame, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(",%r\n".__mod__, bits.view(np.float64).tolist()))
+    rows = map(str.__add__, map(str, range(values.size)), map(texts.__getitem__, inverse.tolist()))
+    _atomic_write_bytes(path, ("frame,q_frame\n" + "".join(rows)).encode("ascii"))

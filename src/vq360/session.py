@@ -595,9 +595,14 @@ def _bank_geometry(
     config: SessionConfig, bank: tuple[tuple, np.ndarray], trace: SessionTrace
 ) -> SessionGeometry:
     """avaqm stage 1 from a bank's (centers, tile sums): every frame takes
-    the nearest center, by the rule of nearest_center_index."""
+    the nearest center, by the rule of nearest_center_index.  Only frames
+    whose PoG moved from the frame before are snapped; a repeated PoG
+    reuses that frame's center."""
     centers, sums = bank
-    nearest = _nearest_centers(centers, trace.theta_deg, trace.phi_deg)
+    theta, phi = trace.theta_deg, trace.phi_deg
+    moved = np.ones(trace.n_frames, dtype=bool)
+    moved[1:] = (theta[1:] != theta[:-1]) | (phi[1:] != phi[:-1])
+    nearest = _nearest_centers(centers, theta[moved], phi[moved])[np.cumsum(moved) - 1]
     return SessionGeometry(_geometry_key(config), sums, nearest)
 
 
@@ -753,6 +758,9 @@ def _manifest_entry_problem(entry) -> str | None:
                 return f"unknown key {key!r}"
             if not _is_number(value) or (key == "seed" and not isinstance(value, int)):
                 return f"synthetic {key!r} must be {'an integer' if key == 'seed' else 'a number'}"
+            # A seed may be any integer; the other values are used as floats.
+            if key != "seed" and not abs(value) <= sys.float_info.max:
+                return f"synthetic {key!r} must be finite"
     if "segment_ms" not in entry:
         return None
     segments = entry["segment_ms"]
@@ -770,11 +778,15 @@ def load_batch_manifest(path: str) -> list[dict]:
 
     Entries may hold only those keys, content must be a string without a
     carriage return, a synthetic recipe may hold only the synthetic_trace
-    parameters in RECIPE_KEYS, each a number, and segment_ms is a positive
-    finite number or a non-empty list of them.
+    parameters in RECIPE_KEYS, an integer seed and finite numbers, and
+    segment_ms is a positive finite number or a non-empty list of them.
+    Errors name the file.
     """
     with open(path) as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: manifest must be a non-empty JSON list")
     for position, entry in enumerate(raw):

@@ -1,5 +1,6 @@
 """The benchmark recorder's summaries: medians and quartiles, parent
-against change, and the flag on runs whose reference kernel ran slow.
+against change, and the flag on runs whose reference kernel ran slow;
+and its strict reading of a run's result line.
 
 The frames/s and reference kernel means are those of the study-sweep
 parent runs at seeds 8211-8215 in BENCH_pr7.json, where the run at seed
@@ -8,6 +9,8 @@ against 0.0132-0.0141 s; the set-up times are made up.
 """
 
 import importlib.util
+import json
+import math
 import pathlib
 import statistics
 
@@ -115,3 +118,60 @@ def test_compare_counts_ties_for_neither(record):
     versus = record.compare(parent, parent, SPECS)
     assert versus["frames_per_s"]["change_wins"] == 0
     assert versus["frames_per_s"]["median_gap"] == 0.0
+
+
+RESULT = {
+    "correct": True,
+    "attempted": 4,
+    "failed": 0,
+    "metrics": {"frames_per_s": {"value": 6406.5, "unit": "frames/s"}, "setup_s": {"value": 0.27, "unit": "s"}},
+}
+
+
+def test_result_line_gives_the_run_fields(record):
+    assert record.parse_result_line(json.dumps(RESULT)) == {
+        "correct": True, "attempted": 4, "failed": 0, "metrics": {"frames_per_s": 6406.5, "setup_s": 0.27},
+    }
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        json.dumps(dict(RESULT, metrics={"frames_per_s": {"value": math.nan, "unit": "frames/s"}})),
+        json.dumps(dict(RESULT, metrics={"setup_s": {"value": -math.inf, "unit": "s"}})),
+        json.dumps(dict(RESULT, failed=math.inf)),
+        *(json.dumps({k: v for k, v in RESULT.items() if k != key}) for key in RESULT),
+        json.dumps(dict(RESULT, metrics={"frames_per_s": {"unit": "frames/s"}})),
+        json.dumps(dict(RESULT, metrics={"frames_per_s": 6406.5})),
+        json.dumps(dict(RESULT, metrics=[1, 2])),
+        json.dumps([RESULT]),
+        "frames_per_s 6406.5 frames/s (higher is better)",
+        "",
+    ],
+    ids=["NaN", "-Infinity", "Infinity count", "no correct", "no attempted", "no failed", "no metrics",
+         "no value", "bare value", "metrics list", "list", "not JSON", "empty"],
+)
+def test_malformed_result_lines_are_refused(record, line):
+    assert record.parse_result_line(line) is None
+
+
+def test_run_once_records_a_malformed_result_line(record, tmp_path):
+    """A run that exits 0 but ends on no valid result is an error that
+    keeps the line it printed."""
+    (tmp_path / "perfbench").mkdir()
+    line = json.dumps(dict(RESULT, metrics={"frames_per_s": {"value": math.nan, "unit": "frames/s"}}))
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('record ' + '{\"nproc\": 2}')\n" f"print({line!r})\n"
+    )
+    run = record.run_once(str(tmp_path), "vaqm-4k", 1, 1.0, 1)
+    assert run["exit"] == 0
+    assert run["error"].startswith("malformed result line: ") and "NaN" in run["error"]
+    assert "metrics" not in run
+
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('record ' + '{\"nproc\": 2}')\n" f"print({json.dumps(RESULT)!r})\n"
+    )
+    run = record.run_once(str(tmp_path), "vaqm-4k", 1, 1.0, 1)
+    assert "error" not in run
+    assert run["metrics"] == {"frames_per_s": 6406.5, "setup_s": 0.27}
+    assert run["record"] == {"nproc": 2, "n_reps": 0, "n_setup_runs": 0}

@@ -225,6 +225,54 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
     assert sorted(rows) == sorted(expected)
 
 
+def test_study_builds_one_config_per_segment_length(tmp_path, capsys, monkeypatch):
+    """study resolves a footprint (_hq_table) once per config it builds:
+    one from the flags, one per distinct segment length however many
+    entries share it, and, for the error table, one for vaqm and one per
+    bank grid.  With a footprint file, the file's config and then every
+    length's are built again."""
+    recipe = {"seed": 7, "duration_s": 1.0}
+    manifest = tmp_path / "manifest.json"
+    entries = [{"content": f"c{i}", "synthetic": dict(recipe, seed=i)} for i in range(4)]
+    entries.append({"content": "d", "synthetic": recipe, "segment_ms": [100, 500, 1000]})
+    manifest.write_text(json.dumps(entries))
+    footprint = tmp_path / "footprint.json"
+    mapping = {v: ((2, 3), (2, 4)) for v in range(26)}
+    footprint.write_text(json.dumps({str(v): [list(t) for t in tiles] for v, tiles in mapping.items()}))
+    calls = []
+    hq_table = vq360.session._hq_table
+
+    def counted(layout, hq_footprint):
+        calls.append(hq_footprint)
+        return hq_table(layout, hq_footprint)
+
+    monkeypatch.setattr(vq360.session, "_hq_table", counted)
+    argv = [
+        "study", "--manifest", str(manifest), "--resolution", "960x480",
+        "--segments", "500,2000,6000", "--grids", "3x6,5x10",
+    ]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "rule"))
+    assert code == 0
+    assert len(calls) == 1 + 5 + 1 + 2
+    calls.clear()
+    code, _, _ = run(capsys, *argv, "--footprint", str(footprint), "--out", str(tmp_path / "file"))
+    assert code == 0
+    assert len(calls) == 1 + 3 + 1 + 5 + 1 + 2
+    assert all(used == mapping for used in calls[4:])
+
+    monkeypatch.undo()
+    res = Resolution(960, 480)
+    config = SessionConfig(
+        segment_ms=500.0, fov=FieldOfView(100.0, 85.0), resolution=res, layout=variant_layout_26(res),
+        hq_footprint=mapping,
+    )
+    trace = synthetic_trace(**recipe, fps=30.0)
+    rows = (tmp_path / "file" / "segment_table.csv").read_text().strip().split("\n")[1:]
+    for segment_ms in (100, 500, 1000):
+        timeline = evaluate_session(trace, replace(config, segment_ms=float(segment_ms)))
+        assert f"d,{segment_ms:g},1,{timeline.q_window:.6f},{timeline.f_window:.4f}" in rows
+
+
 def test_study_segment_ms_sets_the_error_table_schedule(tmp_path, capsys):
     """--segment-ms is the segment length of the error table's variant
     schedule: 500 ms is no whole number of frames at 25 fps (exit 3), while
@@ -359,6 +407,13 @@ def test_data_errors_exit_3(tmp_path, capsys):
         "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
     )
     assert code == 3 and "non-empty" in err
+
+    manifest.write_text("{not json")
+    code, _, err = run(
+        capsys,
+        "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+    )
+    assert code == 3 and f"error: {manifest}: Expecting property name" in err
 
     for entry, key in (
         ({"content": "walk", "synthetic": {"seed": 1, "speeed": 45.0}}, "speeed"),

@@ -153,11 +153,17 @@ def test_timeline_holds_read_only_copies_and_builds_frames_on_demand():
     [
         [0.0, 1.0, 5e-324, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 2.0**-53],
         np.random.default_rng(8).random(36000),
+        [0.0, -0.0, 0.0, -0.0],
+        [0.75],
+        np.repeat([0.25, 1.0 / 3.0, 0.0, 0.25, 1.0], [5000, 1, 7000, 3, 2000]),
+        np.repeat(np.random.default_rng(9).random(40), 9)[::2],
+        np.random.default_rng(10).random(300, dtype=np.float32).repeat(3),
     ],
-    ids=["edge values", "36000 random"],
+    ids=["edge values", "36000 random", "signed zeros", "one frame", "long runs", "strided view", "float32"],
 )
 def test_write_frame_csv_bytes(tmp_path, q):
-    """The same bytes as formatting each row with an f-string."""
+    """The same bytes as formatting each row with an f-string, although
+    each distinct value is formatted once."""
     path = tmp_path / "frames.csv"
     write_frame_csv(np.asarray(q), str(path))
     rows = "".join(f"{index},{value!r}\n" for index, value in enumerate(np.asarray(q, dtype=np.float64).tolist()))

@@ -552,6 +552,36 @@ def test_avaqm_geometry_is_one_row_per_bank_center():
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
 
 
+def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
+    """A PoG equal to the frame before's reuses its center: only moved
+    frames are snapped, and the rows equal snapping every frame."""
+    walk = synthetic_trace(duration_s=3.0, fps=10.0, speed_deg_per_s=60.0, dwell_probability=0.5, seed=31)
+    theta, phi = walk.theta_deg.tolist(), walk.phi_deg.tolist()
+    # A repeat at frame 1, a move in phi alone, and a dwell on a tie point.
+    theta[1], phi[1] = theta[0], phi[0]
+    theta[2:5], phi[2:5] = [theta[0]] * 3, [phi[0] + 5.0] * 3
+    theta[5:8], phi[5:8] = [0.0] * 3, [90.0] * 3
+    trace = SessionTrace(10.0, theta, phi)
+    config = base_config(avaqm_grid=(3, 6))
+    bank = session_module._bank_tile_sums(config)
+    pogs = list(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist()))
+    moved = [0] + [i for i in range(1, len(pogs)) if pogs[i] != pogs[i - 1]]
+    assert 1 not in moved and len(moved) < 0.75 * len(pogs)
+    snap = session_module._nearest_centers
+    snapped = []
+
+    def counted(centers, theta_deg, phi_deg):
+        snapped.append(theta_deg.size)
+        return snap(centers, theta_deg, phi_deg)
+
+    monkeypatch.setattr(session_module, "_nearest_centers", counted)
+    geometry = session_module._bank_geometry(config, bank, trace)
+    assert snapped == [len(moved)]
+    every = snap(bank[0], trace.theta_deg, trace.phi_deg)
+    assert geometry.mask_rows.dtype == every.dtype
+    assert geometry.mask_rows.tolist() == every.tolist()
+
+
 BANK_CASES = [
     (fov, res, grid, grid[0])
     for fov in ((100.0, 85.0), (90.0, 90.0), (120.0, 90.0))
@@ -748,6 +778,7 @@ def test_load_batch_manifest(tmp_path):
         {"synthetic": {"seed": 1, "duration_s": 2.0}, "content": "walk"},
         {"trace": "b.csv", "segment_ms": 500},
         {"trace": "c.csv", "segment_ms": [500, 2000.5]},
+        {"synthetic": {"seed": 10**400}},
     ]
     path.write_text(json.dumps(entries))
     assert load_batch_manifest(str(path)) == entries
@@ -755,6 +786,11 @@ def test_load_batch_manifest(tmp_path):
     path.write_text(json.dumps({"sessions": entries}))
     with pytest.raises(ValueError, match="non-empty JSON list"):
         load_batch_manifest(str(path))
+
+    path.write_text("{not json")
+    with pytest.raises(ValueError) as info:
+        load_batch_manifest(str(path))
+    assert str(info.value).startswith(f"{path}: Expecting property name")
 
     path.write_text(json.dumps([]))
     with pytest.raises(ValueError, match="non-empty JSON list"):
@@ -771,6 +807,9 @@ def test_load_batch_manifest(tmp_path):
         ({"synthetic": {"seed": 1.5}}, "'seed' must be an integer"),
         ({"synthetic": {"duration_s": "2"}}, "'duration_s' must be a number"),
         ({"synthetic": [1, 2]}, "'synthetic' must be an object"),
+        # Past the float range, as for segment_ms; a seed may be any integer.
+        ({"synthetic": {"seed": 1, "fps": 10**400}}, "synthetic 'fps' must be finite"),
+        ({"synthetic": {"seed": 1, "speed_deg_per_s": -math.inf}}, "synthetic 'speed_deg_per_s' must be finite"),
         ({"trace": "a.csv", "synthetic": {"seed": 1}}, "exactly one of"),
         ({"trace": 3}, "'trace' must be a file path"),
         ({"trace": "a.csv", "segment_ms": "500"}, "'segment_ms' must be"),
