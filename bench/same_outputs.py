@@ -9,9 +9,12 @@ For every benchmark workload and seed it builds the workload's inputs
 once in a temporary directory with ``perfbench/workloads.py`` of
 ``--checkout``, runs the workload's command line (``vq360 evaluate`` or
 ``vq360 study``) once with each checkout's ``src/`` first on the path,
-and compares every file the two runs wrote, byte for byte.  It prints
-one line per workload and seed and exits 1 if any output differs, any
-run fails or a run writes no file at all.
+and compares every file the two runs wrote, byte for byte.  The
+benchmark's traces repeat no PoG on vaqm, so a ``dwell`` case follows
+them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
+0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm.
+It prints one line per case and seed and exits 1 if any output
+differs, any run fails or a run writes no file at all.
 
 Standard library only, besides the numpy that perfbench's workloads use.
 """
@@ -19,12 +22,19 @@ Standard library only, besides the numpy that perfbench's workloads use.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 import tempfile
 
 RUN_TIMEOUT_S = 600
+DWELL = "dwell"
+# The dwell case's traces: (label, seconds at 30 fps).  The short one has
+# 51 frames, of which about 36 move: OpenBLAS 0.3.31 (Haswell kernels)
+# multiplies fewer than 47 rows by another kernel, with other bits, so it
+# checks that stage 2 still multiplies one row per frame.
+DWELL_TRACES = (("long", 20.0), ("short", 1.7))
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -41,7 +51,9 @@ def _parse_args(argv):
     parser.add_argument("--checkout", required=True, help="root of the changed checkout; its perfbench builds the inputs")
     parser.add_argument("--parent-checkout", required=True, help="root of the checkout to compare against")
     parser.add_argument("--seeds", type=_parse_seeds, default=[1301, 1302], help="workload seeds as A,B,C")
-    parser.add_argument("--workload", action="append", help="workload name; repeat for more (default: all)")
+    parser.add_argument(
+        "--workload", action="append", help=f"workload name or {DWELL!r}; repeat for more (default: all)"
+    )
     return parser.parse_args(argv)
 
 
@@ -82,15 +94,45 @@ def compare_outputs(change: str, parent: str) -> tuple[bool, str]:
     return True, f"identical ({', '.join(written)})"
 
 
-def _run(root: str, argv: tuple[str, ...], out: str) -> subprocess.CompletedProcess:
-    """The command line with root's src/ first on the path, writing to out."""
+def _run(root: str, commands: list[tuple[str, ...]], out: str) -> subprocess.CompletedProcess:
+    """The command lines in turn with root's src/ first on the path,
+    writing to out; the first that fails, or else the last."""
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(root), "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.update({var: "1" for var in THREAD_VARS})
-    os.makedirs(out)
-    command = [sys.executable, "-m", "vq360.cli", *(a.replace("{out}", out) for a in argv)]
-    return subprocess.run(command, cwd=out, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    os.makedirs(out, exist_ok=True)
+    for argv in commands:
+        command = [sys.executable, "-m", "vq360.cli", *(a.replace("{out}", out) for a in argv)]
+        done = subprocess.run(command, cwd=out, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        if done.returncode:
+            break
+    return done
+
+
+def dwell_commands(parent: str, inputs: str, seed: int) -> list[tuple[str, ...]]:
+    """Command lines of the dwell case, after writing its traces and study
+    manifest to inputs with the parent checkout's synth-trace."""
+    paths = [os.path.join(inputs, f"dwell-{label}.csv") for label, _ in DWELL_TRACES]
+    synth = [
+        ("synth-trace", "--seed", str(seed + i), "--duration-s", f"{seconds:g}", "--dwell", "0.3", "--out", path)
+        for i, ((_, seconds), path) in enumerate(zip(DWELL_TRACES, paths))
+    ]
+    done = _run(parent, synth, inputs)
+    if done.returncode:
+        raise RuntimeError(f"synth-trace exited {done.returncode}: {done.stderr.strip()}")
+    manifest = os.path.join(inputs, "dwell-manifest.json")
+    with open(manifest, "w") as handle:
+        json.dump([{"content": label, "trace": path} for (label, _), path in zip(DWELL_TRACES, paths)], handle)
+    flags = ("--resolution", "960x480")
+    avaqm = ("--method", "avaqm", "--grid")
+    commands = []
+    for (label, _), path in zip(DWELL_TRACES, paths):
+        commands.append(("evaluate", "--trace", path, *flags, "--out-prefix", f"{{out}}/{label}-vaqm"))
+        commands.append(("evaluate", "--trace", path, *flags, *avaqm, "10x20", "--out-prefix", f"{{out}}/{label}-avaqm"))
+    commands.append(("study", "--manifest", manifest, *flags, "--out", "{out}/study-vaqm"))
+    commands.append(("study", "--manifest", manifest, *flags, *avaqm, "5x10", "--out", "{out}/study-avaqm"))
+    return commands
 
 
 def main(argv=None) -> int:
@@ -102,10 +144,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    names = args.workload or workloads.NAMES
-    unknown = sorted(set(names) - set(workloads.NAMES))
+    known = (*workloads.NAMES, DWELL)
+    names = args.workload or known
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        print(f"error: unknown workload {', '.join(unknown)}; known: {', '.join(workloads.NAMES)}", file=sys.stderr)
+        print(f"error: unknown workload {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
         return 2
     status = 0
     for name in names:
@@ -113,10 +156,18 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory(prefix="vq360-same-") as work:
                 inputs = os.path.join(work, "inputs")
                 os.makedirs(inputs)
-                workload = workloads.build(name, inputs, seed)
+                try:
+                    if name == DWELL:
+                        commands = dwell_commands(args.parent_checkout, inputs, seed)
+                    else:
+                        commands = [workloads.build(name, inputs, seed).argv]
+                except RuntimeError as exc:
+                    print(f"{name} seed {seed}: {exc}")
+                    status = 1
+                    continue
                 outs = {side: os.path.join(work, side) for side in ("change", "parent")}
                 done = {
-                    side: _run(root, workload.argv, outs[side])
+                    side: _run(root, commands, outs[side])
                     for side, root in (("change", args.checkout), ("parent", args.parent_checkout))
                 }
                 failed = [f"{side} exited {d.returncode}: {d.stderr.strip()}" for side, d in done.items() if d.returncode]

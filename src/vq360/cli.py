@@ -52,7 +52,7 @@ from .session import (
     parse_trace,
     pool_session,
     segment_frames,
-    session_geometry,
+    session_geometries,
     session_report,
     synthetic_trace,
     write_trace_csv,
@@ -237,11 +237,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _manifest_trace(entry: dict, args):
+def _manifest_trace(entry: dict, position: int, args):
     if "synthetic" in entry:
         spec = dict(entry["synthetic"])
         spec.setdefault("fps", args.fps)
-        return synthetic_trace(**spec)
+        try:
+            return synthetic_trace(**spec)
+        except ValueError as exc:
+            raise ValueError(f"{args.manifest}: entry {position}: {exc}") from None
     return _load_trace(args, entry["trace"])
 
 
@@ -266,6 +269,8 @@ def cmd_study(args) -> int:
     except ValueError:
         raise UsageError(f"expected segment lengths as MS,MS,..., got {args.segments!r}") from None
     base_config = _session_config(args, res, fov)
+    if not (math.isfinite(args.fps) and args.fps > 0.0):
+        raise UsageError(f"frame rate must be positive and finite, got {args.fps}")
     with _flag_values():
         # The config's own check, before the manifest is read; whole frames
         # at each trace's frame rate are checked per trace.
@@ -277,10 +282,10 @@ def cmd_study(args) -> int:
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
-    traces = [_manifest_trace(entry, args) for entry in entries]
-    # Stage 1 once per trace serves every segment length and, for vaqm,
-    # the exact side of the error study.
-    geometries = [session_geometry(trace, base_config) for trace in traces]
+    traces = [_manifest_trace(entry, position, args) for position, entry in enumerate(entries)]
+    # Stage 1 once for all traces serves every segment length and, for
+    # vaqm, the exact side of the error study.
+    geometries = session_geometries(traces, base_config)
     by_key: dict[tuple[str, float], list] = {}
     for i, (entry, trace, geometry) in enumerate(zip(entries, traces, geometries)):
         content = entry.get("content", f"entry{i}")

@@ -147,7 +147,8 @@ def _hq_table(layout: VariantLayout, hq_footprint) -> np.ndarray:
     The rule is "area-only" (just the variant's own tiles),
     "area+neighbors" (plus the 8-neighborhood of each tile, wrapping in
     theta across columns 0/cols-1 and clamped at the top/bottom rows), or
-    a mapping from every variant index to a non-empty list of in-grid tiles.
+    a mapping from each variant index, and no other key, to a non-empty
+    list of in-grid tiles.
     """
     grid = layout.grid
     if hq_footprint in FOOTPRINT_RULES:
@@ -161,6 +162,9 @@ def _hq_table(layout: VariantLayout, hq_footprint) -> np.ndarray:
     if not isinstance(hq_footprint, dict):
         raise ValueError(f"unknown footprint spec {hq_footprint!r}")
     table = np.zeros((layout.variant_count, grid.rows, grid.cols), dtype=bool)
+    unknown = [key for key in hq_footprint if key not in range(len(table))]
+    if unknown:
+        raise ValueError(f"footprint mapping names variant {unknown[0]}, outside 0..{len(table) - 1}")
     for variant, flags in enumerate(table):
         try:
             listed = hq_footprint[variant]

@@ -15,20 +15,20 @@ and the build of its tile sums.
 
 Because the grade maps are piecewise-constant over the delivery tiles,
 per-frame pooling reduces to per-tile sums of mask weights, and the
-engine runs in two stages.  Stage 1, :func:`session_geometry`, depends
-only on the trace, the field of view, the resolution, the tile grid and
-the bank grid: it takes the analytic per-column spans of the viewing
-pyramid for every distinct mask (each frame's PoG for vaqm; for avaqm
-one center per bank row, rolled to the row's other centers), reduces
-them to one row of per-tile weight sums per mask and records which row
-each frame uses.  Stage 2, :func:`pool_session`, applies the segment
-schedule, the HQ footprint and the normalization: one product of the
-tile sums with the per-variant HQ flags, which the config resolves once
-from its footprint, gives a (masks x variants) table, from which each
-frame's quality is gathered.  A study scores one trace under many
-segment lengths and bank grids by running stage 1 once and stage 2 many
-times.  No dense raster is ever built; the tests check the engine
-against a dense reference built on the per-pixel membership oracle.
+engine runs in two stages.  Stage 1, :func:`session_geometries`,
+depends only on the traces, the field of view, the resolution, the tile
+grid and the bank grid: a PoG that repeats the frame before's reuses its
+mask, and every other one is projected (vaqm) or snapped to the nearest
+center of a bank built once for all traces (avaqm).  Masks are reduced
+to rows of per-tile weight sums, and each frame records its row.  Stage 2,
+:func:`pool_session`, applies the segment schedule, the HQ footprint and
+the normalization: one product of the tile sums with the per-variant HQ
+flags, which the config resolves once from its footprint, gives a (masks
+x variants) table, from which each frame's quality is gathered.  A study
+scores its traces under many segment lengths and bank grids by running
+stage 1 once per method and bank grid and stage 2 many times.  No dense
+raster is ever built; the tests check the engine against a dense
+reference built on the per-pixel membership oracle.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class SessionTrace:
     phi_deg: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.frames_per_second <= 0.0:
-            raise ValueError(f"frame rate must be positive, got {self.frames_per_second}")
+        if not (math.isfinite(self.frames_per_second) and self.frames_per_second > 0.0):
+            raise ValueError(f"frame rate must be positive and finite, got {self.frames_per_second}")
         theta = np.array(self.theta_deg, dtype=np.float64)
         phi = np.array(self.phi_deg, dtype=np.float64)
         if theta.ndim != 1 or theta.shape != phi.shape:
@@ -193,9 +193,10 @@ class ApproximationReport:
 class SessionGeometry:
     """Stage 1 of a session evaluation.
 
-    ``tile_sums`` holds one row of per-tile mask weight sums (tiles
-    row-major) per distinct mask: one per frame for vaqm, one per bank
-    center for avaqm.  ``mask_rows[i]`` is the row frame i uses.  ``key``
+    ``tile_sums`` holds rows of per-tile mask weight sums (tiles
+    row-major): one per frame for vaqm, a repeated PoG's row copied from
+    the frame before, and one per bank center for avaqm.
+    ``mask_rows[i]`` is the row frame i uses.  ``key``
     names the configuration the geometry depends on, so stage 2 can
     refuse a geometry made for another one.
     """
@@ -591,43 +592,40 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
     return centers, sums
 
 
-def _bank_geometry(
-    config: SessionConfig, bank: tuple[tuple, np.ndarray], trace: SessionTrace
-) -> SessionGeometry:
-    """avaqm stage 1 from a bank's (centers, tile sums): every frame takes
-    the nearest center, by the rule of nearest_center_index.  Only frames
-    whose PoG moved from the frame before are snapped; a repeated PoG
-    reuses that frame's center."""
-    centers, sums = bank
-    theta, phi = trace.theta_deg, trace.phi_deg
-    moved = np.ones(trace.n_frames, dtype=bool)
-    moved[1:] = (theta[1:] != theta[:-1]) | (phi[1:] != phi[:-1])
-    nearest = _nearest_centers(centers, theta[moved], phi[moved])[np.cumsum(moved) - 1]
-    return SessionGeometry(_geometry_key(config), sums, nearest)
-
-
 def _geometry_key(config: SessionConfig) -> tuple:
     return (config.fov, config.resolution, config.layout.grid, config.avaqm_grid)
 
 
-def session_geometry(trace: SessionTrace, config: SessionConfig) -> SessionGeometry:
-    """Stage 1: per-mask tile sums and each frame's mask.
+def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) -> list[SessionGeometry]:
+    """Stage 1 of each trace: per-mask tile sums and each frame's mask.
 
-    Without a bank grid (vaqm) it projects the exact viewport at every
-    frame's PoG; with one (avaqm) it builds the bank's tile sums and gives
-    every frame the center nearest to its PoG.  The bank projects one
-    center per bank row and rolls its per-column tile-row weights to the
-    row's other centers; a row whose first center has a column end taken
-    again, and every row when the bank's column count does not divide
-    n_h, is projected center by center (see _bank_tile_sums).  Only the
-    trace, FoV, resolution, tile grid and bank grid matter, so one
-    geometry serves every segment length, footprint, normalization and
-    threshold.
+    A frame moved when its PoG differs from the frame before's (frame 0
+    always has); a repeated PoG takes the mask of the last moved frame, so
+    only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
+    is projected exactly and a repeat copies its tile-sum row: stage 2
+    keeps one row per frame, as a matrix product's last bits may depend
+    on its row count.  With one (avaqm) the bank is built once for all
+    traces (_bank_tile_sums) and each moved PoG snaps to its nearest
+    center (nearest_center_index).  Only the traces, FoV, resolution, tile
+    grid and bank grid matter, so one geometry serves every segment
+    length, footprint, normalization and threshold.
     """
-    if config.avaqm_grid is not None:
-        return _bank_geometry(config, _bank_tile_sums(config), trace)
-    pogs = map(SphericalPoint, trace.theta_deg.tolist(), trace.phi_deg.tolist())
-    return SessionGeometry(_geometry_key(config), _tile_sums_at(pogs, config), np.arange(trace.n_frames))
+    key = _geometry_key(config)
+    bank = None if config.avaqm_grid is None else _bank_tile_sums(config)
+    geometries = []
+    for trace in traces:
+        theta, phi = trace.theta_deg, trace.phi_deg
+        moved = np.ones(trace.n_frames, dtype=bool)
+        moved[1:] = (theta[1:] != theta[:-1]) | (phi[1:] != phi[:-1])
+        rows = np.cumsum(moved) - 1
+        if bank is None:
+            pogs = map(SphericalPoint, theta[moved].tolist(), phi[moved].tolist())
+            geometry = SessionGeometry(key, _tile_sums_at(pogs, config)[rows], np.arange(trace.n_frames))
+        else:
+            centers, sums = bank
+            geometry = SessionGeometry(key, sums, _nearest_centers(centers, theta[moved], phi[moved])[rows])
+        geometries.append(geometry)
+    return geometries
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +667,7 @@ def evaluate_session(trace: SessionTrace, config: SessionConfig) -> QualityTimel
     Method "vaqm" projects the exact viewport at every frame's PoG;
     "avaqm" substitutes the mask of the bank center nearest to it.
     """
-    return pool_session(trace, config, session_geometry(trace, config))
+    return pool_session(trace, config, session_geometries([trace], config)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +694,7 @@ def approximation_error_study(
         raise ValueError("no traces given")
     vaqm_config = replace(config, avaqm_grid=None)
     if exact_geometries is None:
-        exact_geometries = [session_geometry(trace, vaqm_config) for trace in traces]
+        exact_geometries = session_geometries(traces, vaqm_config)
     exact_q: list[np.ndarray] = []
     variant_series: list[np.ndarray] = []
     for trace, geometry in zip(traces, exact_geometries, strict=True):
@@ -706,11 +704,10 @@ def approximation_error_study(
     reports = []
     for grid_dims in grids:
         bank_config = replace(config, avaqm_grid=grid_dims)
-        bank = _bank_tile_sums(bank_config)
         errors = []
         excluded = 0
-        for trace, q, variants in zip(traces, exact_q, variant_series):
-            approx = _pooled(_bank_geometry(bank_config, bank, trace), variants, bank_config)[0]
+        for geometry, q, variants in zip(session_geometries(traces, bank_config), exact_q, variant_series):
+            approx = _pooled(geometry, variants, bank_config)[0]
             usable = q > 0.0
             excluded += int(np.count_nonzero(~usable))
             errors.append(np.abs(approx[usable] - q[usable]) / q[usable])

@@ -180,8 +180,14 @@ def test_study_quotes_labels_that_need_it(tmp_path, capsys):
     assert "\nplain," + ",".join(plain[1:]) + "\n" in text
 
 
+def moved_frames(trace):
+    """Frames whose PoG differs from the frame before's, frame 0 included."""
+    pogs = list(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist()))
+    return 1 + sum(pogs[i] != pogs[i - 1] for i in range(1, len(pogs)))
+
+
 def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
-    """Every trace frame and the first center of every bank row is
+    """Every moved trace frame and the first center of every bank row is
     projected exactly once, and each segment-table row equals
     evaluate_session on its trace."""
     recipes = [
@@ -207,8 +213,11 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
         "--segments", "500,2000,6000", "--grids", "3x6,5x10", "--out", str(tmp_path / "out"),
     )
     assert code == 0
-    # One projection per bank row: the row's other centers take its weights, rolled.
-    assert len(calls) == 30 + 60 + 3 + 5
+    # A repeated PoG is not projected again; one projection per bank row:
+    # the row's other centers take its weights, rolled.
+    moved = [moved_frames(synthetic_trace(**recipe, fps=30.0)) for recipe in recipes]
+    assert moved[0] < 30 and moved[1] == 60
+    assert len(calls) == sum(moved) + 3 + 5
 
     monkeypatch.undo()
     res = Resolution(960, 480)
@@ -223,6 +232,28 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
             timeline = evaluate_session(trace, replace(config, segment_ms=float(segment_ms)))
             expected.append(f"{content},{segment_ms:g},1,{timeline.q_window:.6f},{timeline.f_window:.4f}")
     assert sorted(rows) == sorted(expected)
+
+
+def test_study_builds_each_bank_once(tmp_path, capsys, monkeypatch):
+    """study --method avaqm builds its own bank once for all traces, and
+    each error-table grid's bank once."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": "a", "synthetic": {"seed": s, "duration_s": 1.0}} for s in range(3)]))
+    grids = []
+    build = vq360.session._bank_tile_sums
+
+    def counted(config):
+        grids.append(config.avaqm_grid)
+        return build(config)
+
+    monkeypatch.setattr(vq360.session, "_bank_tile_sums", counted)
+    code, _, _ = run(
+        capsys,
+        "study", "--manifest", str(manifest), "--resolution", "960x480", "--method", "avaqm",
+        "--grid", "5x10", "--segments", "500,1000", "--grids", "3x6", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert grids == [(5, 10), (3, 6)]
 
 
 def test_study_builds_one_config_per_segment_length(tmp_path, capsys, monkeypatch):
@@ -350,6 +381,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (evaluate + ["--t-q", "-0.1"], "t_q"),
         (study + ["--t-q", "nan"], "t_q"),
         (study + ["--segments", "500,fast"], "segment lengths"),
+        (study + ["--fps", "nan"], "frame rate must be positive and finite"),
+        (study + ["--fps", "inf"], "frame rate must be positive and finite"),
+        (study + ["--fps", "0"], "frame rate must be positive and finite"),
+        (study + ["--fps", "-30"], "frame rate must be positive and finite"),
         # Flags are checked before a --footprint file is read.
         (evaluate + ["--footprint", "missing.json", "--t-q", "2"], "t_q"),
         (evaluate + ["--footprint", "missing.json", "--fps", "7"], "frame period"),
@@ -435,6 +470,21 @@ def test_data_errors_exit_3(tmp_path, capsys):
         )
         assert code == 3 and f"{manifest}: entry 1: 'content' must be a string" in err
 
+    # A recipe that synthetic_trace rejects is reported with its entry.
+    for recipe, problem in (
+        ({"seed": 1, "fps": 0}, "duration 60.0 s at 0 fps yields no frames"),
+        ({"seed": 1, "speed_deg_per_s": -1}, "speed must be non-negative, got -1"),
+        ({"seed": 1, "dwell_probability": 2}, "dwell probability must lie in [0, 1], got 2"),
+        ({"seed": 1, "duration_s": 0}, "duration 0 s at 30.0 fps yields no frames"),
+    ):
+        entries = [{"synthetic": {"seed": 1, "duration_s": 1.0}}, {"synthetic": recipe}]
+        manifest.write_text(json.dumps(entries))
+        code, _, err = run(
+            capsys,
+            "study", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+        )
+        assert code == 3 and f"error: {manifest}: entry 1: {problem}" in err
+
     # Segment lengths are checked in the manifest, before any trace is read:
     # the listed trace does not exist.
     for segments in (0, math.nan, [500, -500]):
@@ -470,6 +520,7 @@ def test_data_errors_exit_3(tmp_path, capsys):
         ({k: v for k, v in full.items() if k != "1"}, "footprint mapping has no entry for variant 1"),
         ({**full, "4": [[5, 0]]}, "footprint tile (5,0) outside 5x8 grid"),
         ({**full, "4": []}, "footprint for variant 4 is empty"),
+        ({**full, "99": [[2, 3]], "-1": [[2, 3]]}, "footprint mapping names variant 99, outside 0..25"),
     ):
         footprint.write_text(json.dumps(mapping))
         for argv in (

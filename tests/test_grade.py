@@ -164,13 +164,16 @@ def test_footprint_explicit_mapping():
     mapping[5] = [(0, 0), (4, 7), (0, 0)]
     assert hq_tiles(layout, 0, mapping) == frozenset({(2, 3), (2, 4)})
     assert hq_tiles(layout, 5, mapping) == frozenset({(0, 0), (4, 7)})
-    # Every variant needs an entry, each a non-empty list of in-grid tiles.
+    # Every variant needs an entry, each a non-empty list of in-grid
+    # tiles, and no other variant may have one.
     for bad, message in (
         ({1: [(0, 0)]}, "no entry for variant 0"),
         ({v: tiles for v, tiles in mapping.items() if v != 25}, "no entry for variant 25"),
         ({**mapping, 0: [(9, 0)]}, r"footprint tile \(9,0\) outside 5x8 grid"),
         ({**mapping, 3: [(0, -1)]}, r"footprint tile \(0,-1\) outside 5x8 grid"),
         ({**mapping, 0: []}, "footprint for variant 0 is empty"),
+        ({**mapping, 99: [(0, 0)], -1: [(0, 0)]}, "footprint mapping names variant 99, outside 0..25"),
+        ({**mapping, -1: [(0, 0)]}, "footprint mapping names variant -1, outside 0..25"),
     ):
         with pytest.raises(ValueError, match=message):
             _hq_table(layout, bad)

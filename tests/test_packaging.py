@@ -115,7 +115,8 @@ def test_benchmark_hooks_resolve():
 
 def test_tracer_sees_every_vaqm_frame_in_the_geometry_layers():
     """The tracer's wrappers sit where the engine looks its functions up:
-    a vaqm session records one span and one tile-sum call per frame."""
+    a vaqm session records one span and one tile-sum call per frame whose
+    PoG differs from the frame before's."""
     tracing = load_tracing()
     res = Resolution(96, 48)
     config = SessionConfig(segment_ms=500.0, fov=FieldOfView(100.0, 85.0), resolution=res, layout=variant_layout_26(res))
@@ -129,7 +130,10 @@ def test_tracer_sees_every_vaqm_frame_in_the_geometry_layers():
     assert tracer.absent == []
     stats = tracing.layer_stats(tracer.spans)
     assert stats["session.evaluate"]["calls"] == 1
-    assert stats["mask.spans"]["calls"] == stats["session.tile_sums"]["calls"] == trace.n_frames == 20
+    pogs = list(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist()))
+    moved = 1 + sum(pogs[i] != pogs[i - 1] for i in range(1, trace.n_frames))
+    assert trace.n_frames == 20 and moved < 20
+    assert stats["mask.spans"]["calls"] == stats["session.tile_sums"]["calls"] == moved
     assert vq360.session._project_spans is vq360.mask._project_spans
 
 

@@ -1,8 +1,11 @@
-"""The byte-identity check's comparison of two output directories."""
+"""The byte-identity check: its comparison of two output directories and
+its dwell case."""
 
 import importlib.util
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -75,3 +78,36 @@ def test_one_changed_byte_and_missing_files_differ(tmp_path, same_outputs):
     # A nested file is compared by its relative path.
     write_tree(tmp_path / "c", dict(FILES, **{"tables/segment_table.csv": b"content,segment_ms\nwalk,501\n"}))
     assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "c")) == ["tables/segment_table.csv"]
+
+
+def moved_frames(path):
+    """Frame count and moved-frame count (PoG differs from the frame
+    before's, frame 0 included) of a canonical trace CSV."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    pogs = rows[:, 1:]
+    return len(pogs), 1 + int(np.count_nonzero((pogs[1:] != pogs[:-1]).any(axis=1)))
+
+
+def test_dwell_case_repeats_pogs_under_both_methods(tmp_path, same_outputs):
+    commands = same_outputs.dwell_commands(str(ROOT), str(tmp_path), 7)
+    (n_long, moved_long), (n_short, moved_short) = (
+        moved_frames(tmp_path / f"dwell-{label}.csv") for label in ("long", "short")
+    )
+    assert n_long == 600 and 0.6 * n_long < moved_long < 0.8 * n_long
+    assert moved_short < 47 <= n_short == 51
+    runs = [(argv[0], argv[argv.index("--grid") + 1] if "--grid" in argv else "vaqm") for argv in commands]
+    assert runs == [("evaluate", "vaqm"), ("evaluate", "10x20")] * 2 + [("study", "vaqm"), ("study", "5x10")]
+    assert all(argv[argv.index("--resolution") + 1] == "960x480" for argv in commands)
+
+
+def test_dwell_case_is_compared(capsys, monkeypatch, same_outputs):
+    # main puts perfbench/ on the path for its workloads.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7"]
+    assert same_outputs.main(argv + ["--workload", "banana"]) == 2
+    assert "known: vaqm-4k, avaqm-long, study-sweep, dwell" in capsys.readouterr().err
+    assert same_outputs.main(argv + ["--workload", "dwell"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("dwell seed 7: identical (long-avaqm_frames.csv, ")
+    assert line.endswith(", study-vaqm/error_table.csv, study-vaqm/segment_table.csv)")

@@ -36,7 +36,7 @@ from vq360.session import (
     parse_trace,
     pool_session,
     segment_frames,
-    session_geometry,
+    session_geometries,
     session_report,
     synthetic_trace,
     write_trace_csv,
@@ -173,8 +173,9 @@ def test_trace_validation():
         SessionTrace(10.0, [1.0, 2.0], [3.0])
     with pytest.raises(ValueError, match="finite"):
         SessionTrace(10.0, [1.0, math.nan], [3.0, 4.0])
-    with pytest.raises(ValueError, match="frame rate"):
-        SessionTrace(0.0, [1.0], [3.0])
+    for fps in (0.0, -30.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="frame rate must be positive and finite"):
+            SessionTrace(fps, [1.0], [3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +519,7 @@ def test_footprint_table_is_built_once_per_config(monkeypatch):
     assert not config._hq.flags.writeable
     assert np.array_equal(config._hq, table(LAYOUT, "area-only").reshape(26, 40))
     trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=30)
-    geometry = session_geometry(trace, config)
+    geometry = session_geometries([trace], config)[0]
     for _ in range(3):
         pool_session(trace, config, geometry)
     assert len(calls) == 1
@@ -532,7 +533,7 @@ def test_one_geometry_serves_every_segment_length():
     """Stage 2 on a shared stage-1 geometry gives the same bits as a fresh evaluation."""
     trace = synthetic_trace(duration_s=4.0, fps=30.0, speed_deg_per_s=60.0, seed=23)
     for config in (base_config(), base_config(avaqm_grid=(5, 10))):
-        geometry = session_geometry(trace, config)
+        geometry = session_geometries([trace], config)[0]
         for segment_ms, footprint, normalization in (
             (100.0, "area-only", "mask-area"),
             (500.0, "area+neighbors", "analytic"),
@@ -546,27 +547,34 @@ def test_one_geometry_serves_every_segment_length():
 
 def test_avaqm_geometry_is_one_row_per_bank_center():
     trace = synthetic_trace(duration_s=2.0, fps=10.0, speed_deg_per_s=60.0, seed=24)
-    geometry = session_geometry(trace, base_config(avaqm_grid=(5, 10)))
+    geometry = session_geometries([trace], base_config(avaqm_grid=(5, 10)))[0]
     centers = bank_centers(5, 10)
     assert geometry.tile_sums.shape == (50, LAYOUT.grid.rows * LAYOUT.grid.cols)
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
 
 
-def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
-    """A PoG equal to the frame before's reuses its center: only moved
-    frames are snapped, and the rows equal snapping every frame."""
-    walk = synthetic_trace(duration_s=3.0, fps=10.0, speed_deg_per_s=60.0, dwell_probability=0.5, seed=31)
+def dwell_trace():
+    """A 6 s walk at 10 fps that dwells on about half its frames, with a
+    repeat at frame 1, a move in phi alone, a dwell on a bank tie point
+    and a dwell at a pole; and the indices of its moved frames."""
+    walk = synthetic_trace(duration_s=6.0, fps=10.0, speed_deg_per_s=60.0, dwell_probability=0.5, seed=31)
     theta, phi = walk.theta_deg.tolist(), walk.phi_deg.tolist()
-    # A repeat at frame 1, a move in phi alone, and a dwell on a tie point.
     theta[1], phi[1] = theta[0], phi[0]
     theta[2:5], phi[2:5] = [theta[0]] * 3, [phi[0] + 5.0] * 3
     theta[5:8], phi[5:8] = [0.0] * 3, [90.0] * 3
+    theta[8:11], phi[8:11] = [40.0] * 3, [0.0] * 3
     trace = SessionTrace(10.0, theta, phi)
-    config = base_config(avaqm_grid=(3, 6))
-    bank = session_module._bank_tile_sums(config)
     pogs = list(zip(trace.theta_deg.tolist(), trace.phi_deg.tolist()))
     moved = [0] + [i for i in range(1, len(pogs)) if pogs[i] != pogs[i - 1]]
-    assert 1 not in moved and len(moved) < 0.75 * len(pogs)
+    assert 1 not in moved and 2 in moved and {3, 9, 10}.isdisjoint(moved) and len(moved) < 0.75 * len(pogs)
+    return trace, moved
+
+
+def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
+    """A PoG equal to the frame before's reuses its center: only moved
+    frames are snapped, and the rows equal snapping every frame."""
+    trace, moved = dwell_trace()
+    config = base_config(avaqm_grid=(3, 6))
     snap = session_module._nearest_centers
     snapped = []
 
@@ -575,11 +583,38 @@ def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
         return snap(centers, theta_deg, phi_deg)
 
     monkeypatch.setattr(session_module, "_nearest_centers", counted)
-    geometry = session_module._bank_geometry(config, bank, trace)
+    (geometry,) = session_geometries([trace], config)
     assert snapped == [len(moved)]
-    every = snap(bank[0], trace.theta_deg, trace.phi_deg)
+    every = snap(bank_centers(3, 6), trace.theta_deg, trace.phi_deg)
     assert geometry.mask_rows.dtype == every.dtype
     assert geometry.mask_rows.tolist() == every.tolist()
+
+
+def test_vaqm_geometry_projects_each_dwell_once(monkeypatch):
+    """vaqm projects only the moved PoGs and copies a repeated PoG's tile
+    sums, with the bits of projecting every frame.  Stage 2 multiplies one
+    row per frame, so q keeps the bits of pooling every frame's own row,
+    though a matrix product's bits may depend on its row count."""
+    trace, moved = dwell_trace()
+    config = base_config()
+    project = session_module._project_spans
+    calls = []
+
+    def counted(pog, fov, res):
+        calls.append(pog)
+        return project(pog, fov, res)
+
+    monkeypatch.setattr(session_module, "_project_spans", counted)
+    (geometry,) = session_geometries([trace], config)
+    assert calls == [trace.samples[i] for i in moved]
+    monkeypatch.undo()
+    every = session_module._tile_sums_at(trace.samples, config)
+    assert geometry.tile_sums[geometry.mask_rows].tobytes() == every.tobytes()
+    frames = np.arange(trace.n_frames)
+    variants = _variant_per_frame(trace, config)
+    numerator = (every @ config._hq.T)[frames, variants]
+    q = numerator / (numerator + (every @ (1.0 - config._hq).T)[frames, variants])
+    assert evaluate_session(trace, config).q_frame.tobytes() == q.tobytes()
 
 
 BANK_CASES = [
@@ -652,7 +687,7 @@ def test_nearest_center_rule_is_shared_on_ties():
     for rows, cols in ((3, 6), (5, 10), (10, 20)):
         pogs = tie_pogs(rows, cols)
         trace = points_trace(10.0, pogs)
-        geometry = session_geometry(trace, base_config(avaqm_grid=(rows, cols)))
+        geometry = session_geometries([trace], base_config(avaqm_grid=(rows, cols)))[0]
         centers = bank_centers(rows, cols)
         assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
         for pog, row in zip(trace.samples, geometry.mask_rows):
@@ -687,7 +722,7 @@ def test_variant_schedule_follows_segment_starts():
 
 def test_pool_session_rejects_foreign_geometry():
     trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=28)
-    geometry = session_geometry(trace, base_config())
+    geometry = session_geometries([trace], base_config())[0]
     for config in (
         base_config(fov=FieldOfView(90.0, 90.0)),
         base_config(avaqm_grid=(3, 6)),
@@ -750,13 +785,13 @@ def test_error_decreases_with_finer_grids():
 def test_error_study_reuses_exact_geometries():
     traces = [synthetic_trace(duration_s=2.0, fps=30.0, seed=s) for s in (3, 4)]
     config = base_config()
-    geometries = [session_geometry(trace, config) for trace in traces]
+    geometries = session_geometries(traces, config)
     fresh = approximation_error_study(traces, config, [(3, 6), (5, 10)])
     reused = approximation_error_study(traces, config, [(3, 6), (5, 10)], geometries)
     for a, b in zip(fresh, reused):
         assert np.array_equal(a.per_frame_errors, b.per_frame_errors)
         assert a.excluded_frames == b.excluded_frames
-    avaqm = session_geometry(traces[0], base_config(avaqm_grid=(3, 6)))
+    avaqm = session_geometries(traces[:1], base_config(avaqm_grid=(3, 6)))[0]
     with pytest.raises(ValueError, match="another trace or configuration"):
         approximation_error_study(traces[:1], config, [(3, 6)], [avaqm])
 
