@@ -13,8 +13,10 @@ and compares every file the two runs wrote, byte for byte.  The
 benchmark's traces repeat no PoG on vaqm, so a ``dwell`` case follows
 them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
 0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm.
-It prints one line per case and seed and exits 1 if any output
-differs, any run fails or a run writes no file at all.
+It prints one line per case and seed, which for a differing
+``_frames.csv`` also gives how many frames differ and the largest
+|dq_frame|, and exits 1 if any output differs, any run fails or a run
+writes no file at all.
 
 Standard library only, besides the numpy that perfbench's workloads use.
 """
@@ -22,6 +24,7 @@ Standard library only, besides the numpy that perfbench's workloads use.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -31,9 +34,8 @@ import tempfile
 RUN_TIMEOUT_S = 600
 DWELL = "dwell"
 # The dwell case's traces: (label, seconds at 30 fps).  The short one has
-# 51 frames, of which about 36 move: OpenBLAS 0.3.31 (Haswell kernels)
-# multiplies fewer than 47 rows by another kernel, with other bits, so it
-# checks that stage 2 still multiplies one row per frame.
+# 51 frames, of which about 36 move, so its vaqm geometry holds fewer
+# tile-sum rows than it has frames, and fewer than the bank's 200.
 DWELL_TRACES = (("long", 20.0), ("short", 1.7))
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
@@ -82,12 +84,35 @@ def differing_files(a: str, b: str) -> list[str]:
     return differ
 
 
+def frame_difference(change: str, parent: str) -> str:
+    """How two _frames.csv files differ: the frames whose q_frame text
+    differs, a frame only one file holds included, and the largest
+    |dq_frame| among the frames both hold."""
+    texts = []
+    for path in (change, parent):
+        with open(path, newline="") as handle:
+            texts.append([row[1:] for row in list(csv.reader(handle))[1:]])
+    pairs = [(a, b) for a, b in zip(*texts) if a != b]
+    count = len(pairs) + abs(len(texts[0]) - len(texts[1]))
+    try:
+        largest = f"{max((abs(float(a[0]) - float(b[0])) for a, b in pairs), default=0.0):.3g}"
+    except (ValueError, IndexError):
+        largest = "unreadable"
+    return f"{count} of {max(map(len, texts))} frames differ, max |dq_frame| {largest}"
+
+
 def compare_outputs(change: str, parent: str) -> tuple[bool, str]:
     """Whether two runs' output directories hold the same files byte for
-    byte, with at least one file between them, and the line that says so."""
+    byte, with at least one file between them, and the line that says so;
+    it adds frame_difference of each differing _frames.csv both hold."""
     differ = differing_files(change, parent)
     if differ:
-        return False, f"DIFFERENT {', '.join(differ)}"
+        notes = "".join(
+            f"; {name}: {frame_difference(os.path.join(change, name), os.path.join(parent, name))}"
+            for name in differ
+            if name.endswith("_frames.csv") and all(os.path.isfile(os.path.join(d, name)) for d in (change, parent))
+        )
+        return False, f"DIFFERENT {', '.join(differ)}{notes}"
     written = sorted(_files(change))
     if not written:
         return False, "no output file written, nothing compared"

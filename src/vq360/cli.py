@@ -237,15 +237,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _manifest_trace(entry: dict, position: int, args):
-    if "synthetic" in entry:
-        spec = dict(entry["synthetic"])
-        spec.setdefault("fps", args.fps)
-        try:
-            return synthetic_trace(**spec)
-        except ValueError as exc:
-            raise ValueError(f"{args.manifest}: entry {position}: {exc}") from None
-    return _load_trace(args, entry["trace"])
+def _manifest_trace(entry: dict, position: int, args, segments: list[float]):
+    """The entry's trace, once each segment length it is scored under is
+    checked to hold whole frames at its rate; recipe and length errors
+    name the entry, trace file errors the file."""
+    if "trace" in entry:
+        trace = _load_trace(args, entry["trace"])
+    try:
+        if "synthetic" in entry:
+            trace = synthetic_trace(**{"fps": args.fps, **entry["synthetic"]})
+        for segment_ms in segments:
+            segment_frames(segment_ms, trace.frames_per_second)
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: entry {position}: {exc}") from None
+    return trace
 
 
 def _segment_list(entry: dict, default: list[float]) -> list[float]:
@@ -282,14 +287,17 @@ def cmd_study(args) -> int:
     entries = load_batch_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
-    traces = [_manifest_trace(entry, position, args) for position, entry in enumerate(entries)]
+    segment_lists = [_segment_list(entry, default_segments) for entry in entries]
+    # The error table's schedule uses --segment-ms.
+    extra = [base_config.segment_ms] if grids else []
+    traces = [_manifest_trace(e, i, args, s + extra) for i, (e, s) in enumerate(zip(entries, segment_lists))]
     # Stage 1 once for all traces serves every segment length and, for
     # vaqm, the exact side of the error study.
     geometries = session_geometries(traces, base_config)
     by_key: dict[tuple[str, float], list] = {}
-    for i, (entry, trace, geometry) in enumerate(zip(entries, traces, geometries)):
+    for i, (entry, trace, geometry, segments) in enumerate(zip(entries, traces, geometries, segment_lists)):
         content = entry.get("content", f"entry{i}")
-        for segment_ms in _segment_list(entry, default_segments):
+        for segment_ms in segments:
             if segment_ms not in configs:
                 configs[segment_ms] = replace(base_config, segment_ms=segment_ms)
             timeline = pool_session(trace, configs[segment_ms], geometry)

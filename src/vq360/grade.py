@@ -196,7 +196,8 @@ def binary_grade_map(layout: VariantLayout, variant_index: int, hq_footprint="ar
 
 def load_footprint_json(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
     """Explicit HQ footprint: JSON object mapping variant index to a list
-    of [row, col] tiles, each a pair of integers."""
+    of [row, col] tiles, each a pair of integers.  A key is the plain
+    decimal integer (str(int(key)) == key), so no two keys name one variant."""
     with open(path) as handle:
         try:
             raw = json.load(handle)
@@ -210,6 +211,8 @@ def load_footprint_json(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
             index = int(key)
         except ValueError as exc:
             raise ValueError(f"{path}: non-integer variant key {key!r}") from exc
+        if str(index) != key:
+            raise ValueError(f"{path}: variant key {key!r} is not written as the plain decimal integer {index}")
         if not isinstance(tiles, list):
             raise ValueError(f"{path}: variant {key}: expected a list of [row, col] tiles, got {tiles!r}")
         for tile in tiles:

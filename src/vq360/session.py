@@ -22,13 +22,13 @@ mask, and every other one is projected (vaqm) or snapped to the nearest
 center of a bank built once for all traces (avaqm).  Masks are reduced
 to rows of per-tile weight sums, and each frame records its row.  Stage 2,
 :func:`pool_session`, applies the segment schedule, the HQ footprint and
-the normalization: one product of the tile sums with the per-variant HQ
-flags, which the config resolves once from its footprint, gives a (masks
-x variants) table, from which each frame's quality is gathered.  A study
-scores its traces under many segment lengths and bank grids by running
-stage 1 once per method and bank grid and stage 2 many times.  No dense
-raster is ever built; the tests check the engine against a dense
-reference built on the per-pixel membership oracle.
+the normalization: each mask row, multiplied on its own by the HQ flags
+and their complements that the config resolves once from its footprint,
+gives the HQ and non-HQ sums from which each frame's quality is
+gathered.  A study scores its traces under many segment lengths and bank
+grids by running stage 1 once per method and bank grid and stage 2 many
+times.  No dense raster is ever built; the tests check the engine
+against a dense reference built on the per-pixel membership oracle.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ DEFAULT_FPS = 30.0
 METHOD_VAQM = "vaqm"
 METHOD_AVAQM = "avaqm"
 QUATERNION_UNIT_TOLERANCE = 1e-3
-# PoGs per block when snapping to the nearest bank center: the (PoGs x
-# centers) dot table stays in cache (1.6 MB for 200 centers).
-NEAREST_CENTER_BLOCK = 1024
+# Dot products per block when snapping PoGs to the nearest bank center:
+# the (PoGs x centers) dot table stays in cache (1.6 MB), so a 200-center
+# bank snaps 1024 PoGs per block.
+NEAREST_CENTER_DOTS = 1024 * 200
 _NEAREST_TIE_DOT = 1e-12
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
@@ -141,8 +142,8 @@ class SessionTrace:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Delivery and evaluation parameters of one session run; ``_hq``
-    holds the footprint's HQ flags (_hq_table), shape (variants, tiles)."""
+    """Delivery and evaluation parameters of one session run; ``_flags`` holds
+    the footprint's HQ flags (_hq_table), then their complements: (tiles, 2 variants)."""
 
     segment_ms: float
     fov: FieldOfView
@@ -167,9 +168,10 @@ class SessionConfig:
             raise ValueError(f"quality threshold t_q must lie in [0, 1], got {self.t_q}")
         if self.normalization not in (NORMALIZATION_MASK_AREA, NORMALIZATION_ANALYTIC):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        hq = _hq_table(self.layout, self.hq_footprint).reshape(self.layout.variant_count, -1).astype(np.float64)
-        hq.setflags(write=False)
-        object.__setattr__(self, "_hq", hq)
+        hq = _hq_table(self.layout, self.hq_footprint).reshape(self.layout.variant_count, -1)
+        flags = np.concatenate((hq, ~hq)).T.astype(np.float64, order="C")
+        flags.setflags(write=False)
+        object.__setattr__(self, "_flags", flags)
 
     @property
     def method(self) -> str:
@@ -194,9 +196,8 @@ class SessionGeometry:
     """Stage 1 of a session evaluation.
 
     ``tile_sums`` holds rows of per-tile mask weight sums (tiles
-    row-major): one per frame for vaqm, a repeated PoG's row copied from
-    the frame before, and one per bank center for avaqm.
-    ``mask_rows[i]`` is the row frame i uses.  ``key``
+    row-major): one per moved PoG for vaqm and one per bank center for
+    avaqm.  ``mask_rows[i]`` is the row frame i uses.  ``key``
     names the configuration the geometry depends on, so stage 2 can
     refuse a geometry made for another one.
     """
@@ -424,7 +425,7 @@ def segment_frames(segment_ms: float, fps: float) -> int:
     exact = segment_ms * fps / 1000.0
     frames = round(exact) if math.isfinite(exact) else 0
     if frames < 1 or abs(exact - frames) > 1e-9:
-        raise ValueError(f"segment of {segment_ms} ms is not a positive multiple of the frame period")
+        raise ValueError(f"segment of {segment_ms} ms is not a positive multiple of the frame period at {fps:g} fps")
     return frames
 
 
@@ -528,15 +529,17 @@ def _nearest_centers(centers: Sequence[SphericalPoint], theta_deg: np.ndarray, p
     That is the largest dot product; dot products within _NEAREST_TIE_DOT
     of it tie, and a tie goes to the lowest index.  The margin is far above
     the rounding of a 3-term dot product, so one PoG resolves a tie the
-    same way as a block of NEAREST_CENTER_BLOCK PoGs does.
+    same way as a block does.  A block holds NEAREST_CENTER_DOTS / centers
+    PoGs, at least one.
     """
     theta_c = np.array([c.theta_deg for c in centers], dtype=np.float64)
     phi_c = np.array([c.phi_deg for c in centers], dtype=np.float64)
     centers_xyz = np.stack(spherical_to_cartesian_arrays(theta_c, phi_c), axis=1)
     directions = np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
     nearest = np.empty(len(directions), dtype=np.intp)
-    for start in range(0, len(directions), NEAREST_CENTER_BLOCK):
-        dots = directions[start : start + NEAREST_CENTER_BLOCK] @ centers_xyz.T
+    block = max(1, NEAREST_CENTER_DOTS // len(centers))
+    for start in range(0, len(directions), block):
+        dots = directions[start : start + block] @ centers_xyz.T
         ties = dots >= dots.max(axis=1, keepdims=True) - _NEAREST_TIE_DOT
         nearest[start : start + len(dots)] = np.argmax(ties, axis=1)
     return nearest
@@ -602,9 +605,7 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
     A frame moved when its PoG differs from the frame before's (frame 0
     always has); a repeated PoG takes the mask of the last moved frame, so
     only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
-    is projected exactly and a repeat copies its tile-sum row: stage 2
-    keeps one row per frame, as a matrix product's last bits may depend
-    on its row count.  With one (avaqm) the bank is built once for all
+    is projected exactly; with one (avaqm) the bank is built once for all
     traces (_bank_tile_sums) and each moved PoG snaps to its nearest
     center (nearest_center_index).  Only the traces, FoV, resolution, tile
     grid and bank grid matter, so one geometry serves every segment
@@ -619,12 +620,11 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
         moved[1:] = (theta[1:] != theta[:-1]) | (phi[1:] != phi[:-1])
         rows = np.cumsum(moved) - 1
         if bank is None:
-            pogs = map(SphericalPoint, theta[moved].tolist(), phi[moved].tolist())
-            geometry = SessionGeometry(key, _tile_sums_at(pogs, config)[rows], np.arange(trace.n_frames))
+            sums = _tile_sums_at(map(SphericalPoint, theta[moved].tolist(), phi[moved].tolist()), config)
         else:
             centers, sums = bank
-            geometry = SessionGeometry(key, sums, _nearest_centers(centers, theta[moved], phi[moved])[rows])
-        geometries.append(geometry)
+            rows = _nearest_centers(centers, theta[moved], phi[moved])[rows]
+        geometries.append(SessionGeometry(key, sums, rows))
     return geometries
 
 
@@ -634,16 +634,16 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
 
 
 def _pooled(geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame quality and denominator, gathered from (masks x variants)
-    tables of the tile sums and the config's HQ flags."""
-    rows, hq = geometry.mask_rows, config._hq
-    numerator = (geometry.tile_sums @ hq.T)[rows, variants]
+    """Per-frame quality and denominator, gathered from one table: each mask
+    row times the config's flags on its own, so its bits ignore the row count."""
+    table = np.matmul(geometry.tile_sums[:, None, :], config._flags)[:, 0]
+    numerator = table[geometry.mask_rows, variants]
     if config.normalization == NORMALIZATION_ANALYTIC:
         denominator = np.full(numerator.shape, equivalent_pixels_viewport(config.resolution, config.fov))
     else:
         # The numerator is one term of the denominator's sum, so q <= 1
         # holds exactly, and q = 1 when no weight falls outside HQ tiles.
-        denominator = numerator + (geometry.tile_sums @ (1.0 - hq).T)[rows, variants]
+        denominator = numerator + table[geometry.mask_rows, variants + config.layout.variant_count]
     if not np.all(denominator > 0.0):
         raise ValueError("mask has zero area")
     return numerator / denominator, denominator

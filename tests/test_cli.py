@@ -485,6 +485,41 @@ def test_data_errors_exit_3(tmp_path, capsys):
         )
         assert code == 3 and f"error: {manifest}: entry 1: {problem}" in err
 
+    # A segment length that is no whole number of frames at an entry's rate
+    # is reported with that entry and rate as soon as its trace is built,
+    # before the next entry's trace is read: entry 2's file does not exist.
+    walk = tmp_path / "walk.csv"
+    walk.write_text("frame,theta_deg,phi_deg\n" + "".join(f"{i},{10 + i},45\n" for i in range(50)))
+    fine = {"synthetic": {"seed": 1, "duration_s": 1.0, "fps": 30.0}, "segment_ms": 500}
+    at_24 = {"seed": 2, "duration_s": 1.0, "fps": 24.0}
+    missing = {"trace": str(tmp_path / "missing.csv")}
+    for entries, flags, length, rate in (
+        ([fine, {"synthetic": {"seed": 2, "duration_s": 1.0}}, missing], ["--segments", "500,1001"], "1001.0 ms", "30"),
+        ([fine, {**fine, "segment_ms": [500, 1001]}, missing], [], "1001.0 ms", "30"),
+        ([fine, {"trace": str(walk)}, missing], ["--fps", "25", "--segment-ms", "400"], "500.0 ms", "25"),
+        ([fine, {"synthetic": at_24}, missing], ["--segments", "700"], "700.0 ms", "24"),
+        # --segment-ms sets the error table's schedule of every entry.
+        ([fine, {"synthetic": at_24, "segment_ms": 500}, missing], ["--segment-ms", "700"], "700.0 ms", "24"),
+    ):
+        manifest.write_text(json.dumps(entries))
+        code, _, err = run(
+            capsys,
+            "study", "--manifest", str(manifest), "--resolution", "960x480", "--grids", "3x6",
+            "--out", str(tmp_path / "out"), *flags,
+        )
+        assert code == 3 and (
+            f"error: {manifest}: entry 1: segment of {length} is not a positive multiple "
+            f"of the frame period at {rate} fps"
+        ) in err, flags
+    # Without --grids, --segment-ms sets no schedule and is not checked.
+    manifest.write_text(json.dumps([fine]))
+    code, _, _ = run(
+        capsys,
+        "study", "--manifest", str(manifest), "--resolution", "960x480", "--grids", "",
+        "--segments", "500", "--segment-ms", "1001", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+
     # Segment lengths are checked in the manifest, before any trace is read:
     # the listed trace does not exist.
     for segments in (0, math.nan, [500, -500]):
@@ -521,6 +556,8 @@ def test_data_errors_exit_3(tmp_path, capsys):
         ({**full, "4": [[5, 0]]}, "footprint tile (5,0) outside 5x8 grid"),
         ({**full, "4": []}, "footprint for variant 4 is empty"),
         ({**full, "99": [[2, 3]], "-1": [[2, 3]]}, "footprint mapping names variant 99, outside 0..25"),
+        ({**full, "01": [[0, 0]]}, "variant key '01' is not written as the plain decimal integer 1"),
+        ({**full, "2_5": [[0, 0]]}, "variant key '2_5' is not written as the plain decimal integer 25"),
     ):
         footprint.write_text(json.dumps(mapping))
         for argv in (

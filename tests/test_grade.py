@@ -262,6 +262,18 @@ def test_load_footprint_json(tmp_path):
     with pytest.raises(ValueError, match="non-integer"):
         load_footprint_json(str(path))
 
+    # Only plain decimal keys: "01", "+1", " 1" and "1_0" would otherwise
+    # name variant 1 (or 10) beside a "1" and overwrite it unseen.
+    for key, index in (("01", 1), ("+1", 1), (" 1", 1), ("1 ", 1), ("1_0", 10), ("-0", 0)):
+        path.write_text(json.dumps({"1": [[1, 1]], key: [[0, 0]]}))
+        with pytest.raises(ValueError) as info:
+            load_footprint_json(str(path))
+        assert str(info.value) == (
+            f"{path}: variant key {key!r} is not written as the plain decimal integer {index}"
+        ), key
+    path.write_text(json.dumps({"0": [[0, 0]], "-1": [[1, 1]], "25": [[2, 2]]}))
+    assert load_footprint_json(str(path)) == {0: ((0, 0),), -1: ((1, 1),), 25: ((2, 2),)}
+
     # Each tile is a [row, col] pair of JSON integers.
     for tiles in ([[1]], [1], 5, [[0, 1, 2]], [[0.0, 1]], [["0", 1]], [[True, 1]], [None]):
         path.write_text(json.dumps({"0": [[0, 0]], "3": tiles}))

@@ -80,6 +80,24 @@ def test_one_changed_byte_and_missing_files_differ(tmp_path, same_outputs):
     assert same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "c")) == ["tables/segment_table.csv"]
 
 
+def test_a_differing_frame_series_reports_its_size(tmp_path, same_outputs):
+    """A differing _frames.csv also reports how many frames differ, a frame
+    on one side only included, and the largest |dq_frame|."""
+    write_tree(tmp_path / "a", FILES)
+    frames = b"frame,q\n0,0.5000000000000001\n1,0.25\n2,1.0\n"
+    write_tree(tmp_path / "b", dict(FILES, **{"run_frames.csv": frames, "run_summary.json": b"{}\n"}))
+    assert same_outputs.compare_outputs(str(tmp_path / "b"), str(tmp_path / "a")) == (
+        False,
+        "DIFFERENT run_frames.csv, run_summary.json; run_frames.csv: 2 of 3 frames differ, max |dq_frame| 1.11e-16",
+    )
+    # A frame series on one side only has nothing to count.
+    write_tree(tmp_path / "c", dict(FILES, **{"extra_frames.csv": frames}))
+    assert same_outputs.compare_outputs(str(tmp_path / "c"), str(tmp_path / "a")) == (
+        False,
+        "DIFFERENT extra_frames.csv",
+    )
+
+
 def moved_frames(path):
     """Frame count and moved-frame count (PoG differs from the frame
     before's, frame 0 included) of a canonical trace CSV."""

@@ -503,8 +503,9 @@ def test_all_tiles_high_quality_gives_unit_quality():
 
 
 def test_footprint_table_is_built_once_per_config(monkeypatch):
-    """A config resolves its footprint into read-only float flags when it is
-    built; stage 2 and the error study only read them."""
+    """A config resolves its footprint into one read-only float table when
+    it is built, the HQ flags of each variant and then their complements;
+    stage 2 and the error study only read it."""
     calls = []
     table = session_module._hq_table
 
@@ -515,9 +516,11 @@ def test_footprint_table_is_built_once_per_config(monkeypatch):
     monkeypatch.setattr(session_module, "_hq_table", counted)
     config = base_config(hq_footprint="area-only")
     assert len(calls) == 1
-    assert config._hq.dtype == np.float64 and config._hq.shape == (26, 40)
-    assert not config._hq.flags.writeable
-    assert np.array_equal(config._hq, table(LAYOUT, "area-only").reshape(26, 40))
+    flags = config._flags
+    assert flags.dtype == np.float64 and flags.shape == (40, 52)
+    assert not flags.flags.writeable
+    hq = table(LAYOUT, "area-only").reshape(26, 40).T
+    assert np.array_equal(flags[:, :26], hq) and np.array_equal(flags[:, 26:], ~hq)
     trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=30)
     geometry = session_geometries([trace], config)[0]
     for _ in range(3):
@@ -591,10 +594,9 @@ def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
 
 
 def test_vaqm_geometry_projects_each_dwell_once(monkeypatch):
-    """vaqm projects only the moved PoGs and copies a repeated PoG's tile
-    sums, with the bits of projecting every frame.  Stage 2 multiplies one
-    row per frame, so q keeps the bits of pooling every frame's own row,
-    though a matrix product's bits may depend on its row count."""
+    """vaqm projects only the moved PoGs and keeps one tile-sum row for
+    each, with the bits of projecting every frame; q keeps the bits of
+    pooling a geometry with one row per frame."""
     trace, moved = dwell_trace()
     config = base_config()
     project = session_module._project_spans
@@ -607,14 +609,28 @@ def test_vaqm_geometry_projects_each_dwell_once(monkeypatch):
     monkeypatch.setattr(session_module, "_project_spans", counted)
     (geometry,) = session_geometries([trace], config)
     assert calls == [trace.samples[i] for i in moved]
+    assert geometry.tile_sums.shape == (len(moved), LAYOUT.grid.rows * LAYOUT.grid.cols)
     monkeypatch.undo()
     every = session_module._tile_sums_at(trace.samples, config)
     assert geometry.tile_sums[geometry.mask_rows].tobytes() == every.tobytes()
-    frames = np.arange(trace.n_frames)
-    variants = _variant_per_frame(trace, config)
-    numerator = (every @ config._hq.T)[frames, variants]
-    q = numerator / (numerator + (every @ (1.0 - config._hq).T)[frames, variants])
+    per_frame = session_module.SessionGeometry(geometry.key, every, np.arange(trace.n_frames))
+    q = pool_session(trace, config, per_frame).q_frame
     assert evaluate_session(trace, config).q_frame.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("grid", [None, (3, 6), (10, 20)])
+@pytest.mark.parametrize("footprint", ["area+neighbors", "area-only"])
+def test_a_clip_scores_its_frames_like_the_whole_trace(grid, footprint):
+    """A frame's q depends only on its mask and variant: the first 40
+    frames of each of 20 60-frame walks, scored alone, keep the bits they
+    have in the whole walk, though the clip's vaqm geometry has fewer
+    rows and a 3x6 bank has only 18."""
+    config = base_config(hq_footprint=footprint, avaqm_grid=grid)
+    walks = [synthetic_trace(duration_s=2.0, fps=30.0, seed=seed) for seed in range(20)]
+    clips = [SessionTrace(30.0, walk.theta_deg[:40], walk.phi_deg[:40]) for walk in walks]
+    for walk, clip in zip(walks, clips):
+        whole = evaluate_session(walk, config).q_frame
+        assert evaluate_session(clip, config).q_frame.tobytes() == whole[:40].tobytes()
 
 
 BANK_CASES = [
@@ -697,6 +713,20 @@ def test_nearest_center_rule_is_shared_on_ties():
     assert nearest_center_index(centers, SphericalPoint(0.0, 0.0)) == 0
     assert nearest_center_index(centers, SphericalPoint(0.0, 180.0)) == 12
     assert nearest_center_index(centers, SphericalPoint(0.0, 90.0)) == 6
+
+
+def test_large_bank_snaps_in_blocks_like_one_pog_at_a_time():
+    """A block holds NEAREST_CENTER_DOTS / centers PoGs, 10 for a 100x200
+    bank; every PoG of a sample, poles and ties among them, snaps to the
+    center nearest_center_index gives it alone."""
+    centers = bank_centers(100, 200)
+    rng = np.random.default_rng(32)
+    ties = tie_pogs(100, 200)
+    pogs = ties[:4] + ties[4::997] + list(map(SphericalPoint, rng.uniform(0.0, 360.0, 40), rng.uniform(0.0, 180.0, 40)))
+    assert session_module.NEAREST_CENTER_DOTS // len(centers) == 10 < len(pogs)
+    theta, phi = (np.array([getattr(p, name) for p in pogs]) for name in ("theta_deg", "phi_deg"))
+    snapped = session_module._nearest_centers(centers, theta, phi)
+    assert snapped.tolist() == [nearest_center_index(centers, p) for p in pogs]
 
 
 def test_variant_schedule_follows_segment_starts():
