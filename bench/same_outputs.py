@@ -12,7 +12,8 @@ once in a temporary directory with ``perfbench/workloads.py`` of
 and compares every file the two runs wrote, byte for byte.  The
 benchmark's traces repeat no PoG on vaqm, so a ``dwell`` case follows
 them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
-0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm.
+0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm,
+and by vaqm ``evaluate`` at two more fields of view, DWELL_FOVS.
 It prints one line per case and seed, which for a differing
 ``_frames.csv`` also gives how many frames differ and the largest
 |dq_frame|, and exits 1 if any output differs, any run fails or a run
@@ -37,6 +38,11 @@ DWELL = "dwell"
 # 51 frames, of which about 36 move, so its vaqm geometry holds fewer
 # tile-sum rows than it has frames, and fewer than the bank's 200.
 DWELL_TRACES = (("long", 20.0), ("short", 1.7))
+# The dwell case's extra vaqm fields of view, beside the default 100,85: a
+# narrow one, whose window of columns is narrow too, and a wide one, whose
+# viewport spans more tile rows and holds a pole whenever its gaze point
+# is within 45 degrees of that pole.
+DWELL_FOVS = ("60,40", "120,90")
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -155,6 +161,9 @@ def dwell_commands(parent: str, inputs: str, seed: int) -> list[tuple[str, ...]]
     for (label, _), path in zip(DWELL_TRACES, paths):
         commands.append(("evaluate", "--trace", path, *flags, "--out-prefix", f"{{out}}/{label}-vaqm"))
         commands.append(("evaluate", "--trace", path, *flags, *avaqm, "10x20", "--out-prefix", f"{{out}}/{label}-avaqm"))
+        for fov in DWELL_FOVS:
+            prefix = f"{{out}}/{label}-vaqm-{fov.replace(',', 'x')}"
+            commands.append(("evaluate", "--trace", path, *flags, "--fov", fov, "--out-prefix", prefix))
     commands.append(("study", "--manifest", manifest, *flags, "--out", "{out}/study-vaqm"))
     commands.append(("study", "--manifest", manifest, *flags, *avaqm, "5x10", "--out", "{out}/study-avaqm"))
     return commands

@@ -386,15 +386,17 @@ def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-column row spans [top, bot] of the exact viewport, analytically.
+def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[int, np.ndarray, bool]:
+    """Per-column row spans [top, bot] of the exact viewport, analytically,
+    on the columns of _column_window.
 
     Each face test n.v >= -BOUNDARY_EPS allows, along a column, the
     interval of polar angles that _face_intervals derives; intersecting
     the five and rounding to row centers gives exactly the pixel centers
     _membership_raster accepts.  This computes the same spans with less
     work, and only on the columns of _column_window: every other column is
-    empty.  A face whose n_z is not near zero bounds only one end of the
+    empty, and the spans are handed back on the window alone.  A face
+    whose n_z is not near zero bounds only one end of the
     column inside [0, pi]: the top if n_z < 0, at polar angle
     pi/2 - atan(c) - w, and the bottom if n_z > 0, at pi/2 + atan(c) + w,
     with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|, that is cot(phi)
@@ -406,6 +408,11 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     max/min: the side and forward faces at an equator PoG have n_z = 0,
     and a face plane through a pole has |n_z| ~ 1e-16, so c is unbounded
     there and w reaches pi/2.
+
+    An end that no face bounds, tilted or steep, is the frame edge: every
+    face then has n_z > _STEEP_NZ (n_z < -_STEEP_NZ), so the viewport
+    holds the north (south) pole and that end is row 0 (n_v - 1) in every
+    column, with no arctan, rounding or tie test.
 
     Ends are rounded in row units: row k's center is at polar angle
     (k + 0.5) pi / n_v, so an end sits at row x = -/+ atan(c) n_v / pi +
@@ -422,9 +429,12 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     whose tolerance band then touches pixels at both poles; the span
     keeps one end.
 
-    Returns int32 arrays top and bot of shape (n_h,), where empty columns
-    have top = n_v and bot = -1, and whether any column end was taken
-    again.
+    Returns the window's first column start, the intp rows of shape
+    (2, count) whose row 0 is each window column's top and row 1 its
+    bottom, window column i being column (start + i) mod n_h, and whether
+    any column end was taken again.  Every top lies in [0, n_v] and every
+    bottom in [-1, n_v - 1]; a column is empty when top > bot.
+    _full_width_spans gives every column's span.
     """
     normals = _world_face_normals(pog, fov)
     start, count = _column_window(pog, fov, res)
@@ -434,8 +444,8 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     scale = res.n_v / math.pi
     # c per tilted face: top-end faces as c, bottom-end faces as -c, so
     # that row 0 of ends is the least c of the top and row 1 minus the
-    # least c of the bottom; an end no tilted face bounds stays at its
-    # frame edge (atan(+inf) at the top, atan(-inf) at the bottom).
+    # least c of the bottom; an end that only steep faces bound starts at
+    # its frame edge (atan(+inf) at the top, atan(-inf) at the bottom).
     top_faces, bottom_faces, steep = [], [], []
     for nx, ny, nz in normals.tolist():
         if abs(nz) <= _STEEP_NZ:
@@ -444,13 +454,19 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
             top_faces.append((nx / -nz, ny / -nz))
         else:
             bottom_faces.append((-nx / nz, -ny / nz))
+    # Ends first to last - 1 are bounded; the others are frame edges.
+    first = 0 if top_faces or steep else 1
+    last = 2 if bottom_faces or steep else 1
     c = np.array(top_faces + bottom_faces).reshape(-1, 2) @ trig
     ends = np.empty((2, count))
-    np.minimum.reduce(c[: len(top_faces)], axis=0, out=ends[0], initial=np.inf)
-    np.maximum.reduce(c[len(top_faces) :], axis=0, out=ends[1], initial=-np.inf)
-    np.arctan(ends, out=ends)
-    ends *= -scale
-    ends += res.n_v / 2 - 0.5
+    if first == 0:
+        np.minimum.reduce(c[: len(top_faces)], axis=0, out=ends[0], initial=np.inf)
+    if last == 2:
+        np.maximum.reduce(c[len(top_faces) :], axis=0, out=ends[1], initial=-np.inf)
+    bounded = ends[first:last]
+    np.arctan(bounded, out=bounded)
+    bounded *= -scale
+    bounded += res.n_v / 2 - 0.5
     if steep:
         steep_normals = np.array(steep)
         lo, hi = _face_intervals(steep_normals[:, :2] @ trig, steep_normals[:, 2:])
@@ -460,33 +476,42 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
         hi -= 0.5
         np.maximum(ends[0], np.maximum(lo, -0.5, out=lo), out=ends[0])
         np.minimum(ends[1], np.minimum(hi, res.n_v - 0.5, out=hi), out=ends[1])
-    rows = np.rint(ends)
-    np.subtract(ends, rows, out=rows)
-    np.abs(rows, out=rows)
-    near = rows <= _TILTED_SLACK * scale
-    near = near[0] | near[1]
-    np.ceil(ends[0], out=rows[0])
-    np.floor(ends[1], out=rows[1])
-    retook = bool(near.any())
+    gap = np.rint(bounded)
+    np.subtract(bounded, gap, out=gap)
+    np.abs(gap, out=gap)
+    retook = bool(gap.min() <= _TILTED_SLACK * scale)
+    if first == 0:
+        np.ceil(ends[0], out=ends[0])
+    else:
+        ends[0] = 0.0
+    if last == 2:
+        np.floor(ends[1], out=ends[1])
+    else:
+        ends[1] = res.n_v - 1
     if retook:
-        retake = np.flatnonzero(near)
+        retake = np.flatnonzero((gap <= _TILTED_SLACK * scale).any(axis=0))
         # The per-face form takes A from the product of all five faces and
         # all columns: BLAS need not round a subset's products alike.
         a = normals[:, :2] @ _column_trig(res)
         lo, hi = _face_intervals(a[:, (start + retake) % res.n_h], normals[:, 2:])
         pitch = math.pi / res.n_v
-        rows[0, retake] = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
-        rows[1, retake] = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
-    empty = rows[0] > rows[1]
-    np.copyto(rows[0], res.n_v, where=empty)
-    np.copyto(rows[1], -1, where=empty)
-    spans = np.empty((2, res.n_h), dtype=np.int32)
-    spans[0] = res.n_v
-    spans[1] = -1
-    head = count - max(wrapped, 0)
-    spans[:, start : start + head] = rows[:, :head]
-    spans[:, : count - head] = rows[:, head:]
-    return spans[0], spans[1], retook
+        ends[0, retake] = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
+        ends[1, retake] = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+    rows = ends.astype(np.intp)
+    return start, rows, retook
+
+
+def _full_width_spans(start: int, rows: np.ndarray, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
+    """int32 top and bot of every column, shape (n_h,), from the spans of
+    a cyclic run of columns from start: columns outside the run, and
+    empty ones (top > bot), get top = n_v and bot = -1."""
+    top = np.full(res.n_h, res.n_v, dtype=np.int32)
+    bot = np.full(res.n_h, -1, dtype=np.int32)
+    filled = rows[0] <= rows[1]
+    columns = ((start + np.arange(rows.shape[1])) % res.n_h)[filled]
+    top[columns] = rows[0, filled]
+    bot[columns] = rows[1, filled]
+    return top, bot
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +676,11 @@ def _weighted_mask(inside: np.ndarray, pog: SphericalPoint, fov: FieldOfView, re
     return ViewportMask(resolution=res, weights=weights, pog=pog, fov=fov, area=area)
 
 
-def _spans_to_raster(top: np.ndarray, bot: np.ndarray, res: Resolution) -> np.ndarray:
-    rows = np.arange(res.n_v, dtype=np.int32)[:, None]
-    return (rows >= top[None, :]) & (rows <= bot[None, :])
+def _spans_to_raster(start: int, rows: np.ndarray, res: Resolution) -> np.ndarray:
+    """Boolean raster of the spans of a cyclic run of columns from start."""
+    top, bot = _full_width_spans(start, rows, res)
+    pixel_rows = np.arange(res.n_v, dtype=np.int32)[:, None]
+    return (pixel_rows >= top[None, :]) & (pixel_rows <= bot[None, :])
 
 
 def project_viewport(
@@ -681,8 +708,7 @@ def project_viewport(
         Dense sin(phi)-weighted raster; may wrap around the horizontal
         seam and extends to the frame edge when a pole is inside.
     """
-    top, bot = _polyline_spans(pog, fov, res, samples_per_side)
-    inside = _spans_to_raster(top, bot, res)
+    inside = _spans_to_raster(0, np.stack(_polyline_spans(pog, fov, res, samples_per_side)), res)
     return _weighted_mask(inside, pog, fov, res)
 
 

@@ -33,6 +33,7 @@ against a dense reference built on the per-pixel membership oracle.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -373,15 +374,18 @@ def synthetic_trace(
 ) -> SessionTrace:
     """Seeded spherical random walk: per frame, either dwell or advance
     along the current heading by speed/fps degrees, with the heading
-    diffusing by a normal turn angle."""
+    diffusing by a normal turn angle of standard deviation turn_sigma_deg.
+    The speed and the turn sigma must be finite and non-negative."""
     frames = duration_s * fps
     n_frames = round(frames) if math.isfinite(frames) else 0
     if n_frames < 1:
         raise ValueError(f"duration {duration_s} s at {fps} fps yields no frames")
     if not 0.0 <= dwell_probability <= 1.0:
         raise ValueError(f"dwell probability must lie in [0, 1], got {dwell_probability}")
-    if speed_deg_per_s < 0.0:
-        raise ValueError(f"speed must be non-negative, got {speed_deg_per_s}")
+    for name, value in (("speed_deg_per_s", speed_deg_per_s), ("turn_sigma_deg", turn_sigma_deg)):
+        # NaN fails the comparison too.
+        if not 0.0 <= value <= sys.float_info.max:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
     if start is None:
         z = rng.uniform(-1.0, 1.0)
@@ -463,17 +467,21 @@ def _sin_prefix(res: Resolution) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tile_edges(grid: TileGrid) -> tuple[tuple[float, ...], np.ndarray]:
-    """_sin_prefix at each tile-row edge, and the first column of each tile column."""
-    edge_prefix = tuple(_sin_prefix(grid.resolution)[grid.row_edges()].tolist())
+def _tile_edges(grid: TileGrid) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The tile-row edges, _sin_prefix at each of them as a column, and
+    the first column of each tile column."""
+    row_edges = grid.row_edges()
+    edge_prefix = _sin_prefix(grid.resolution)[row_edges, None]
     col_starts = grid.col_edges()[:-1]
-    col_starts.setflags(write=False)
-    return edge_prefix, col_starts
+    for table in (edge_prefix, col_starts):
+        table.setflags(write=False)
+    return tuple(row_edges.tolist()), edge_prefix, col_starts
 
 
-def _tile_row_weights(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
+def _tile_row_weights(start: int, rows: np.ndarray, grid: TileGrid) -> tuple[int, np.ndarray]:
     """Sum of sin(phi) mask weights of each column inside each tile row,
-    shape (tile rows, n_h), from column spans.
+    from the spans of a cyclic run of columns (_project_spans): the first
+    tile row of the spans' box and the box's weights, shape (box rows, n_h).
 
     A column's weight above tile-row edge e is S[clip(e, top, bot + 1)],
     with S = _sin_prefix; differences over the edges give its weight in
@@ -482,32 +490,58 @@ def _tile_row_weights(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.nd
     clip(S[e], S[top], S[bot + 1]), bit for bit: two gathers per column
     and a max and a min per inner edge (the first edge gives
     min(S[top], S[bot + 1]) and the last S[bot + 1]).  An empty column
-    (top > bot + 1) clamps every edge to S[bot + 1] and adds nothing.
+    (top > bot) clamps every edge to S[bot + 1] and adds nothing.
+
+    The box runs from the tile row of the least top to that of the
+    greatest bot.  Every edge up to its first clamps to min(S[top],
+    S[bot + 1]) and every edge from its last on to S[bot + 1], so each
+    weight outside the box, or outside the run, is exactly +0.0.
     """
+    n_h, count = grid.resolution.n_h, rows.shape[1]
+    row_edges, edge_prefix, _ = _tile_edges(grid)
+    top, bot = rows
+    first = bisect.bisect_right(row_edges, int(top.min())) - 1
+    last = max(first, bisect.bisect_right(row_edges, int(bot.max())))
     prefix = _sin_prefix(grid.resolution)
-    edge_prefix = _tile_edges(grid)[0]
-    above = np.empty((len(edge_prefix), grid.resolution.n_h))
+    above = np.empty((last - first + 1, count))
     lo, hi = above[0], above[-1]
     # Spans index rows 0..n_v, so the gathers need no bounds check.
     prefix.take(top, out=lo, mode="clip")
     prefix.take(bot + 1, out=hi, mode="clip")
-    for edge, row in zip(edge_prefix[1:-1], above[1:-1]):
-        np.maximum(lo, edge, out=row)
-        np.minimum(row, hi, out=row)
+    inner = above[1:-1]
+    np.maximum(lo, edge_prefix[first + 1 : last], out=inner)
+    np.minimum(inner, hi, out=inner)
     np.minimum(lo, hi, out=lo)
-    return np.subtract(above[1:], above[:-1])
+    weights = np.empty((last - first, n_h))
+    stop = start + count
+    if stop <= n_h:
+        weights[:, :start] = 0.0
+        weights[:, stop:] = 0.0
+        np.subtract(above[1:], above[:-1], out=weights[:, start:stop])
+    else:
+        # The run crosses the seam: its last stop - n_h columns come first.
+        head = n_h - start
+        weights[:, stop - n_h : start] = 0.0
+        np.subtract(above[1:, :head], above[:-1, :head], out=weights[:, start:])
+        np.subtract(above[1:, head:], above[:-1, head:], out=weights[:, : stop - n_h])
+    return first, weights
 
 
-def _tile_weight_sums(top: np.ndarray, bot: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Sum of sin(phi) mask weights inside each tile, from column spans:
-    _tile_row_weights summed over each tile column's pixel columns."""
-    return np.add.reduceat(_tile_row_weights(top, bot, grid), _tile_edges(grid)[1], axis=1)
+def _tile_weight_sums(start: int, rows: np.ndarray, grid: TileGrid) -> np.ndarray:
+    """Sum of sin(phi) mask weights inside each tile, shape (tile rows,
+    tile cols): _tile_row_weights summed per tile over all n_h columns.
+    reduceat sums a tile as its first value plus the pairwise sum of the
+    rest, so the +0.0 columns stay in place to keep the bits."""
+    first, weights = _tile_row_weights(start, rows, grid)
+    sums = np.zeros((grid.rows, grid.cols))
+    np.add.reduceat(weights, _tile_edges(grid)[2], axis=1, out=sums[first : first + len(weights)])
+    return sums
 
 
 def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:
     """Tile sums of the exact viewport at each PoG, shape (PoGs, tiles)."""
     spans = (_project_spans(pog, config.fov, config.resolution) for pog in pogs)
-    return np.stack([_tile_weight_sums(top, bot, config.layout.grid).ravel() for top, bot, _ in spans])
+    return np.stack([_tile_weight_sums(start, rows, config.layout.grid).ravel() for start, rows, _ in spans])
 
 
 def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
@@ -577,22 +611,24 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
     cols = config.avaqm_grid[1]
     fov, res, grid = config.fov, config.resolution, config.layout.grid
     n_h = res.n_h
-    col_starts = _tile_edges(grid)[1]
-    sums = np.empty((len(centers), grid.rows * grid.cols))
+    col_starts = _tile_edges(grid)[2]
+    sums = np.zeros((len(centers), grid.rows, grid.cols))
     doubled = np.empty((grid.rows, 2 * n_h))
     for first in range(0, len(centers), cols):
         row = centers[first : first + cols]
-        top, bot, retook = _project_spans(row[0], fov, res)
-        weights = _tile_row_weights(top, bot, grid)
+        start, rows, retook = _project_spans(row[0], fov, res)
         if retook or n_h % cols:
-            rest = (_project_spans(pog, fov, res) for pog in row[1:])
-            views = itertools.chain([weights], (_tile_row_weights(t, b, grid) for t, b, _ in rest))
+            spans = itertools.chain([(start, rows, retook)], (_project_spans(pog, fov, res) for pog in row[1:]))
+            boxes = (_tile_row_weights(s, r, grid) for s, r, _ in spans)
         else:
-            np.concatenate((weights, weights), axis=1, out=doubled)
-            views = (doubled[:, n_h - shift : 2 * n_h - shift] for shift in range(0, n_h, n_h // cols))
-        for index, view in enumerate(views, first):
-            np.add.reduceat(view, col_starts, axis=1, out=sums[index].reshape(grid.rows, grid.cols))
-    return centers, sums
+            # Every center of the row has the first center's box.
+            row0, weights = _tile_row_weights(start, rows, grid)
+            box = doubled[: len(weights)]
+            np.concatenate((weights, weights), axis=1, out=box)
+            boxes = ((row0, box[:, n_h - shift : 2 * n_h - shift]) for shift in range(0, n_h, n_h // cols))
+        for index, (row0, view) in enumerate(boxes, first):
+            np.add.reduceat(view, col_starts, axis=1, out=sums[index, row0 : row0 + len(view)])
+    return centers, sums.reshape(len(centers), -1)
 
 
 def _geometry_key(config: SessionConfig) -> tuple:
@@ -633,9 +669,12 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
 # ---------------------------------------------------------------------------
 
 
-def _pooled(geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame quality and denominator, gathered from one table: each mask
-    row times the config's flags on its own, so its bits ignore the row count."""
+def _pooled(
+    trace: SessionTrace, geometry: SessionGeometry, variants: np.ndarray, config: SessionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame quality and denominator of the trace, gathered from one
+    table: each mask row times the config's flags on its own, so its bits
+    ignore the row count.  A zero denominator names its first frame."""
     table = np.matmul(geometry.tile_sums[:, None, :], config._flags)[:, 0]
     numerator = table[geometry.mask_rows, variants]
     if config.normalization == NORMALIZATION_ANALYTIC:
@@ -645,7 +684,9 @@ def _pooled(geometry: SessionGeometry, variants: np.ndarray, config: SessionConf
         # holds exactly, and q = 1 when no weight falls outside HQ tiles.
         denominator = numerator + table[geometry.mask_rows, variants + config.layout.variant_count]
     if not np.all(denominator > 0.0):
-        raise ValueError("mask has zero area")
+        frame = int(np.argmin(denominator > 0.0))
+        theta, phi = float(trace.theta_deg[frame]), float(trace.phi_deg[frame])
+        raise ValueError(f"mask has zero area at frame {frame} (PoG theta {theta!r}, phi {phi!r})")
     return numerator / denominator, denominator
 
 
@@ -657,7 +698,7 @@ def _check_geometry(geometry: SessionGeometry, trace: SessionTrace, config: Sess
 def pool_session(trace: SessionTrace, config: SessionConfig, geometry: SessionGeometry) -> QualityTimeline:
     """Stage 2: quality timeline of a session from its stage-1 geometry."""
     _check_geometry(geometry, trace, config)
-    q, area = _pooled(geometry, _variant_per_frame(trace, config), config)
+    q, area = _pooled(trace, geometry, _variant_per_frame(trace, config), config)
     return make_timeline(q, area, config.t_q)
 
 
@@ -700,14 +741,15 @@ def approximation_error_study(
     for trace, geometry in zip(traces, exact_geometries, strict=True):
         _check_geometry(geometry, trace, vaqm_config)
         variant_series.append(_variant_per_frame(trace, config))
-        exact_q.append(_pooled(geometry, variant_series[-1], vaqm_config)[0])
+        exact_q.append(_pooled(trace, geometry, variant_series[-1], vaqm_config)[0])
     reports = []
     for grid_dims in grids:
         bank_config = replace(config, avaqm_grid=grid_dims)
         errors = []
         excluded = 0
-        for geometry, q, variants in zip(session_geometries(traces, bank_config), exact_q, variant_series):
-            approx = _pooled(geometry, variants, bank_config)[0]
+        bank_geometries = session_geometries(traces, bank_config)
+        for trace, geometry, q, variants in zip(traces, bank_geometries, exact_q, variant_series):
+            approx = _pooled(trace, geometry, variants, bank_config)[0]
             usable = q > 0.0
             excluded += int(np.count_nonzero(~usable))
             errors.append(np.abs(approx[usable] - q[usable]) / q[usable])

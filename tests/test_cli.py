@@ -419,6 +419,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (synth + ["--duration-s", "0"], "no frames"),
         (synth + ["--duration-s", "inf"], "no frames"),
         (synth + ["--dwell", "2"], "dwell"),
+        (synth + ["--speed", "inf"], "speed_deg_per_s must be non-negative and finite, got inf"),
+        (synth + ["--speed", "nan"], "speed_deg_per_s must be non-negative and finite, got nan"),
+        (synth + ["--speed", "-1"], "speed_deg_per_s must be non-negative and finite, got -1.0"),
+        (synth + ["--turn-sigma", "-5"], "turn_sigma_deg must be non-negative and finite, got -5.0"),
+        (synth + ["--turn-sigma", "inf"], "turn_sigma_deg must be non-negative and finite, got inf"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err, argv
@@ -473,7 +478,8 @@ def test_data_errors_exit_3(tmp_path, capsys):
     # A recipe that synthetic_trace rejects is reported with its entry.
     for recipe, problem in (
         ({"seed": 1, "fps": 0}, "duration 60.0 s at 0 fps yields no frames"),
-        ({"seed": 1, "speed_deg_per_s": -1}, "speed must be non-negative, got -1"),
+        ({"seed": 1, "speed_deg_per_s": -1}, "speed_deg_per_s must be non-negative and finite, got -1"),
+        ({"seed": 1, "turn_sigma_deg": -5}, "turn_sigma_deg must be non-negative and finite, got -5"),
         ({"seed": 1, "dwell_probability": 2}, "dwell probability must lie in [0, 1], got 2"),
         ({"seed": 1, "duration_s": 0}, "duration 0 s at 30.0 fps yields no frames"),
     ):
@@ -573,6 +579,24 @@ def test_data_errors_exit_3(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "r"),
     )
     assert code == 3 and f"error: {footprint}: " in err
+
+
+def test_zero_area_names_its_first_frame(tmp_path, capsys):
+    """A 0.001-degree viewport holds a pixel center only when its PoG is
+    one: frame 0 has weight, frame 1 has none.  The error names frame 1
+    and its PoG, and exits 3."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("frame,theta_deg,phi_deg\n0,180.1875,90.1875\n1,10,45\n2,20,50\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": "a", "trace": str(trace)}]))
+    flags = ["--resolution", "960x480", "--fov", "0.001,0.001", "--fps", "10", "--segment-ms", "100"]
+    for argv in (
+        ["evaluate", "--trace", str(trace), "--out-prefix", str(tmp_path / "r")],
+        ["study", "--manifest", str(manifest), "--segments", "100", "--grids", "", "--out", str(tmp_path / "s")],
+        ["study", "--manifest", str(manifest), "--segments", "100", "--grids", "3x6", "--out", str(tmp_path / "e")],
+    ):
+        code, _, err = run(capsys, *argv, *flags)
+        assert code == 3 and "error: mask has zero area at frame 1 (PoG theta 10.0, phi 45.0)" in err, argv
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

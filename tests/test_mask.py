@@ -30,6 +30,7 @@ from vq360.grade import TileGrid, variant_layout_26
 from vq360.mask import (
     BOUNDARY_EPS,
     _base_polyline,
+    _full_width_spans,
     _membership_raster,
     _project_spans,
     _spans_to_raster,
@@ -42,7 +43,7 @@ from vq360.mask import (
     write_mask_npz,
     write_mask_pgm,
 )
-from vq360.session import _sin_prefix, _tile_weight_sums, bank_centers, nearest_center_index
+from vq360.session import _sin_prefix, _tile_row_weights, _tile_weight_sums, bank_centers, nearest_center_index
 
 from rotations import phi_rotation_matrix, theta_rotation_matrix
 
@@ -380,9 +381,15 @@ def test_membership_raster_equals_one_shot_evaluation(theta, phi, fov_theta, fov
 # ---------------------------------------------------------------------------
 
 
+def project_full_width(pog, fov, res):
+    """_project_spans expanded to every column, and whether it took a column end again."""
+    start, rows, retook = _project_spans(pog, fov, res)
+    return (*_full_width_spans(start, rows, res), retook)
+
+
 def assert_spans_match_oracle(pog, fov, res):
-    top, bot, _ = _project_spans(pog, fov, res)
-    spans = _spans_to_raster(top, bot, res)
+    start, rows, _ = _project_spans(pog, fov, res)
+    spans = _spans_to_raster(start, rows, res)
     oracle = _membership_raster(pog, fov, res)
     assert np.count_nonzero(spans != oracle) == 0
 
@@ -455,7 +462,9 @@ def per_face_spans(pog, fov, res):
 
 def assert_spans_match_per_face(pog, fov, res):
     expected_top, expected_bot = per_face_spans(pog, fov, res)
-    top, bot, _ = _project_spans(pog, fov, res)
+    start, rows, _ = _project_spans(pog, fov, res)
+    assert rows.dtype == np.intp and rows.shape == (2, mask_module._column_window(pog, fov, res)[1])
+    top, bot = _full_width_spans(start, rows, res)
     assert top.dtype == bot.dtype == np.int32
     assert np.array_equal(top, expected_top)
     assert np.array_equal(bot, expected_bot)
@@ -472,6 +481,31 @@ def face_groups(pog, fov):
     )
 
 
+# One case per path of _project_spans and _tile_weight_sums, as (theta,
+# phi, fov_theta, fov_phi, n_v); the boxes are those of a 5x8 tile grid.
+WINDOW_PATH_CASES = {
+    "top end at the frame edge": (123.0, 0.0, 100.0, 85.0, 240),
+    "bottom end at the frame edge": (77.0, 180.0, 100.0, 85.0, 240),
+    "top end bounded by a steep face alone": (200.0, 43.5, 100.0, 87.0, 240),
+    "window across the seam": (359.9, 60.0, 100.0, 85.0, 240),
+    "steep side and forward faces": (200.0, 90.0, 100.0, 85.0, 240),
+    "column end taken again": (123.0, 69.00000000002865, 100.0, 60.0, 30),
+    "box of one tile row": (180.0, 90.0, 10.0, 10.0, 240),
+    "box of five tile rows": (180.0, 90.0, 170.0, 150.0, 240),
+}
+
+
+def with_window_path_examples(**extra):
+    """A hypothesis @example of every WINDOW_PATH_CASES entry."""
+
+    def decorate(test):
+        for theta, phi, fov_theta, fov_phi, n_v in WINDOW_PATH_CASES.values():
+            test = example(theta=theta, phi=phi, fov_theta=fov_theta, fov_phi=fov_phi, n_v=n_v, **extra)(test)
+        return test
+
+    return decorate
+
+
 @given(
     theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
     phi=st.floats(min_value=0.0, max_value=180.0),
@@ -479,6 +513,7 @@ def face_groups(pog, fov):
     fov_phi=FOV_ANGLES,
     n_v=st.integers(min_value=2, max_value=240),
 )
+@with_window_path_examples()
 def test_binding_face_spans_equal_per_face_spans(theta, phi, fov_theta, fov_phi, n_v):
     assert_spans_match_per_face(
         SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
@@ -578,7 +613,7 @@ def test_spans_keep_rows_within_a_tilted_face_tolerance(end, n_v):
     pog = SphericalPoint(float(column_centers_deg(res)[col]), phi)
     nz = mask_module._world_face_normals(pog, fov)[0 if end == "top" else 1, 2]
     assert abs(nz) > mask_module._STEEP_NZ
-    top, bot, retook = _project_spans(pog, fov, res)
+    top, bot, retook = project_full_width(pog, fov, res)
     assert retook
     assert (top[col] if end == "top" else bot[col]) == row
     assert_spans_match_per_face(pog, fov, res)
@@ -595,7 +630,7 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
     pog = SphericalPoint(162.4532218849912, phi)
     nz = mask_module._world_face_normals(pog, fov)[2, 2]
     assert mask_module._STEEP_NZ < abs(nz) < 2.0 * mask_module._STEEP_NZ
-    top, bot, retook = _project_spans(pog, fov, res)
+    top, bot, retook = project_full_width(pog, fov, res)
     assert retook
     assert (top[300] if end == "top" else bot[300]) == 240
     assert_spans_match_per_face(pog, fov, res)
@@ -637,12 +672,13 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
         else:
             pog = SphericalPoint((meridian + 180.0) % 360.0, 360.0 - along)
         expected = per_face_spans(pog, FOV, res)
-        spans = _project_spans(pog, FOV, res)[:2]
+        window = _project_spans(pog, FOV, res)[:2]
+        spans = _full_width_spans(*window, res)
         assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
         # The row differences taken apart, as np.diff, then per tile.
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
         weights = np.diff(_sin_prefix(res)[rows], axis=0)
-        assert np.array_equal(_tile_weight_sums(*spans, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
+        assert np.array_equal(_tile_weight_sums(*window, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
 
 
 def corner_radius_deg(fov):
@@ -743,22 +779,66 @@ def index_clip_tile_sums(top, bot, grid):
 )
 @example(theta=320.0, phi=110.0, fov_theta=100.0, fov_phi=85.0, n_v=480, tiles=(5, 8))
 @example(theta=123.0, phi=180.0, fov_theta=100.0, fov_phi=85.0, n_v=5, tiles=(5, 1))
+@with_window_path_examples(tiles=(5, 8))
 def test_tile_sums_equal_the_index_clip_form(theta, phi, fov_theta, fov_phi, n_v, tiles):
+    """Against the index-clip form of the kernel's spans and of the
+    per-face reference spans."""
     res = Resolution(2 * n_v, n_v)
     grid = TileGrid(min(tiles[0], n_v), min(tiles[1], res.n_h), res)
-    top, bot, _ = _project_spans(SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), res)
-    assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
+    pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
+    start, rows, _ = _project_spans(pog, fov, res)
+    top, bot = _full_width_spans(start, rows, res)
+    sums = _tile_weight_sums(start, rows, grid)
+    assert_bitwise_equal(sums, index_clip_tile_sums(top, bot, grid))
+    assert_bitwise_equal(sums, index_clip_tile_sums(*per_face_spans(pog, fov, res), grid))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_v=st.integers(min_value=2, max_value=64))
 def test_tile_sums_of_any_spans_equal_the_index_clip_form(seed, n_v):
-    """Spans drawn at random, empty ones with any top > bot included."""
+    """Spans drawn at random, empty ones with any top > bot included: on
+    every column, and on a cyclic run of columns with every other column
+    empty."""
     rng = np.random.default_rng(seed)
     res = Resolution(2 * n_v, n_v)
     grid = TileGrid(int(rng.integers(1, n_v + 1)), int(rng.integers(1, res.n_h + 1)), res)
     top = rng.integers(0, n_v + 1, res.n_h).astype(np.int32)
     bot = rng.integers(-1, n_v, res.n_h).astype(np.int32)
-    assert_bitwise_equal(_tile_weight_sums(top, bot, grid), index_clip_tile_sums(top, bot, grid))
+    every_column = np.stack((top, bot)).astype(np.intp)
+    assert_bitwise_equal(_tile_weight_sums(0, every_column, grid), index_clip_tile_sums(top, bot, grid))
+    start, count = int(rng.integers(0, res.n_h)), int(rng.integers(1, res.n_h + 1))
+    run = (start + np.arange(count)) % res.n_h
+    outside = np.ones(res.n_h, dtype=bool)
+    outside[run] = False
+    top[outside], bot[outside] = n_v, -1
+    assert_bitwise_equal(_tile_weight_sums(start, every_column[:, run], grid), index_clip_tile_sums(top, bot, grid))
+
+
+@pytest.mark.parametrize("case", WINDOW_PATH_CASES)
+def test_window_path_cases_take_their_path(case):
+    theta, phi, fov_theta, fov_phi, n_v = WINDOW_PATH_CASES[case]
+    pog, fov, res = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
+    start, rows, retook = _project_spans(pog, fov, res)
+    top_faces, bottom_faces, steep = face_groups(pog, fov)
+    first, weights = _tile_row_weights(start, rows, TileGrid(5, 8, res))
+    box = first, len(weights)
+    assert retook == (case == "column end taken again")
+    assert (start + rows.shape[1] > res.n_h) == (case == "window across the seam")
+    if case == "top end at the frame edge":
+        assert top_faces == steep == 0 and rows[0].tolist() == [0] * res.n_h
+    elif case == "bottom end at the frame edge":
+        assert bottom_faces == steep == 0 and rows[1].tolist() == [n_v - 1] * res.n_h
+    elif case == "top end bounded by a steep face alone":
+        assert top_faces == 0 and steep == 1
+    elif case == "steep side and forward faces":
+        assert steep == 3
+    elif case == "box of one tile row":
+        assert box == (2, 1)
+    elif case == "box of five tile rows":
+        assert box == (0, 5)
+    # Every tile row with weight lies in the box.
+    expected = index_clip_tile_sums(*per_face_spans(pog, fov, res), TileGrid(5, 8, res))
+    filled = np.flatnonzero(expected.any(axis=1))
+    assert filled.min() >= box[0] and filled.max() < box[0] + box[1]
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +903,8 @@ def test_boundary_sample_on_a_pole_keeps_to_the_viewport(theta):
 
     def mismatch(phi):
         pog = SphericalPoint(theta, phi)
-        top, bot = mask_module._polyline_spans(pog, FOV, res, 4)
-        return np.count_nonzero(_spans_to_raster(top, bot, res) != _membership_raster(pog, FOV, res))
+        rows = np.stack(mask_module._polyline_spans(pog, FOV, res, 4))
+        return np.count_nonzero(_spans_to_raster(0, rows, res) != _membership_raster(pog, FOV, res))
 
     for phi in (FOV.phi_deg / 2.0, 180.0 - FOV.phi_deg / 2.0):
         assert mismatch(phi) <= max(mismatch(phi - 0.1), mismatch(phi + 0.1)) + 2

@@ -16,7 +16,7 @@ from vq360.geometry import (
     row_centers_deg,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
-from vq360.mask import _project_spans, exact_mask
+from vq360.mask import _full_width_spans, _project_spans, exact_mask
 from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
@@ -148,6 +148,15 @@ def test_synthetic_trace_start_and_validation():
         synthetic_trace(dwell_probability=1.5)
     with pytest.raises(ValueError):
         synthetic_trace(speed_deg_per_s=-1.0)
+
+
+@pytest.mark.parametrize("name", ["speed_deg_per_s", "turn_sigma_deg"])
+@pytest.mark.parametrize("value", [-1.0, -0.001, math.inf, -math.inf, math.nan])
+def test_synthetic_trace_names_a_bad_speed_or_turn_sigma(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite, got {value}$"):
+        synthetic_trace(duration_s=1.0, **{name: value})
+    # Zero is a still gaze or a straight walk.
+    assert synthetic_trace(duration_s=1.0, **{name: 0.0}).n_frames == 30
 
 
 def test_trace_arrays_normalize_like_points():
@@ -770,14 +779,15 @@ def test_tile_weight_sums_match_row_by_row_loop():
     prefix = np.concatenate(([0.0], np.cumsum(np.sin(np.deg2rad(row_centers_deg(RES))))))
     edges = grid.row_edges()
     for pog in (SphericalPoint(180.0, 30.0), SphericalPoint(320.0, 110.0), SphericalPoint(10.0, 179.0)):
-        top, bot, _ = _project_spans(pog, FOV, RES)
+        start, rows, _ = _project_spans(pog, FOV, RES)
+        top, bot = _full_width_spans(start, rows, RES)
         expected = np.empty((grid.rows, grid.cols))
         for r in range(grid.rows):
             lo = np.maximum(top, edges[r])
             hi = np.minimum(bot, edges[r + 1] - 1)
             contribution = np.where(hi >= lo, prefix[hi + 1] - prefix[lo], 0.0)
             expected[r] = np.add.reduceat(contribution, grid.col_edges()[:-1])
-        assert np.array_equal(_tile_weight_sums(top, bot, grid), expected)
+        assert np.array_equal(_tile_weight_sums(start, rows, grid), expected)
 
 
 def test_quality_bounds_and_timeline_length():
