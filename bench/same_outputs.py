@@ -13,7 +13,7 @@ and compares every file the two runs wrote, byte for byte.  The
 benchmark's traces repeat no PoG on vaqm, so a ``dwell`` case follows
 them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
 0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm,
-and by vaqm ``evaluate`` at two more fields of view, DWELL_FOVS.
+and by vaqm ``evaluate`` at three more fields of view, DWELL_FOVS.
 It prints one line per case and seed, which for a differing
 ``_frames.csv`` also gives how many frames differ and the largest
 |dq_frame|, and exits 1 if any output differs, any run fails or a run
@@ -39,10 +39,11 @@ DWELL = "dwell"
 # tile-sum rows than it has frames, and fewer than the bank's 200.
 DWELL_TRACES = (("long", 20.0), ("short", 1.7))
 # The dwell case's extra vaqm fields of view, beside the default 100,85: a
-# narrow one, whose window of columns is narrow too, and a wide one, whose
+# narrow one, whose window of columns is narrow too; a wide one, whose
 # viewport spans more tile rows and holds a pole whenever its gaze point
-# is within 45 degrees of that pole.
-DWELL_FOVS = ("60,40", "120,90")
+# is within 45 degrees of that pole; and the widest the tests cover, whose
+# corner hull nears 180 degrees and whose corners pass near a pole.
+DWELL_FOVS = ("60,40", "120,90", "170,150")
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 

@@ -6,7 +6,7 @@ by the field of view).  Its four sides are great-circle arcs on the
 planes of the pyramid's faces.  The pyramid is described once:
 ``_base_face_normals`` holds the inward face normals and the forward
 direction of the base viewport (centered at theta=180, phi=90), and
-``_world_face_normals`` rotates them to the point of gaze (PoG).  The
+``_face_normals`` rotates them to the point of gaze (PoG).  The
 boundary sampler, the membership oracle and the span kernel read them.
 
 A mask is built in three steps: sample the boundary of the base
@@ -25,13 +25,16 @@ extends to the corresponding frame edge.  An exact per-pixel membership
 test against the face half-spaces serves as the independent oracle
 for the rasterized path.  The session engine does not rasterize: it
 takes each column's row span analytically from the five face half-spaces
-(``_project_spans``), which selects exactly the oracle's pixels.  Every
-accepted direction lies within the corner radius r =
-atan(hypot(tan(h/2), tan(v/2))) of the PoG (56.4 degrees for a 100x85
-field of view), plus a margin for the oracle's tolerance.  So unless that
-cap holds a pole, only columns within asin(sin r / sin phi) of the PoG's
-azimuth, padded by one column, can hold a viewport pixel
-(``_column_window``); spans are taken on that run of columns, which may
+(``_project_spans``), which selects exactly the oracle's pixels.  What
+does not depend on the columns is set up once for all the PoGs of a
+trace (``_gazes``): the rotated face normals, the coefficients of the
+faces that bound one column end, and the column window.  A viewport that
+holds no pole spans, in azimuth, only the hull of its four corners'
+azimuths, less than 180 degrees wide.  So unless a pole lies inside the
+viewport or within a tiny margin of it, where the oracle's tolerance
+could carry an accepted direction half a column past the hull, only the
+hull's columns, padded by one column, can hold a viewport pixel
+(``_column_windows``); spans are taken on that run of columns, which may
 cross the seam, and every other column is empty.  A face that is not
 near-vertical bounds only one end of a column, set by the sign of its
 normal's z; at each end the binding face is the one with the least
@@ -48,7 +51,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +73,12 @@ BOUNDARY_EPS = 1e-12
 # _TILTED_SLACK, which _project_spans may leave out.
 _STEEP_NZ = 1e-4
 _TILTED_SLACK = 2.0 * BOUNDARY_EPS / _STEEP_NZ
-# Added to the cap radius that bounds the column window: far above the
+# Added to the tolerance's reach that pads the column window: far above the
 # rounding of the window's own arithmetic and of the oracle's face values.
 _WINDOW_SLACK = 1e-9
+# The window columns of a span call that takes no column end again.
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
+_NO_COLUMNS.setflags(write=False)
 # The projection stretches azimuth spans by ~1/sin(phi), so straight chords
 # between rotated boundary samples under-resolve pole-adjacent stretches of
 # the boundary.  Segments whose azimuth span exceeds both the per-sample cap
@@ -228,26 +234,33 @@ def _base_face_normals(fov: FieldOfView) -> np.ndarray:
     return normals
 
 
-def _pog_rotation(pog: SphericalPoint) -> np.ndarray:
-    """Rotation taking the base frame to the PoG frame, in closed form.
+def _pog_rotations(theta_deg, phi_deg) -> np.ndarray:
+    """Rotations taking the base frame to each PoG's frame, in closed form,
+    shape (PoGs, 3, 3) for arrays of angles and (3, 3) for one PoG's.
 
-    It is the product Rz(theta - 180) Rx(phi) of a tilt about -x by
+    Each is the product Rz(theta - 180) Rx(phi) of a tilt about -x by
     90 - phi, which lowers the base center (0, -1, 0) to polar angle phi,
     and a turn about +z adding theta - 180 to every azimuth.  Each entry
     of that product is one product of a sine or cosine plus exact zeros,
     so it is written as that product.  Adding 0.0 turns a -0 product into
-    the +0 that the matrix product returns.
+    the +0 that the matrix product returns.  Every entry is elementwise,
+    so a PoG's rotation does not depend on the other PoGs.
     """
-    d = math.radians(pog.theta_deg - 180.0)
-    ct, st = math.cos(d), math.sin(d)
-    psi = math.radians(90.0 - pog.phi_deg)
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[ct, st * c, st * s + 0.0], [0.0 - st, ct * c, ct * s + 0.0], [0.0, 0.0 - s, c]])
+    # The turn theta - 180 and the tilt psi = 90 - phi, in radians.
+    angles = np.radians(np.stack((theta_deg - 180.0, 90.0 - phi_deg)))
+    (ct, c), (st, s) = np.cos(angles), np.sin(angles)
+    rotations = np.zeros(np.shape(ct) + (3, 3))
+    rotations[..., 0, 0], rotations[..., 0, 1], rotations[..., 0, 2] = ct, st * c, st * s + 0.0
+    rotations[..., 1, 0], rotations[..., 1, 1], rotations[..., 1, 2] = 0.0 - st, ct * c, ct * s + 0.0
+    rotations[..., 2, 1], rotations[..., 2, 2] = 0.0 - s, c
+    return rotations
 
 
-def _world_face_normals(pog: SphericalPoint, fov: FieldOfView) -> np.ndarray:
-    """Face normals rotated from the base frame to the PoG frame."""
-    return _base_face_normals(fov) @ _pog_rotation(pog).T
+def _face_normals(theta_deg, phi_deg, fov: FieldOfView) -> np.ndarray:
+    """Face normals rotated from the base frame to each PoG's frame, shape
+    (PoGs, 5, 3) for arrays of angles and (5, 3) for one PoG's: one matrix
+    product per PoG, as for a PoG alone."""
+    return np.matmul(_base_face_normals(fov), _pog_rotations(theta_deg, phi_deg).swapaxes(-1, -2))
 
 
 def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: FieldOfView) -> bool:
@@ -255,10 +268,10 @@ def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: Field
 
     Membership is the conjunction of the four face half-space tests and
     the forward-hemisphere test, n.v >= -BOUNDARY_EPS for each row n of
-    _world_face_normals, the normals _membership_raster and
+    _face_normals, the normals _membership_raster and
     _project_spans read.
     """
-    return bool(np.all(_world_face_normals(pog, fov) @ pixel_dir.as_array() >= -BOUNDARY_EPS))
+    return bool(np.all(_face_normals(pog.theta_deg, pog.phi_deg, fov) @ pixel_dir.as_array() >= -BOUNDARY_EPS))
 
 
 def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> np.ndarray:
@@ -269,7 +282,7 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
     blocks of _ORACLE_BLOCK_ROWS rows in reused buffers; every pixel's
     value is the same product and sum as in one whole-raster evaluation.
     """
-    normals = _world_face_normals(pog, fov)
+    normals = _face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     phi = np.deg2rad(row_centers_deg(res))
     sin_p = np.sin(phi)[:, None]
@@ -289,11 +302,23 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
     return inside
 
 
+def _pole_clearances(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sines of lower bounds on the angles from the north and south poles
+    to the exact viewport: the greatest -n_z and the greatest n_z over the
+    faces (last axis of nz).
+
+    A pole outside face n's half-space lies asin(-+n_z) from the face
+    plane, and the viewport lies inside every face's half-space.  The
+    oracle holds the north (south) pole iff its value is at most
+    BOUNDARY_EPS: a face normal's dot product with (0, 0, +-1) is +-n_z.
+    """
+    return np.maximum.reduce(-nz, axis=-1), np.maximum.reduce(nz, axis=-1)
+
+
 def _pole_containment(pog: SphericalPoint, fov: FieldOfView) -> tuple[bool, bool]:
-    """exact_membership of the north and south poles: a face normal's dot
-    product with (0, 0, +-1) is +-n_z."""
-    nz = _world_face_normals(pog, fov)[:, 2]
-    return bool(np.all(nz >= -BOUNDARY_EPS)), bool(np.all(nz <= BOUNDARY_EPS))
+    """exact_membership of the north and south poles (_pole_clearances)."""
+    north, south = _pole_clearances(_face_normals(pog.theta_deg, pog.phi_deg, fov)[:, 2])
+    return bool(north <= BOUNDARY_EPS), bool(south <= BOUNDARY_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -310,53 +335,113 @@ def _column_trig(res: Resolution) -> np.ndarray:
     return trig
 
 
-@lru_cache(maxsize=32)
-def _cap_radius(fov: FieldOfView) -> float:
-    """Angle from the PoG within which every accepted direction lies.
+def _tolerance_reach(fov: FieldOfView) -> float:
+    """Angle from the exact viewport within which every direction the
+    oracle accepts lies.
 
-    The pyramid's corners lie at r = atan(hypot(tan(h/2), tan(v/2))) from
-    its axis.  The oracle's tolerance widens that: a direction at angle
-    alpha from the axis, with axis component a = cos(alpha), passes the
-    four side faces only if its components along the pyramid's horizontal
-    and vertical axes are at most a tan(h/2) + E and a tan(v/2) + E in
-    magnitude, E = BOUNDARY_EPS / min(cos(h/2), cos(v/2)).  Once
-    sqrt(2) E < 1 that forces a >= 0, and then sin(alpha) <= a tan(r) +
-    sqrt(2) E, that is sin(alpha - r) <= sqrt(2) E cos(r), so alpha <=
-    r + asin(sqrt(2) E).  _WINDOW_SLACK covers the rounding of this bound
-    and of the oracle's own face values.
+    Take a direction v with components x and z along the pyramid's
+    horizontal and vertical axes and a along its axis.  It passes the
+    four side faces only if |x| <= a tan(h/2) + E and |z| <= a tan(v/2) +
+    E, E = BOUNDARY_EPS / min(cos(h/2), cos(v/2)), and the forward face
+    only if a >= -BOUNDARY_EPS.  A non-positive a would then leave
+    |v|^2 <= 3 E^2 < 1, so a > 0, and clamping x and z to the exact bounds
+    gives a direction p of the exact pyramid with |v - p| <= sqrt(2) E:
+    the angle from v to p is at most asin(sqrt(2) E).  _WINDOW_SLACK
+    covers the rounding of the oracle's face values and of the column
+    window's own arithmetic.
     """
     half_h = math.radians(fov.theta_deg / 2.0)
     half_v = math.radians(fov.phi_deg / 2.0)
     spread = math.sqrt(2.0) * BOUNDARY_EPS / min(math.cos(half_h), math.cos(half_v))
-    corner = math.atan(math.hypot(math.tan(half_h), math.tan(half_v)))
-    return corner + math.asin(min(1.0, spread)) + _WINDOW_SLACK
+    return math.asin(min(1.0, spread)) + _WINDOW_SLACK
 
 
-def _column_window(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[int, int]:
-    """First column and column count of a cyclic run that holds every
-    column with a viewport pixel.
+def _column_windows(
+    theta_deg: np.ndarray, phi_deg: np.ndarray, nz: np.ndarray, fov: FieldOfView, res: Resolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """First column and column count, per PoG, of a cyclic run that holds
+    every column with a viewport pixel; nz holds each PoG's face normals'
+    z components.
 
-    Every accepted direction lies within R = _cap_radius(fov) of the PoG
-    (theta, phi).  A meridian at azimuth distance d <= 90 degrees from
-    theta comes within asin(sin(phi) sin(d)) of the PoG, and one farther
-    away comes nearest at a pole.  So unless the cap holds a pole
-    (R >= 90 degrees, or sin R >= sin phi), only columns within
-    asin(sin R / sin phi) of theta can hold a viewport pixel.  The run
-    takes those, padded by one column on each side, which covers the
-    rounding of that arcsine, and may cross the seam; otherwise it is
-    every column.
+    A convex cone that holds neither pole projects to an azimuth wedge
+    narrower than 180 degrees, and the wedge's edges are the projections
+    of the cone's edges: the exact viewport's azimuths lie in the hull of
+    its four corner azimuths.  The corners of the base pyramid are
+    (+-tan(h/2), -1, +-tan(v/2)); the tilt to polar angle phi puts them at
+    atan2(tan(h/2), sin(phi) -+ cos(phi) tan(v/2)) to either side of the
+    PoG's azimuth theta, so the hull is theta +- atan2(tan(h/2), sin(phi)
+    - |cos(phi)| tan(v/2)).
+
+    The oracle also accepts directions within rho = _tolerance_reach(fov)
+    of the viewport.  A point at polar angle phi' has every direction
+    within rho of it inside asin(sin(rho) / sin(phi')) of its azimuth.
+    Every viewport point lies at least asin of the north clearance from
+    the north pole and asin of the south one from the south pole
+    (_pole_clearances), so sin(phi') >= s, the lesser clearance.  So while
+    s > sin(rho) / sin(p / 2), p the column pitch, accepted directions
+    stay within half a column of the hull, and the run takes the columns
+    whose centers lie in the hull, padded by one column on each side.
+    The other half column covers the rounding of the hull: the margin
+    keeps sin(phi) - |cos(phi)| tan(v/2), which is the clearance of the
+    top (bottom) face over cos(v/2), above 1e-9 / sin(p / 2), so the
+    rounding moves the hull by less than 1e-7 of a column.  The run may
+    cross the seam.  Otherwise, with a pole inside the viewport or within
+    that margin of it, or when the padded hull reaches every column, the
+    run is every column.
     """
-    radius = _cap_radius(fov)
-    sin_phi = math.sin(math.radians(pog.phi_deg))
-    if radius >= math.pi / 2 or math.sin(radius) >= sin_phi:
-        return 0, res.n_h
-    half = math.degrees(math.asin(math.sin(radius) / sin_phi))
     pitch = res.column_pitch_deg
-    first = math.ceil((pog.theta_deg - half) / pitch - 0.5) - 1
-    last = math.floor((pog.theta_deg + half) / pitch - 0.5) + 1
-    if last - first + 1 >= res.n_h:
-        return 0, res.n_h
-    return first % res.n_h, last - first + 1
+    margin = math.sin(_tolerance_reach(fov)) / math.sin(math.radians(pitch) / 2.0)
+    phi = np.radians(phi_deg)
+    spread = math.tan(math.radians(fov.theta_deg / 2.0))
+    rise = np.sin(phi) - np.abs(np.cos(phi)) * math.tan(math.radians(fov.phi_deg / 2.0))
+    half = np.degrees(np.arctan2(spread, rise))
+    first = np.ceil((theta_deg - half) / pitch - 0.5) - 1.0
+    count = np.floor((theta_deg + half) / pitch - 0.5) + 2.0 - first
+    full = (np.minimum(*_pole_clearances(nz)) <= margin) | (count >= res.n_h)
+    return np.where(full, 0, first % res.n_h).astype(np.intp), np.where(full, res.n_h, count).astype(np.intp)
+
+
+class _Gaze(NamedTuple):
+    """What _project_spans reads of one PoG, set up by _gazes.
+
+    ``normals`` are its world face normals (_face_normals).  ``coeffs``
+    holds -(n_x, n_y) / n_z of its first n_tilted faces in the order top
+    end (n_z < -_STEEP_NZ) then bottom end (n_z > _STEEP_NZ), each in face
+    order, n_top of them top-end faces; steep faces follow as zeros.
+    ``start`` and ``count`` are its column window (_column_windows).
+    """
+
+    theta_deg: float
+    phi_deg: float
+    normals: np.ndarray
+    coeffs: np.ndarray
+    n_top: int
+    n_tilted: int
+    start: int
+    count: int
+
+
+def _gazes(theta_deg: np.ndarray, phi_deg: np.ndarray, fov: FieldOfView, res: Resolution):
+    """The _Gaze of each PoG, in order: set up for all PoGs at once and
+    handed out one at a time.  Every PoG's values are its own elementwise
+    results and its own matrix product, so they do not depend on the
+    other PoGs."""
+    normals = _face_normals(theta_deg, phi_deg, fov)
+    nz = normals[..., 2]
+    # 0 for a top-end face, 1 for a bottom-end face, 2 for a steep one.
+    group = np.where(np.abs(nz) <= _STEEP_NZ, 2, (nz > 0.0).astype(np.intp))
+    tilted = group < 2
+    coeffs = np.zeros(normals.shape[:2] + (2,))
+    np.divide(-normals[..., :2], normals[..., 2:], out=coeffs, where=tilted[..., None])
+    # Each PoG's faces in a stable sort by group.
+    order = np.argsort(group, axis=1, kind="stable")
+    coeffs = coeffs[np.arange(len(order))[:, None], order]
+    n_top = np.add.reduce(group == 0, axis=1).tolist()
+    n_tilted = np.add.reduce(tilted, axis=1).tolist()
+    start, count = _column_windows(theta_deg, phi_deg, nz, fov, res)
+    return map(
+        _Gaze, theta_deg.tolist(), phi_deg.tolist(), normals, coeffs, n_top, n_tilted, start.tolist(), count.tolist()
+    )
 
 
 def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,25 +471,39 @@ def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tuple[int, np.ndarray, bool]:
-    """Per-column row spans [top, bot] of the exact viewport, analytically,
-    on the columns of _column_window.
+def _retaken_ends(normals: np.ndarray, columns: np.ndarray, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
+    """Top and bottom rows of the given frame columns from all five faces
+    in the per-face form (_face_intervals), rounded as the per-face kernel
+    rounds, as floats."""
+    # A is taken from the product of all five faces and all columns: BLAS
+    # need not round a subset's products alike.
+    a = normals[:, :2] @ _column_trig(res)
+    lo, hi = _face_intervals(a[:, columns], normals[:, 2:])
+    pitch = math.pi / res.n_v
+    return np.ceil(np.maximum(lo, 0.0) / pitch - 0.5), np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+
+
+def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-column row spans [top, bot] of the exact viewport at one PoG,
+    analytically, on the columns of its window.
 
     Each face test n.v >= -BOUNDARY_EPS allows, along a column, the
     interval of polar angles that _face_intervals derives; intersecting
     the five and rounding to row centers gives exactly the pixel centers
     _membership_raster accepts.  This computes the same spans with less
-    work, and only on the columns of _column_window: every other column is
-    empty, and the spans are handed back on the window alone.  A face
-    whose n_z is not near zero bounds only one end of the
-    column inside [0, pi]: the top if n_z < 0, at polar angle
+    work, and only on the columns of the PoG's window (_column_windows):
+    every other column is empty, and the spans are handed back on the
+    window alone.  A face whose n_z is not near zero bounds only one end
+    of the column inside [0, pi]: the top if n_z < 0, at polar angle
     pi/2 - atan(c) - w, and the bottom if n_z > 0, at pi/2 + atan(c) + w,
     with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|, that is cot(phi)
     on the face plane, and w = asin(BOUNDARY_EPS / R), R >= |n_z|.  Since
     atan is increasing, at each end the face with the least c binds up to
     its w, so pi/2 -/+ atan(min c) lies within max w < _TILTED_SLACK / 2
-    of the exact end: one arctan per column end, no tolerance.  Steep
-    faces, |n_z| <= _STEEP_NZ, take the per-face form and are merged with
+    of the exact end: one arctan per column end, no tolerance.  The
+    faces' c come from one product of the setup's coefficients
+    (_Gaze.coeffs) with the window's sines and cosines.  Steep faces,
+    |n_z| <= _STEEP_NZ, take the per-face form and are merged with
     max/min: the side and forward faces at an equator PoG have n_z = 0,
     and a face plane through a pole has |n_z| ~ 1e-16, so c is unbounded
     there and w reaches pi/2.
@@ -421,8 +520,8 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     lies within _TILTED_SLACK of it, that is |x - rint(x)| <= _TILTED_SLACK
     n_v / pi; the few ulps by which this x differs from the exact
     expression are far inside that slack.  Such column ends (a boundary
-    through a row center, or any float tie) are taken again from all five
-    faces in the per-face form, rounded as the per-face kernel rounds.
+    through a row center, or any float tie) are taken again, column by
+    column, from all five faces (_retaken_ends).
 
     The one set a single interval cannot hold is a column within about
     BOUNDARY_EPS / sin(row pitch / 2) of a face plane on its outer side,
@@ -431,44 +530,36 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
 
     Returns the window's first column start, the intp rows of shape
     (2, count) whose row 0 is each window column's top and row 1 its
-    bottom, window column i being column (start + i) mod n_h, and whether
-    any column end was taken again.  Every top lies in [0, n_v] and every
-    bottom in [-1, n_v - 1]; a column is empty when top > bot.
-    _full_width_spans gives every column's span.
+    bottom, window column i being column (start + i) mod n_h, and the
+    window columns whose ends were taken again, ascending.  Every top
+    lies in [0, n_v] and every bottom in [-1, n_v - 1]; a column is empty
+    when top > bot.  _full_width_spans gives every column's span.
     """
-    normals = _world_face_normals(pog, fov)
-    start, count = _column_window(pog, fov, res)
+    start, count, n_top, n_tilted = gaze.start, gaze.count, gaze.n_top, gaze.n_tilted
     trig = _column_trig(res)
     wrapped = start + count - res.n_h
     trig = trig[:, start : start + count] if wrapped <= 0 else np.hstack((trig[:, start:], trig[:, :wrapped]))
     scale = res.n_v / math.pi
-    # c per tilted face: top-end faces as c, bottom-end faces as -c, so
-    # that row 0 of ends is the least c of the top and row 1 minus the
-    # least c of the bottom; an end that only steep faces bound starts at
-    # its frame edge (atan(+inf) at the top, atan(-inf) at the bottom).
-    top_faces, bottom_faces, steep = [], [], []
-    for nx, ny, nz in normals.tolist():
-        if abs(nz) <= _STEEP_NZ:
-            steep.append((nx, ny, nz))
-        elif nz < 0.0:
-            top_faces.append((nx / -nz, ny / -nz))
-        else:
-            bottom_faces.append((-nx / nz, -ny / nz))
-    # Ends first to last - 1 are bounded; the others are frame edges.
-    first = 0 if top_faces or steep else 1
-    last = 2 if bottom_faces or steep else 1
-    c = np.array(top_faces + bottom_faces).reshape(-1, 2) @ trig
+    # c per tilted face: row 0 of ends is the least c of the top, row 1
+    # the greatest -c of the bottom; an end that only steep faces bound
+    # starts at its frame edge (atan(+inf) at the top, atan(-inf) at the
+    # bottom).  Ends first to last - 1 are bounded; the others are frame
+    # edges.
+    steep = n_tilted < len(gaze.normals)
+    first = 0 if n_top or steep else 1
+    last = 2 if n_tilted > n_top or steep else 1
+    c = gaze.coeffs[:n_tilted] @ trig
     ends = np.empty((2, count))
     if first == 0:
-        np.minimum.reduce(c[: len(top_faces)], axis=0, out=ends[0], initial=np.inf)
+        np.minimum.reduce(c[:n_top], axis=0, out=ends[0], initial=np.inf)
     if last == 2:
-        np.maximum.reduce(c[len(top_faces) :], axis=0, out=ends[1], initial=-np.inf)
+        np.maximum.reduce(c[n_top:], axis=0, out=ends[1], initial=-np.inf)
     bounded = ends[first:last]
     np.arctan(bounded, out=bounded)
     bounded *= -scale
     bounded += res.n_v / 2 - 0.5
     if steep:
-        steep_normals = np.array(steep)
+        steep_normals = gaze.normals[np.abs(gaze.normals[:, 2]) <= _STEEP_NZ]
         lo, hi = _face_intervals(steep_normals[:, :2] @ trig, steep_normals[:, 2:])
         lo *= scale
         lo -= 0.5
@@ -479,7 +570,9 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
     gap = np.rint(bounded)
     np.subtract(bounded, gap, out=gap)
     np.abs(gap, out=gap)
-    retook = bool(gap.min() <= _TILTED_SLACK * scale)
+    near = _NO_COLUMNS
+    if gap.min() <= _TILTED_SLACK * scale:
+        near = np.flatnonzero((gap <= _TILTED_SLACK * scale).any(axis=0))
     if first == 0:
         np.ceil(ends[0], out=ends[0])
     else:
@@ -488,17 +581,9 @@ def _project_spans(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> tu
         np.floor(ends[1], out=ends[1])
     else:
         ends[1] = res.n_v - 1
-    if retook:
-        retake = np.flatnonzero((gap <= _TILTED_SLACK * scale).any(axis=0))
-        # The per-face form takes A from the product of all five faces and
-        # all columns: BLAS need not round a subset's products alike.
-        a = normals[:, :2] @ _column_trig(res)
-        lo, hi = _face_intervals(a[:, (start + retake) % res.n_h], normals[:, 2:])
-        pitch = math.pi / res.n_v
-        ends[0, retake] = np.ceil(np.maximum(lo, 0.0) / pitch - 0.5)
-        ends[1, retake] = np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
-    rows = ends.astype(np.intp)
-    return start, rows, retook
+    if near.size:
+        ends[:, near] = _retaken_ends(gaze.normals, (start + near) % res.n_h, res)
+    return start, ends.astype(np.intp), near
 
 
 def _full_width_spans(start: int, rows: np.ndarray, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
@@ -565,11 +650,11 @@ def _subdivided_polyline(pog: SphericalPoint, fov: FieldOfView, samples_per_side
     rotation-invariant, so un-stretched segments keep the sampling
     density chosen by samples_per_side.  A segment with an end on a pole
     counts as stretched, and the refined polyline's pole vertices are
-    split by _split_pole_vertices.  Samples are rotated by _pog_rotation.
+    split by _split_pole_vertices.  Samples are rotated by _pog_rotations.
     """
     theta_b, phi_b, side, param = _base_polyline(fov.theta_deg, fov.phi_deg, samples_per_side)
     gap_cap_deg = SUBDIVISION_REF_DEG / samples_per_side
-    rotation = _pog_rotation(pog).T
+    rotation = _pog_rotations(pog.theta_deg, pog.phi_deg).T
     xyz_b = np.stack(spherical_to_cartesian_arrays(theta_b, phi_b), axis=-1)
     theta, phi = cartesian_to_spherical_arrays(*(xyz_b @ rotation).T)
     for _ in range(MAX_SUBDIVISION_PASSES):

@@ -57,7 +57,7 @@ from .geometry import (
     spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, _hq_table
-from .mask import _atomic_write_bytes, _project_spans
+from .mask import _atomic_write_bytes, _gazes, _project_spans
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
@@ -363,6 +363,13 @@ def write_trace_csv(trace: SessionTrace, path: str) -> None:
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors: np.cross's products and differences,
+    in its order, without its per-call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def synthetic_trace(
     duration_s: float = 60.0,
     fps: float = DEFAULT_FPS,
@@ -394,9 +401,9 @@ def synthetic_trace(
         p = np.array([s * math.cos(azimuth), s * math.sin(azimuth), z])
     else:
         p = spherical_to_cartesian(start).as_array()
-    heading = np.cross(p, rng.normal(size=3))
+    heading = _cross(p, rng.normal(size=3))
     while np.linalg.norm(heading) < 1e-9:
-        heading = np.cross(p, rng.normal(size=3))
+        heading = _cross(p, rng.normal(size=3))
     heading /= np.linalg.norm(heading)
 
     step = math.radians(speed_deg_per_s / fps)
@@ -408,7 +415,7 @@ def synthetic_trace(
         if rng.random() < dwell_probability or step == 0.0:
             continue
         turn = math.radians(rng.normal(0.0, turn_sigma_deg))
-        heading = heading * math.cos(turn) + np.cross(p, heading) * math.sin(turn)
+        heading = heading * math.cos(turn) + _cross(p, heading) * math.sin(turn)
         p, heading = (
             p * math.cos(step) + heading * math.sin(step),
             heading * math.cos(step) - p * math.sin(step),
@@ -527,21 +534,27 @@ def _tile_row_weights(start: int, rows: np.ndarray, grid: TileGrid) -> tuple[int
     return first, weights
 
 
-def _tile_weight_sums(start: int, rows: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Sum of sin(phi) mask weights inside each tile, shape (tile rows,
-    tile cols): _tile_row_weights summed per tile over all n_h columns.
-    reduceat sums a tile as its first value plus the pairwise sum of the
-    rest, so the +0.0 columns stay in place to keep the bits."""
+def _tile_weight_sums(start: int, rows: np.ndarray, grid: TileGrid, out: np.ndarray) -> None:
+    """Sum of sin(phi) mask weights inside each tile, written into out, a
+    zeroed table of shape (tile rows, tile cols): _tile_row_weights summed
+    per tile over all n_h columns.  Only the box's tile rows are written;
+    the others stay zero.  reduceat sums a tile as its first value plus
+    the pairwise sum of the rest, so the +0.0 columns stay in place to keep
+    the bits."""
     first, weights = _tile_row_weights(start, rows, grid)
-    sums = np.zeros((grid.rows, grid.cols))
-    np.add.reduceat(weights, _tile_edges(grid)[2], axis=1, out=sums[first : first + len(weights)])
-    return sums
+    np.add.reduceat(weights, _tile_edges(grid)[2], axis=1, out=out[first : first + len(weights)])
 
 
-def _tile_sums_at(pogs, config: SessionConfig) -> np.ndarray:
-    """Tile sums of the exact viewport at each PoG, shape (PoGs, tiles)."""
-    spans = (_project_spans(pog, config.fov, config.resolution) for pog in pogs)
-    return np.stack([_tile_weight_sums(start, rows, config.layout.grid).ravel() for start, rows, _ in spans])
+def _tile_sums_at(theta_deg: np.ndarray, phi_deg: np.ndarray, config: SessionConfig) -> np.ndarray:
+    """Tile sums of the exact viewport at each PoG, shape (PoGs, tiles):
+    one set-up pass for all PoGs (_gazes), then per PoG its spans, summed
+    straight into its row of the table."""
+    res, grid = config.resolution, config.layout.grid
+    sums = np.zeros((theta_deg.size, grid.rows, grid.cols))
+    for gaze, out in zip(_gazes(theta_deg, phi_deg, config.fov, res), sums):
+        start, rows, _ = _project_spans(gaze, res)
+        _tile_weight_sums(start, rows, grid, out)
+    return sums.reshape(theta_deg.size, -1)
 
 
 def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
@@ -599,35 +612,39 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
     columns, taken as a view of those weights laid twice side by side, and
     one reduceat per center sums them per tile.  Each tile sees the same
     values in the same order as after projecting center j, so the sums
-    are bitwise equal.  That
-    holds because every column end that _project_spans did not take again
-    lies more than _TILTED_SLACK from a row center, far beyond the rounding
-    by which the centers' arithmetic differs, so it rounds alike at every
-    center of the row.  A row whose first center had an end taken again,
-    and every row when the column count does not divide n_h, is projected
-    center by center.
+    are bitwise equal.  That holds because every column end that
+    _project_spans did not take again lies more than _TILTED_SLACK from a
+    row center, far beyond the rounding by which the centers' arithmetic
+    differs, so it rounds alike at every center of the row.  A row whose
+    first center had an end taken again, and every row when the column
+    count does not divide n_h, is projected center by center.
     """
     centers = bank_centers(*config.avaqm_grid)
+    theta = np.array([c.theta_deg for c in centers])
+    phi = np.array([c.phi_deg for c in centers])
     cols = config.avaqm_grid[1]
-    fov, res, grid = config.fov, config.resolution, config.layout.grid
+    res, grid = config.resolution, config.layout.grid
     n_h = res.n_h
+    if n_h % cols:
+        return centers, _tile_sums_at(theta, phi, config)
+    step = n_h // cols
     col_starts = _tile_edges(grid)[2]
     sums = np.zeros((len(centers), grid.rows, grid.cols))
     doubled = np.empty((grid.rows, 2 * n_h))
-    for first in range(0, len(centers), cols):
-        row = centers[first : first + cols]
-        start, rows, retook = _project_spans(row[0], fov, res)
-        if retook or n_h % cols:
-            spans = itertools.chain([(start, rows, retook)], (_project_spans(pog, fov, res) for pog in row[1:]))
-            boxes = (_tile_row_weights(s, r, grid) for s, r, _ in spans)
-        else:
-            # Every center of the row has the first center's box.
-            row0, weights = _tile_row_weights(start, rows, grid)
-            box = doubled[: len(weights)]
-            np.concatenate((weights, weights), axis=1, out=box)
-            boxes = ((row0, box[:, n_h - shift : 2 * n_h - shift]) for shift in range(0, n_h, n_h // cols))
-        for index, (row0, view) in enumerate(boxes, first):
-            np.add.reduceat(view, col_starts, axis=1, out=sums[index, row0 : row0 + len(view)])
+    for first, gaze in zip(range(0, len(centers), cols), _gazes(theta[::cols], phi[::cols], config.fov, res)):
+        start, rows, near = _project_spans(gaze, res)
+        row_sums = sums[first : first + cols]
+        if near.size:
+            _tile_weight_sums(start, rows, grid, row_sums[0])
+            rest = slice(first + 1, first + cols)
+            row_sums[1:] = _tile_sums_at(theta[rest], phi[rest], config).reshape(-1, grid.rows, grid.cols)
+            continue
+        # Every center of the row has the first center's box.
+        row0, weights = _tile_row_weights(start, rows, grid)
+        box = doubled[: len(weights)]
+        np.concatenate((weights, weights), axis=1, out=box)
+        for shift, out in zip(range(0, n_h, step), row_sums):
+            np.add.reduceat(box[:, n_h - shift : 2 * n_h - shift], col_starts, axis=1, out=out[row0 : row0 + len(box)])
     return centers, sums.reshape(len(centers), -1)
 
 
@@ -656,7 +673,7 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
         moved[1:] = (theta[1:] != theta[:-1]) | (phi[1:] != phi[:-1])
         rows = np.cumsum(moved) - 1
         if bank is None:
-            sums = _tile_sums_at(map(SphericalPoint, theta[moved].tolist(), phi[moved].tolist()), config)
+            sums = _tile_sums_at(theta[moved], phi[moved], config)
         else:
             centers, sums = bank
             rows = _nearest_centers(centers, theta[moved], phi[moved])[rows]

@@ -1,7 +1,7 @@
 """Reference rotation matrices for the tests.
 
 The library rotates the base viewport to a point of gaze with one closed
-form, ``mask._pog_rotation``; these two elementary rotations, multiplied
+form, ``mask._pog_rotations``; these two elementary rotations, multiplied
 as theta_rotation_matrix(theta - 180) @ phi_rotation_matrix(phi), are
 what that closed form is checked against.
 """

@@ -202,9 +202,9 @@ def test_study_projects_each_trace_once(tmp_path, capsys, monkeypatch):
     calls = []
     project = vq360.session._project_spans
 
-    def counted(pog, fov, res):
-        calls.append(pog)
-        return project(pog, fov, res)
+    def counted(gaze, res):
+        calls.append(gaze)
+        return project(gaze, res)
 
     monkeypatch.setattr(vq360.session, "_project_spans", counted)
     code, _, _ = run(

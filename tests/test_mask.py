@@ -341,8 +341,8 @@ def assert_bitwise_equal(got, want):
 def test_world_face_normals_equal_the_rotation_matrix_product(theta, phi, fov_theta, fov_phi):
     pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
     rotation = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
-    assert_bitwise_equal(mask_module._pog_rotation(pog), rotation)
-    assert_bitwise_equal(mask_module._world_face_normals(pog, fov), mask_module._base_face_normals(fov) @ rotation.T)
+    assert_bitwise_equal(mask_module._pog_rotations(pog.theta_deg, pog.phi_deg), rotation)
+    assert_bitwise_equal(mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov), mask_module._base_face_normals(fov) @ rotation.T)
 
 
 def test_base_face_normals_are_cached_read_only():
@@ -354,7 +354,7 @@ def test_base_face_normals_are_cached_read_only():
 
 def one_shot_membership(pog, fov, res):
     """The membership test over the whole raster at once, face by face."""
-    normals = mask_module._world_face_normals(pog, fov)
+    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     phi = np.deg2rad(row_centers_deg(res))
     inside = np.ones((res.n_v, res.n_h), dtype=bool)
@@ -381,14 +381,32 @@ def test_membership_raster_equals_one_shot_evaluation(theta, phi, fov_theta, fov
 # ---------------------------------------------------------------------------
 
 
+def gaze_at(pog, fov, res):
+    """The set-up _project_spans reads, for one PoG."""
+    (gaze,) = mask_module._gazes(np.array([pog.theta_deg]), np.array([pog.phi_deg]), fov, res)
+    return gaze
+
+
+def spans_at(pog, fov, res):
+    """_project_spans at one PoG."""
+    return _project_spans(gaze_at(pog, fov, res), res)
+
+
+def tile_sums(start, rows, grid):
+    """_tile_weight_sums into a fresh zeroed table."""
+    sums = np.zeros((grid.rows, grid.cols))
+    _tile_weight_sums(start, rows, grid, sums)
+    return sums
+
+
 def project_full_width(pog, fov, res):
     """_project_spans expanded to every column, and whether it took a column end again."""
-    start, rows, retook = _project_spans(pog, fov, res)
-    return (*_full_width_spans(start, rows, res), retook)
+    start, rows, near = spans_at(pog, fov, res)
+    return (*_full_width_spans(start, rows, res), near.size > 0)
 
 
 def assert_spans_match_oracle(pog, fov, res):
-    start, rows, _ = _project_spans(pog, fov, res)
+    start, rows, _ = spans_at(pog, fov, res)
     spans = _spans_to_raster(start, rows, res)
     oracle = _membership_raster(pog, fov, res)
     assert np.count_nonzero(spans != oracle) == 0
@@ -438,7 +456,7 @@ def per_face_spans(pog, fov, res):
     R <= BOUNDARY_EPS passes the whole column.  The five intervals are
     intersected and rounded to row centers.
     """
-    normals = mask_module._world_face_normals(pog, fov)
+    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
     b = normals[:, 2:]
@@ -462,8 +480,8 @@ def per_face_spans(pog, fov, res):
 
 def assert_spans_match_per_face(pog, fov, res):
     expected_top, expected_bot = per_face_spans(pog, fov, res)
-    start, rows, _ = _project_spans(pog, fov, res)
-    assert rows.dtype == np.intp and rows.shape == (2, mask_module._column_window(pog, fov, res)[1])
+    start, rows, _ = spans_at(pog, fov, res)
+    assert rows.dtype == np.intp and rows.shape == (2, gaze_at(pog, fov, res).count)
     top, bot = _full_width_spans(start, rows, res)
     assert top.dtype == bot.dtype == np.int32
     assert np.array_equal(top, expected_top)
@@ -472,7 +490,7 @@ def assert_spans_match_per_face(pog, fov, res):
 
 def face_groups(pog, fov):
     """Faces bounding the top end, the bottom end, and steep faces."""
-    nz = mask_module._world_face_normals(pog, fov)[:, 2]
+    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[:, 2]
     steep = np.abs(nz) <= mask_module._STEEP_NZ
     return (
         int(np.count_nonzero(~steep & (nz < 0.0))),
@@ -557,7 +575,7 @@ def least_c_rule_misses_a_row(pog, fov, res):
     """True if at some column the face of least c, taken with its own
     tolerance, moves a column end across a row center that the per-face
     bound of another face of its group puts on the other side."""
-    normals = mask_module._world_face_normals(pog, fov)
+    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
     nz = normals[:, 2:]
@@ -611,7 +629,7 @@ def test_spans_keep_rows_within_a_tilted_face_tolerance(end, n_v):
     edge = math.radians(row_centers_deg(res)[row]) + offset
     phi = math.degrees(edge + math.radians(fov.phi_deg / 2.0) * (1.0 if end == "top" else -1.0))
     pog = SphericalPoint(float(column_centers_deg(res)[col]), phi)
-    nz = mask_module._world_face_normals(pog, fov)[0 if end == "top" else 1, 2]
+    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[0 if end == "top" else 1, 2]
     assert abs(nz) > mask_module._STEEP_NZ
     top, bot, retook = project_full_width(pog, fov, res)
     assert retook
@@ -628,7 +646,7 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
     res = Resolution(962, 481)
     fov = FieldOfView(100.0, 60.0)
     pog = SphericalPoint(162.4532218849912, phi)
-    nz = mask_module._world_face_normals(pog, fov)[2, 2]
+    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[2, 2]
     assert mask_module._STEEP_NZ < abs(nz) < 2.0 * mask_module._STEEP_NZ
     top, bot, retook = project_full_width(pog, fov, res)
     assert retook
@@ -639,21 +657,23 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
 
 def test_steep_face_nz_values_reach_the_per_face_path():
     """The steep faces of BRANCH_CASES hold n_z = +0.0 and |n_z| ~ 1e-17."""
-    equator = mask_module._world_face_normals(SphericalPoint(180.0, 90.0), FOV)[:, 2]
+    equator = mask_module._face_normals(180.0, 90.0, FOV)[:, 2]
     assert equator[2:].tolist() == [0.0, 0.0, 0.0]
     assert all(math.copysign(1.0, v) > 0 for v in equator[2:])
-    top_through_pole = mask_module._world_face_normals(SphericalPoint(200.0, 43.5), FieldOfView(100.0, 87.0))
+    top_through_pole = mask_module._face_normals(200.0, 43.5, FieldOfView(100.0, 87.0))
     assert 0.0 < -top_through_pole[0, 2] < 1e-15
-    top_through_pole = mask_module._world_face_normals(SphericalPoint(200.0, 17.0), FieldOfView(100.0, 34.0))
+    top_through_pole = mask_module._face_normals(200.0, 17.0, FieldOfView(100.0, 34.0))
     assert 0.0 < top_through_pole[0, 2] < 1e-15
 
 
 @pytest.mark.parametrize("pog", [(180.0, 90.0), (0.0, 90.0), (37.0, 90.0)])
 def test_binding_face_spans_with_negative_zero_nz(monkeypatch, pog):
     """n_z = -0.0 turns atan2's +pi into -pi on the per-face path."""
-    normals = mask_module._world_face_normals(SphericalPoint(*pog), FOV)
+    normals = mask_module._face_normals(*pog, FOV)
     normals[normals[:, 2] == 0.0, 2] = -0.0
-    monkeypatch.setattr(mask_module, "_world_face_normals", lambda pog, fov: normals.copy())
+    monkeypatch.setattr(
+        mask_module, "_face_normals", lambda theta, phi, fov: np.broadcast_to(normals, np.shape(theta) + (5, 3)).copy()
+    )
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, Resolution(60, 30))
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, RES)
 
@@ -672,13 +692,13 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
         else:
             pog = SphericalPoint((meridian + 180.0) % 360.0, 360.0 - along)
         expected = per_face_spans(pog, FOV, res)
-        window = _project_spans(pog, FOV, res)[:2]
+        window = spans_at(pog, FOV, res)[:2]
         spans = _full_width_spans(*window, res)
         assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
         # The row differences taken apart, as np.diff, then per tile.
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
         weights = np.diff(_sin_prefix(res)[rows], axis=0)
-        assert np.array_equal(_tile_weight_sums(*window, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
+        assert np.array_equal(tile_sums(*window, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
 
 
 def corner_radius_deg(fov):
@@ -688,10 +708,41 @@ def corner_radius_deg(fov):
     return math.degrees(math.acos(1.0 / math.sqrt(1.0 + t * t + p * p)))
 
 
+def cap_radius_deg(fov):
+    """The corner radius widened by the oracle tolerance's reach: no
+    accepted direction lies farther from the PoG."""
+    return corner_radius_deg(fov) + math.degrees(mask_module._tolerance_reach(fov))
+
+
+def corner_hull_half_width_deg(pog, fov):
+    """Greatest azimuth distance from the PoG to a viewport corner: the
+    base corners (+-tan(h/2), -1, +-tan(v/2)) turned by the reference
+    rotations."""
+    rotation = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
+    t = math.tan(math.radians(fov.theta_deg / 2.0))
+    p = math.tan(math.radians(fov.phi_deg / 2.0))
+    corners = np.array([[x, -1.0, z] for x in (t, -t) for z in (p, -p)]) @ rotation.T
+    azimuths = np.degrees(np.arctan2(corners[:, 0], corners[:, 1]))
+    return float(np.abs((azimuths - pog.theta_deg + 180.0) % 360.0 - 180.0).max())
+
+
+def pole_gap_deg(pog, fov):
+    """Angle from the nearer pole to the viewport, negative when the
+    viewport holds it: the midpoint of the top (bottom) arc, v/2 straight
+    above (below) the PoG, is the foot of that pole on the arc's plane."""
+    return min(pog.phi_deg, 180.0 - pog.phi_deg) - fov.phi_deg / 2.0
+
+
+def pole_margin(fov, res):
+    """Sine of the pole gap within which the window is every column."""
+    return math.sin(mask_module._tolerance_reach(fov)) / math.sin(math.radians(res.column_pitch_deg) / 2.0)
+
+
 def assert_window_spans(pog, fov, res):
     """Spans equal the per-face kernel's, and the oracle holds no pixel in
     a column outside the column window.  Returns the window."""
-    start, count = mask_module._column_window(pog, fov, res)
+    gaze = gaze_at(pog, fov, res)
+    start, count = gaze.start, gaze.count
     assert 0 <= start < res.n_h and 1 <= count <= res.n_h
     assert_spans_match_per_face(pog, fov, res)
     outside = np.ones(res.n_h, dtype=bool)
@@ -701,35 +752,50 @@ def assert_window_spans(pog, fov, res):
 
 
 def test_cap_radius_bounds_the_corners():
+    """The cap radius is a hair wider than the corner radius, and a
+    direction pushed out of a corner of the centered viewport by a little
+    more than the reach, less its slack, is rejected."""
     assert corner_radius_deg(FOV) == pytest.approx(56.4, abs=0.05)
-    margin = math.degrees(mask_module._cap_radius(FOV)) - corner_radius_deg(FOV)
+    margin = cap_radius_deg(FOV) - corner_radius_deg(FOV)
     assert 0.0 < margin < 1e-7
+    reach = mask_module._tolerance_reach(FOV) - mask_module._WINDOW_SLACK
+    t, p = math.tan(math.radians(50.0)), math.tan(math.radians(42.5))
+    corner = np.array([t, -1.0, p]) / math.sqrt(1.0 + t * t + p * p)
+    outward = np.array([t, 0.0, p]) - np.dot([t, 0.0, p], corner) * corner
+    outward /= np.linalg.norm(outward)
+    center = SphericalPoint(180.0, 90.0)
+    for push, accepted in ((0.0, True), (1.01 * reach, False)):
+        direction = math.cos(push) * corner + math.sin(push) * outward
+        assert exact_membership(CartesianVector(*direction), center, FOV) == accepted
 
 
 @pytest.mark.parametrize("res", [RES, Resolution(3840, 1920)])
 @pytest.mark.parametrize("theta", [0.0, 123.4, 359.99])
 @pytest.mark.parametrize("north", [True, False])
-@pytest.mark.parametrize("radius", ["corner", "cap"])
-@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+@pytest.mark.parametrize("radius", ["corner", "cap", "edge"])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9, 1e-3])
 def test_window_where_the_cap_touches_a_pole(res, theta, north, radius, offset):
-    """The PoG 1e-9 degrees nearer or farther from a pole than the corner
-    radius, or than the cap radius the window is taken from: the window is
-    every column only while the cap holds the pole."""
-    r = corner_radius_deg(FOV) if radius == "corner" else math.degrees(mask_module._cap_radius(FOV))
-    phi = r + offset if north else 180.0 - r - offset
-    _, count = assert_window_spans(SphericalPoint(theta, phi), FOV, res)
-    holds_pole = radius == "corner" or offset < 0.0
-    assert (count == res.n_h) == holds_pole
+    """The PoG a little nearer or farther from a pole than the corner
+    radius, than the cap radius, or than v/2, where the top (bottom) arc
+    runs through the pole: the window is every column only while the
+    viewport holds the pole or lies within the margin of it."""
+    r = {"corner": corner_radius_deg(FOV), "cap": cap_radius_deg(FOV), "edge": FOV.phi_deg / 2.0}[radius]
+    pog = SphericalPoint(theta, r + offset if north else 180.0 - r - offset)
+    _, count = assert_window_spans(pog, FOV, res)
+    holds_pole = exact_membership(CartesianVector(0.0, 0.0, 1.0 if north else -1.0), pog, FOV)
+    assert holds_pole == (radius == "edge" and offset < 0.0)
+    near_pole = math.sin(math.radians(pole_gap_deg(pog, FOV))) <= pole_margin(FOV, res)
+    assert near_pole == (radius == "edge" and offset < 1e-3)
+    assert (count == res.n_h) == (holds_pole or near_pole)
 
 
 @pytest.mark.parametrize("res", [RES, Resolution(3840, 1920)])
 @pytest.mark.parametrize("phi", [62.0, 90.0, 118.0])
 @pytest.mark.parametrize("where", [0.0, 1e-9, 0.5, 0.999, -0.5, -1e-9])
 def test_window_across_the_seam(res, phi, where):
-    """PoGs within the window's half-width of theta = 0 (where > 0) and of
-    theta = 360 (where < 0), as a share of that half-width."""
-    radius = mask_module._cap_radius(FOV)
-    half = math.degrees(math.asin(math.sin(radius) / math.sin(math.radians(phi))))
+    """PoGs within the corner hull's half-width of theta = 0 (where > 0)
+    and of theta = 360 (where < 0), as a share of that half-width."""
+    half = corner_hull_half_width_deg(SphericalPoint(0.0, phi), FOV)
     theta = where * half if where >= 0.0 else 360.0 + where * half
     start, count = assert_window_spans(SphericalPoint(theta, phi), FOV, res)
     assert count < res.n_h
@@ -748,10 +814,47 @@ def test_window_across_the_seam(res, phi, where):
     ],
 )
 def test_window_covers_every_column_of_a_narrow_frame(fov, pog):
-    """No cap holds a pole here, but the padded window reaches all four columns."""
+    """No viewport comes within 17 degrees of a pole here, but the padded
+    window reaches all four columns."""
     fov = FieldOfView(*fov)
-    assert math.sin(mask_module._cap_radius(fov)) < math.sin(math.radians(pog[1]))
+    assert pole_gap_deg(SphericalPoint(*pog), fov) > 17.0
     assert assert_window_spans(SphericalPoint(*pog), fov, Resolution(4, 2))[1] == 4
+
+
+@given(
+    fov=st.tuples(st.floats(min_value=1.0, max_value=170.0), st.floats(min_value=1.0, max_value=150.0)),
+    anchor=st.sampled_from(["corner", "edge", "anywhere"]),
+    offset=st.floats(min_value=-1e-9, max_value=1e-9),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    north=st.booleans(),
+    theta=st.one_of(
+        st.floats(min_value=0.0, max_value=360.0, exclude_max=True), st.floats(min_value=-1.0, max_value=1.0)
+    ),
+    n_v=st.integers(min_value=2, max_value=120),
+)
+@example(fov=(170.0, 150.0), anchor="corner", offset=1e-9, phi=0.0, north=True, theta=0.0, n_v=2)
+@example(fov=(170.0, 150.0), anchor="corner", offset=-1e-9, phi=0.0, north=False, theta=359.9, n_v=240)
+@example(fov=(170.0, 150.0), anchor="edge", offset=1e-9, phi=0.0, north=True, theta=0.1, n_v=60)
+@example(fov=(100.0, 85.0), anchor="corner", offset=0.0, phi=0.0, north=False, theta=-0.5, n_v=120)
+@example(fov=(30.0, 10.0), anchor="anywhere", offset=0.0, phi=90.0, north=True, theta=-0.01, n_v=120)
+def test_corner_hull_window_holds_every_oracle_column(fov, anchor, offset, phi, north, theta, n_v):
+    """The window holds every column the oracle fills, near the corner
+    radius and near v/2 at both poles, across the seam, on frames down to
+    four columns.  It is every column when the viewport holds a pole or
+    lies within the margin of one; else it is at most the corner hull
+    padded by one column."""
+    fov, res = FieldOfView(*fov), Resolution(2 * n_v, n_v)
+    if anchor != "anywhere":
+        r = corner_radius_deg(fov) if anchor == "corner" else fov.phi_deg / 2.0
+        phi = r + offset if north else 180.0 - r - offset
+    pog = SphericalPoint(theta, phi)
+    _, count = assert_window_spans(pog, fov, res)
+    if math.sin(math.radians(pole_gap_deg(pog, fov))) <= pole_margin(fov, res):
+        assert count == res.n_h
+    else:
+        # The hull's columns plus one on each side; the last term covers
+        # the hull's rounding.
+        assert count <= 2.0 * corner_hull_half_width_deg(pog, fov) / res.column_pitch_deg + 3.0 + 1e-6
 
 
 @pytest.mark.parametrize("n_h", [4, 8, 16])
@@ -786,9 +889,9 @@ def test_tile_sums_equal_the_index_clip_form(theta, phi, fov_theta, fov_phi, n_v
     res = Resolution(2 * n_v, n_v)
     grid = TileGrid(min(tiles[0], n_v), min(tiles[1], res.n_h), res)
     pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
-    start, rows, _ = _project_spans(pog, fov, res)
+    start, rows, _ = spans_at(pog, fov, res)
     top, bot = _full_width_spans(start, rows, res)
-    sums = _tile_weight_sums(start, rows, grid)
+    sums = tile_sums(start, rows, grid)
     assert_bitwise_equal(sums, index_clip_tile_sums(top, bot, grid))
     assert_bitwise_equal(sums, index_clip_tile_sums(*per_face_spans(pog, fov, res), grid))
 
@@ -804,24 +907,24 @@ def test_tile_sums_of_any_spans_equal_the_index_clip_form(seed, n_v):
     top = rng.integers(0, n_v + 1, res.n_h).astype(np.int32)
     bot = rng.integers(-1, n_v, res.n_h).astype(np.int32)
     every_column = np.stack((top, bot)).astype(np.intp)
-    assert_bitwise_equal(_tile_weight_sums(0, every_column, grid), index_clip_tile_sums(top, bot, grid))
+    assert_bitwise_equal(tile_sums(0, every_column, grid), index_clip_tile_sums(top, bot, grid))
     start, count = int(rng.integers(0, res.n_h)), int(rng.integers(1, res.n_h + 1))
     run = (start + np.arange(count)) % res.n_h
     outside = np.ones(res.n_h, dtype=bool)
     outside[run] = False
     top[outside], bot[outside] = n_v, -1
-    assert_bitwise_equal(_tile_weight_sums(start, every_column[:, run], grid), index_clip_tile_sums(top, bot, grid))
+    assert_bitwise_equal(tile_sums(start, every_column[:, run], grid), index_clip_tile_sums(top, bot, grid))
 
 
 @pytest.mark.parametrize("case", WINDOW_PATH_CASES)
 def test_window_path_cases_take_their_path(case):
     theta, phi, fov_theta, fov_phi, n_v = WINDOW_PATH_CASES[case]
     pog, fov, res = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi), Resolution(2 * n_v, n_v)
-    start, rows, retook = _project_spans(pog, fov, res)
+    start, rows, near = spans_at(pog, fov, res)
     top_faces, bottom_faces, steep = face_groups(pog, fov)
     first, weights = _tile_row_weights(start, rows, TileGrid(5, 8, res))
     box = first, len(weights)
-    assert retook == (case == "column end taken again")
+    assert (near.size > 0) == (case == "column end taken again")
     assert (start + rows.shape[1] > res.n_h) == (case == "window across the seam")
     if case == "top end at the frame edge":
         assert top_faces == steep == 0 and rows[0].tolist() == [0] * res.n_h

@@ -114,12 +114,12 @@ def test_dwell_case_repeats_pogs_under_both_methods(tmp_path, same_outputs):
     assert n_long == 600 and 0.6 * n_long < moved_long < 0.8 * n_long
     assert moved_short < 47 <= n_short == 51
     runs = [(argv[0], argv[argv.index("--grid") + 1] if "--grid" in argv else "vaqm") for argv in commands]
-    evaluate = [("evaluate", "vaqm"), ("evaluate", "10x20"), ("evaluate", "vaqm"), ("evaluate", "vaqm")]
+    evaluate = [("evaluate", "vaqm"), ("evaluate", "10x20")] + [("evaluate", "vaqm")] * 3
     assert runs == evaluate * 2 + [("study", "vaqm"), ("study", "5x10")]
     assert all(argv[argv.index("--resolution") + 1] == "960x480" for argv in commands)
-    # Each trace is also scored by vaqm at a narrow and a wide field of view.
+    # Each trace is also scored by vaqm at a narrow, a wide and a widest field of view.
     fovs = [argv[argv.index("--fov") + 1] if "--fov" in argv else None for argv in commands]
-    assert fovs == [None, None, "60,40", "120,90"] * 2 + [None, None]
+    assert fovs == [None, None, "60,40", "120,90", "170,150"] * 2 + [None, None]
 
 
 def test_dwell_case_is_compared(capsys, monkeypatch, same_outputs):

@@ -16,7 +16,7 @@ from vq360.geometry import (
     row_centers_deg,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
-from vq360.mask import _full_width_spans, _project_spans, exact_mask
+from vq360.mask import _full_width_spans, _gazes, _project_spans, exact_mask
 from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
@@ -611,16 +611,16 @@ def test_vaqm_geometry_projects_each_dwell_once(monkeypatch):
     project = session_module._project_spans
     calls = []
 
-    def counted(pog, fov, res):
-        calls.append(pog)
-        return project(pog, fov, res)
+    def counted(gaze, res):
+        calls.append(SphericalPoint(gaze.theta_deg, gaze.phi_deg))
+        return project(gaze, res)
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
     (geometry,) = session_geometries([trace], config)
     assert calls == [trace.samples[i] for i in moved]
     assert geometry.tile_sums.shape == (len(moved), LAYOUT.grid.rows * LAYOUT.grid.cols)
     monkeypatch.undo()
-    every = session_module._tile_sums_at(trace.samples, config)
+    every = session_module._tile_sums_at(trace.theta_deg, trace.phi_deg, config)
     assert geometry.tile_sums[geometry.mask_rows].tobytes() == every.tobytes()
     per_frame = session_module.SessionGeometry(geometry.key, every, np.arange(trace.n_frames))
     q = pool_session(trace, config, per_frame).q_frame
@@ -642,6 +642,26 @@ def test_a_clip_scores_its_frames_like_the_whole_trace(grid, footprint):
         assert evaluate_session(clip, config).q_frame.tobytes() == whole[:40].tobytes()
 
 
+@pytest.mark.parametrize("res", [RES, Resolution(3840, 1920)])
+def test_tile_sum_rows_keep_their_bits_in_any_trace(res):
+    """Each PoG's tile-sum row keeps the bits a one-PoG call gives it when
+    the PoGs are shuffled or cut to a part: the one set-up pass over a
+    trace gives each PoG its own values.  The PoGs are a walk plus the
+    poles, the seam, the equator, the v/2 and corner-radius colatitudes
+    where a pole meets the viewport or its cap."""
+    config = base_config(resolution=res, layout=variant_layout_26(res))
+    walk = synthetic_trace(duration_s=2.0, fps=30.0, speed_deg_per_s=120.0, seed=41)
+    probes = [(0.0, 0.0), (77.0, 180.0), (0.0, 90.0), (359.99, 60.0), (180.0, 42.5), (10.0, 137.5), (200.0, 56.42)]
+    theta = np.concatenate((walk.theta_deg, [t for t, _ in probes]))
+    phi = np.concatenate((walk.phi_deg, [p for _, p in probes]))
+    tile_sums = session_module._tile_sums_at
+    alone = np.concatenate([tile_sums(theta[i : i + 1], phi[i : i + 1], config) for i in range(theta.size)])
+    order = np.random.default_rng(42).permutation(theta.size)
+    assert tile_sums(theta[order], phi[order], config).tobytes() == alone[order].tobytes()
+    for start, stop in ((0, 7), (5, 40), (theta.size - 7, theta.size)):
+        assert tile_sums(theta[start:stop], phi[start:stop], config).tobytes() == alone[start:stop].tobytes()
+
+
 BANK_CASES = [
     (fov, res, grid, grid[0])
     for fov in ((100.0, 85.0), (90.0, 90.0), (120.0, 90.0))
@@ -650,8 +670,8 @@ BANK_CASES = [
 ] + [
     # 13 columns do not divide 960: every center is projected.
     ((100.0, 85.0), (960, 480), (7, 13), 7 * 13),
-    # Rows 5 and 14 have column ends on row centers, the other 18 none.
-    ((100.0, 85.0), (360, 180), (20, 40), 18 + 2 * 40),
+    # No row's column window holds an end on a row center.
+    ((100.0, 85.0), (360, 180), (20, 40), 20),
     # Every row has column ends on row centers.
     ((90.0, 90.0), (360, 180), (20, 40), 20 * 40),
 ]
@@ -668,18 +688,20 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
         fov=FieldOfView(*fov), resolution=res, layout=variant_layout_26(res), avaqm_grid=grid
     )
     centers = bank_centers(*grid)
-    expected = session_module._tile_sums_at(centers, config)
+    theta = np.array([c.theta_deg for c in centers])
+    phi = np.array([c.phi_deg for c in centers])
+    expected = session_module._tile_sums_at(theta, phi, config)
     project = session_module._project_spans
     rows, cols = grid
     projected = []
-    for first in range(0, len(centers), cols):
+    for first, gaze in zip(range(0, len(centers), cols), _gazes(theta[::cols], phi[::cols], config.fov, res)):
         row = centers[first : first + cols]
-        projected += row if project(row[0], config.fov, res)[2] or res.n_h % cols else row[:1]
+        projected += row if project(gaze, res)[2].size or res.n_h % cols else row[:1]
     calls = []
 
-    def counted(pog, fov, res):
-        calls.append(pog)
-        return project(pog, fov, res)
+    def counted(gaze, res):
+        calls.append(SphericalPoint(gaze.theta_deg, gaze.phi_deg))
+        return project(gaze, res)
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
     bank, sums = session_module._bank_tile_sums(config)
@@ -778,8 +800,9 @@ def test_tile_weight_sums_match_row_by_row_loop():
     grid = LAYOUT.grid
     prefix = np.concatenate(([0.0], np.cumsum(np.sin(np.deg2rad(row_centers_deg(RES))))))
     edges = grid.row_edges()
-    for pog in (SphericalPoint(180.0, 30.0), SphericalPoint(320.0, 110.0), SphericalPoint(10.0, 179.0)):
-        start, rows, _ = _project_spans(pog, FOV, RES)
+    theta, phi = np.array([180.0, 320.0, 10.0]), np.array([30.0, 110.0, 179.0])
+    for gaze in _gazes(theta, phi, FOV, RES):
+        start, rows, _ = _project_spans(gaze, RES)
         top, bot = _full_width_spans(start, rows, RES)
         expected = np.empty((grid.rows, grid.cols))
         for r in range(grid.rows):
@@ -787,7 +810,9 @@ def test_tile_weight_sums_match_row_by_row_loop():
             hi = np.minimum(bot, edges[r + 1] - 1)
             contribution = np.where(hi >= lo, prefix[hi + 1] - prefix[lo], 0.0)
             expected[r] = np.add.reduceat(contribution, grid.col_edges()[:-1])
-        assert np.array_equal(_tile_weight_sums(start, rows, grid), expected)
+        sums = np.zeros((grid.rows, grid.cols))
+        _tile_weight_sums(start, rows, grid, sums)
+        assert np.array_equal(sums, expected)
 
 
 def test_quality_bounds_and_timeline_length():
