@@ -37,10 +37,18 @@ hull's columns, padded by one column, can hold a viewport pixel
 (``_column_windows``); spans are taken on that run of columns, which may
 cross the seam, and every other column is empty.  A face that is not
 near-vertical bounds only one end of a column, set by the sign of its
-normal's z; at each end the binding face is the one with the least
-cot(phi) crossing, so a column end costs one arctan, mapped straight to
-row units and rounded once.  Near-vertical faces, and column ends that
-land near a row center, take the per-face atan2 form.
+normal's z; when no face of the PoG is near-vertical, at each end the
+binding face is the one with the least cot(phi) crossing, so a column
+end costs one arctan, mapped straight to row units.  A PoG with a
+near-vertical face takes every end in the per-face atan2 form, as do
+column ends that land near a row center; both forms are rounded in one
+place.
+
+Both mask builders hand out spans in one form: the first column of a
+cyclic run of columns and the (2, count) intp rows holding each run
+column's top and bottom row, empty when top > bot.  The polyline
+rasterizer's run is every column from column 0; ``_full_width_spans``
+expands either to every column.
 """
 
 from __future__ import annotations
@@ -404,11 +412,12 @@ def _column_windows(
 class _Gaze(NamedTuple):
     """What _project_spans reads of one PoG, set up by _gazes.
 
-    ``normals`` are its world face normals (_face_normals).  ``coeffs``
-    holds -(n_x, n_y) / n_z of its first n_tilted faces in the order top
-    end (n_z < -_STEEP_NZ) then bottom end (n_z > _STEEP_NZ), each in face
-    order, n_top of them top-end faces; steep faces follow as zeros.
-    ``start`` and ``count`` are its column window (_column_windows).
+    ``normals`` are its world face normals (_face_normals).  ``steep`` is
+    whether any face has |n_z| <= _STEEP_NZ, which puts every span end in
+    the per-face form.  Else ``coeffs`` holds -(n_x, n_y) / n_z of its
+    faces, the n_top top-end faces (n_z < 0) first and then the bottom-end
+    ones (n_z > 0), each in face order.  ``start`` and ``count`` are its
+    column window (_column_windows).
     """
 
     theta_deg: float
@@ -416,7 +425,7 @@ class _Gaze(NamedTuple):
     normals: np.ndarray
     coeffs: np.ndarray
     n_top: int
-    n_tilted: int
+    steep: bool
     start: int
     count: int
 
@@ -428,20 +437,17 @@ def _gazes(theta_deg: np.ndarray, phi_deg: np.ndarray, fov: FieldOfView, res: Re
     other PoGs."""
     normals = _face_normals(theta_deg, phi_deg, fov)
     nz = normals[..., 2]
-    # 0 for a top-end face, 1 for a bottom-end face, 2 for a steep one.
-    group = np.where(np.abs(nz) <= _STEEP_NZ, 2, (nz > 0.0).astype(np.intp))
-    tilted = group < 2
+    steep = np.abs(nz) <= _STEEP_NZ
     coeffs = np.zeros(normals.shape[:2] + (2,))
-    np.divide(-normals[..., :2], normals[..., 2:], out=coeffs, where=tilted[..., None])
-    # Each PoG's faces in a stable sort by group.
-    order = np.argsort(group, axis=1, kind="stable")
+    np.divide(-normals[..., :2], normals[..., 2:], out=coeffs, where=~steep[..., None])
+    # Each PoG's faces in a stable sort, top-end faces first.
+    bottom = nz > 0.0
+    order = np.argsort(bottom, axis=1, kind="stable")
     coeffs = coeffs[np.arange(len(order))[:, None], order]
-    n_top = np.add.reduce(group == 0, axis=1).tolist()
-    n_tilted = np.add.reduce(tilted, axis=1).tolist()
+    n_top = np.add.reduce(~bottom, axis=1).tolist()
     start, count = _column_windows(theta_deg, phi_deg, nz, fov, res)
-    return map(
-        _Gaze, theta_deg.tolist(), phi_deg.tolist(), normals, coeffs, n_top, n_tilted, start.tolist(), count.tolist()
-    )
+    steep, start, count = steep.any(axis=1).tolist(), start.tolist(), count.tolist()
+    return map(_Gaze, theta_deg.tolist(), phi_deg.tolist(), normals, coeffs, n_top, steep, start, count)
 
 
 def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,16 +477,18 @@ def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _retaken_ends(normals: np.ndarray, columns: np.ndarray, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
-    """Top and bottom rows of the given frame columns from all five faces
-    in the per-face form (_face_intervals), rounded as the per-face kernel
-    rounds, as floats."""
+def _per_face_ends(normals: np.ndarray, columns: np.ndarray, res: Resolution) -> np.ndarray:
+    """Top and bottom ends of the given frame columns from all five faces
+    (_face_intervals), shape (2, columns): clamped to [0, pi] and in row
+    units, row k's center at (k + 0.5) pi / n_v, not rounded."""
     # A is taken from the product of all five faces and all columns: BLAS
     # need not round a subset's products alike.
     a = normals[:, :2] @ _column_trig(res)
     lo, hi = _face_intervals(a[:, columns], normals[:, 2:])
-    pitch = math.pi / res.n_v
-    return np.ceil(np.maximum(lo, 0.0) / pitch - 0.5), np.floor(np.minimum(hi, math.pi) / pitch - 0.5)
+    ends = np.stack((np.maximum(lo, 0.0, out=lo), np.minimum(hi, math.pi, out=hi)))
+    ends /= math.pi / res.n_v
+    ends -= 0.5
+    return ends
 
 
 def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.ndarray]:
@@ -492,36 +500,33 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
     the five and rounding to row centers gives exactly the pixel centers
     _membership_raster accepts.  This computes the same spans with less
     work, and only on the columns of the PoG's window (_column_windows):
-    every other column is empty, and the spans are handed back on the
-    window alone.  A face whose n_z is not near zero bounds only one end
-    of the column inside [0, pi]: the top if n_z < 0, at polar angle
-    pi/2 - atan(c) - w, and the bottom if n_z > 0, at pi/2 + atan(c) + w,
-    with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|, that is cot(phi)
-    on the face plane, and w = asin(BOUNDARY_EPS / R), R >= |n_z|.  Since
-    atan is increasing, at each end the face with the least c binds up to
-    its w, so pi/2 -/+ atan(min c) lies within max w < _TILTED_SLACK / 2
-    of the exact end: one arctan per column end, no tolerance.  The
-    faces' c come from one product of the setup's coefficients
-    (_Gaze.coeffs) with the window's sines and cosines.  Steep faces,
-    |n_z| <= _STEEP_NZ, take the per-face form and are merged with
-    max/min: the side and forward faces at an equator PoG have n_z = 0,
-    and a face plane through a pole has |n_z| ~ 1e-16, so c is unbounded
-    there and w reaches pi/2.
+    every other column is empty.  Column ends take one of two forms.
 
-    An end that no face bounds, tilted or steep, is the frame edge: every
-    face then has n_z > _STEEP_NZ (n_z < -_STEEP_NZ), so the viewport
-    holds the north (south) pole and that end is row 0 (n_v - 1) in every
-    column, with no arctan, rounding or tie test.
+    Binding face, when no face is steep (|n_z| <= _STEEP_NZ): a face then
+    bounds only one end of the column inside [0, pi], the top if n_z < 0,
+    at polar angle pi/2 - atan(c) - w, and the bottom if n_z > 0, at
+    pi/2 + atan(c) + w, with c = (n_x sin(theta) + n_y cos(theta)) / |n_z|,
+    that is cot(phi) on the face plane, and w = asin(BOUNDARY_EPS / R),
+    R >= |n_z|.  Since atan is increasing, at each end the face with the
+    least c binds up to its w, so pi/2 -/+ atan(min c) lies within max w
+    < _TILTED_SLACK / 2 of the exact end: one arctan per column end, from
+    one product of _Gaze.coeffs with the window's sines and cosines.  An
+    end that no face bounds is the frame edge, as the viewport then holds
+    that pole, with no arctan.
 
-    Ends are rounded in row units: row k's center is at polar angle
-    (k + 0.5) pi / n_v, so an end sits at row x = -/+ atan(c) n_v / pi +
-    n_v / 2 - 0.5, the top row is ceil(x) and the bottom row floor(x).
-    Rounding picks the same row as at the exact end unless a row center
-    lies within _TILTED_SLACK of it, that is |x - rint(x)| <= _TILTED_SLACK
-    n_v / pi; the few ulps by which this x differs from the exact
-    expression are far inside that slack.  Such column ends (a boundary
-    through a row center, or any float tie) are taken again, column by
-    column, from all five faces (_retaken_ends).
+    Per face, at a PoG with a steep face: every end of the window comes
+    from all five faces (_per_face_ends).  The side and forward faces at
+    an equator PoG have n_z = 0, and a face plane through a pole has |n_z|
+    ~ 1e-16, so c is unbounded there and w reaches pi/2.
+
+    Both forms give an end as row x, row k's center lying at polar angle
+    (k + 0.5) pi / n_v, and are rounded in one place: the top row is
+    ceil(x) and the bottom row floor(x).  A binding-face end rounds as the
+    exact end does unless a row center lies within _TILTED_SLACK of it,
+    |x - rint(x)| <= _TILTED_SLACK n_v / pi; the few ulps by which x
+    differs from the exact expression are far inside that slack.  Such
+    column ends (a boundary through a row center, or any float tie) are
+    taken again per face.  Per-face ends are tested alike, though exact.
 
     The one set a single interval cannot hold is a column within about
     BOUNDARY_EPS / sin(row pitch / 2) of a face plane on its outer side,
@@ -531,58 +536,48 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
     Returns the window's first column start, the intp rows of shape
     (2, count) whose row 0 is each window column's top and row 1 its
     bottom, window column i being column (start + i) mod n_h, and the
-    window columns whose ends were taken again, ascending.  Every top
-    lies in [0, n_v] and every bottom in [-1, n_v - 1]; a column is empty
-    when top > bot.  _full_width_spans gives every column's span.
+    window columns with an end within _TILTED_SLACK of a row center,
+    ascending.  Every top lies in [0, n_v] and every bottom in
+    [-1, n_v - 1]; a column is empty when top > bot.  _full_width_spans
+    gives every column's span.
     """
-    start, count, n_top, n_tilted = gaze.start, gaze.count, gaze.n_top, gaze.n_tilted
-    trig = _column_trig(res)
-    wrapped = start + count - res.n_h
-    trig = trig[:, start : start + count] if wrapped <= 0 else np.hstack((trig[:, start:], trig[:, :wrapped]))
+    start, count = gaze.start, gaze.count
     scale = res.n_v / math.pi
-    # c per tilted face: row 0 of ends is the least c of the top, row 1
-    # the greatest -c of the bottom; an end that only steep faces bound
-    # starts at its frame edge (atan(+inf) at the top, atan(-inf) at the
-    # bottom).  Ends first to last - 1 are bounded; the others are frame
-    # edges.
-    steep = n_tilted < len(gaze.normals)
-    first = 0 if n_top or steep else 1
-    last = 2 if n_tilted > n_top or steep else 1
-    c = gaze.coeffs[:n_tilted] @ trig
-    ends = np.empty((2, count))
-    if first == 0:
-        np.minimum.reduce(c[:n_top], axis=0, out=ends[0], initial=np.inf)
-    if last == 2:
-        np.maximum.reduce(c[n_top:], axis=0, out=ends[1], initial=-np.inf)
-    bounded = ends[first:last]
-    np.arctan(bounded, out=bounded)
-    bounded *= -scale
-    bounded += res.n_v / 2 - 0.5
-    if steep:
-        steep_normals = gaze.normals[np.abs(gaze.normals[:, 2]) <= _STEEP_NZ]
-        lo, hi = _face_intervals(steep_normals[:, :2] @ trig, steep_normals[:, 2:])
-        lo *= scale
-        lo -= 0.5
-        hi *= scale
-        hi -= 0.5
-        np.maximum(ends[0], np.maximum(lo, -0.5, out=lo), out=ends[0])
-        np.minimum(ends[1], np.minimum(hi, res.n_v - 0.5, out=hi), out=ends[1])
+    if gaze.steep:
+        ends = bounded = _per_face_ends(gaze.normals, (start + np.arange(count)) % res.n_h, res)
+    else:
+        trig = _column_trig(res)
+        wrapped = start + count - res.n_h
+        trig = trig[:, start : start + count] if wrapped <= 0 else np.hstack((trig[:, start:], trig[:, :wrapped]))
+        # Row 0 of ends is the least c of the top-end faces, row 1 the
+        # greatest -c of the bottom-end ones; ends first to last - 1 are
+        # bounded, the others frame edges half a row past the edge row.
+        n_top = gaze.n_top
+        first, last = (0 if n_top else 1), (2 if n_top < len(gaze.coeffs) else 1)
+        c = gaze.coeffs @ trig
+        ends = np.empty((2, count))
+        if first == 0:
+            np.minimum.reduce(c[:n_top], axis=0, out=ends[0])
+        else:
+            ends[0] = -0.5
+        if last == 2:
+            np.maximum.reduce(c[n_top:], axis=0, out=ends[1])
+        else:
+            ends[1] = res.n_v - 0.5
+        bounded = ends[first:last]
+        np.arctan(bounded, out=bounded)
+        bounded *= -scale
+        bounded += res.n_v / 2 - 0.5
     gap = np.rint(bounded)
     np.subtract(bounded, gap, out=gap)
     np.abs(gap, out=gap)
     near = _NO_COLUMNS
     if gap.min() <= _TILTED_SLACK * scale:
         near = np.flatnonzero((gap <= _TILTED_SLACK * scale).any(axis=0))
-    if first == 0:
-        np.ceil(ends[0], out=ends[0])
-    else:
-        ends[0] = 0.0
-    if last == 2:
-        np.floor(ends[1], out=ends[1])
-    else:
-        ends[1] = res.n_v - 1
-    if near.size:
-        ends[:, near] = _retaken_ends(gaze.normals, (start + near) % res.n_h, res)
+        if not gaze.steep:
+            ends[:, near] = _per_face_ends(gaze.normals, (start + near) % res.n_h, res)
+    np.ceil(ends[0], out=ends[0])
+    np.floor(ends[1], out=ends[1])
     return start, ends.astype(np.intp), near
 
 
@@ -690,12 +685,14 @@ def _column_spans(
     res: Resolution,
     north_inside: bool,
     south_inside: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column row spans [top, bot] of the filled polyline interior.
-
-    Returns int32 arrays of shape (n_h,); empty columns have top = n_v
-    and bot = -1.  Columns wrap modulo n_h; if a pole is inside the
-    viewport the spans extend to the corresponding frame edge.
+) -> np.ndarray:
+    """Per-column row spans [top, bot] of the filled polyline interior,
+    in the form _project_spans gives on a window from column 0 that holds
+    every column: intp rows of shape (2, n_h), row 0 each column's top and
+    row 1 its bottom.  A column is empty when top > bot; one that no
+    segment crosses has top = n_v and bot = -1.  Columns wrap modulo n_h;
+    if a pole is inside the viewport the spans extend to the corresponding
+    frame edge.
     """
     col_pitch = res.column_pitch_deg
     row_pitch = res.row_pitch_deg
@@ -728,18 +725,11 @@ def _column_spans(
     np.maximum.at(max_phi, cols, phi_cross)
     crossed = np.isfinite(min_phi)
 
-    top = np.where(crossed, np.ceil(min_phi / row_pitch - 0.5), res.n_v)
-    bot = np.where(crossed, np.floor(max_phi / row_pitch - 0.5), -1)
-    if north_inside:
-        top = np.where(crossed, 0, top)
-    if south_inside:
-        bot = np.where(crossed, res.n_v - 1, bot)
-    top = np.clip(top, 0, res.n_v).astype(np.int32)
-    bot = np.clip(bot, -1, res.n_v - 1).astype(np.int32)
-    empty = top > bot
-    top[empty] = res.n_v
-    bot[empty] = -1
-    return top, bot
+    rows = np.empty((2, res.n_h), dtype=np.intp)
+    rows[0], rows[1] = res.n_v, -1
+    rows[0, crossed] = 0 if north_inside else np.ceil(min_phi[crossed] / row_pitch - 0.5)
+    rows[1, crossed] = res.n_v - 1 if south_inside else np.floor(max_phi[crossed] / row_pitch - 0.5)
+    return rows
 
 
 def _polyline_spans(
@@ -747,8 +737,9 @@ def _polyline_spans(
     fov: FieldOfView,
     res: Resolution,
     samples_per_side: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column spans of the sampled boundary polyline (the paper's rasterizer)."""
+) -> np.ndarray:
+    """Column spans of the sampled boundary polyline (the paper's
+    rasterizer), as _column_spans gives them."""
     theta, phi = _subdivided_polyline(pog, fov, samples_per_side)
     north, south = _pole_containment(pog, fov)
     return _column_spans(theta, phi, res, north, south)
@@ -793,7 +784,7 @@ def project_viewport(
         Dense sin(phi)-weighted raster; may wrap around the horizontal
         seam and extends to the frame edge when a pole is inside.
     """
-    inside = _spans_to_raster(0, np.stack(_polyline_spans(pog, fov, res, samples_per_side)), res)
+    inside = _spans_to_raster(0, _polyline_spans(pog, fov, res, samples_per_side), res)
     return _weighted_mask(inside, pog, fov, res)
 
 

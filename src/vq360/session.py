@@ -53,7 +53,6 @@ from .geometry import (
     cartesian_to_spherical_arrays,
     equivalent_pixels_viewport,
     row_centers_deg,
-    spherical_to_cartesian,
     spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, _hq_table
@@ -218,10 +217,12 @@ def _read_rows(path: str) -> tuple[tuple[str, ...], list[list[str]]]:
         reader = csv.reader(handle)
         try:
             header = tuple(name.strip() for name in next(reader))
+            # A row with no non-blank field is skipped.
+            rows = [row for row in reader if any(map(str.strip, row))]
         except StopIteration:
             raise ValueError(f"{path}: empty trace") from None
-        # A row with no non-blank field is skipped.
-        rows = [row for row in reader if any(map(str.strip, row))]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty trace")
     return header, rows
@@ -377,7 +378,6 @@ def synthetic_trace(
     dwell_probability: float = 0.2,
     seed: int = 0,
     turn_sigma_deg: float = 20.0,
-    start: SphericalPoint | None = None,
 ) -> SessionTrace:
     """Seeded spherical random walk: per frame, either dwell or advance
     along the current heading by speed/fps degrees, with the heading
@@ -394,13 +394,10 @@ def synthetic_trace(
         if not 0.0 <= value <= sys.float_info.max:
             raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
-    if start is None:
-        z = rng.uniform(-1.0, 1.0)
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        s = math.sqrt(1.0 - z * z)
-        p = np.array([s * math.cos(azimuth), s * math.sin(azimuth), z])
-    else:
-        p = spherical_to_cartesian(start).as_array()
+    z = rng.uniform(-1.0, 1.0)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    s = math.sqrt(1.0 - z * z)
+    p = np.array([s * math.cos(azimuth), s * math.sin(azimuth), z])
     heading = _cross(p, rng.normal(size=3))
     while np.linalg.norm(heading) < 1e-9:
         heading = _cross(p, rng.normal(size=3))

@@ -440,6 +440,14 @@ def test_data_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3 and "duplicate frame" in err
 
+    trace.write_bytes(b"frame,theta_deg,phi_deg\n0,10,45\n1,\xff\xfe,46\n")
+    code, _, err = run(
+        capsys,
+        "evaluate", "--trace", str(trace), "--resolution", "960x480",
+        "--out-prefix", str(tmp_path / "r"),
+    )
+    assert code == 3 and f"error: {trace}: 'utf-8' codec can't decode byte 0xff" in err
+
     manifest = tmp_path / "empty.json"
     manifest.write_text("[]")
     code, _, err = run(

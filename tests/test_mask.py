@@ -430,10 +430,13 @@ def test_analytic_spans_match_membership_oracle(theta, phi, fov_theta, fov_phi, 
     [
         (0.0, 0.0), (123.0, 180.0), (0.3, 0.4), (180.0, 179.5),
         (0.0, 90.0), (359.9, 60.0), (320.0, 110.0), (180.0, 30.0),
+        (0.001, 90.0), (359.999, 42.5), (0.0, 137.5),
     ],
 )
 def test_analytic_spans_match_oracle_at_4k(pog):
-    """Poles, the seam and the two special-case masks of the paper."""
+    """Poles, the seam and the two special-case masks of the paper; the
+    last three are per-face-form PoGs (the equator, and a top or bottom
+    face plane through a pole) whose window crosses the seam."""
     assert_spans_match_oracle(SphericalPoint(*pog), FOV, Resolution(3840, 1920))
 
 
@@ -504,9 +507,9 @@ def face_groups(pog, fov):
 WINDOW_PATH_CASES = {
     "top end at the frame edge": (123.0, 0.0, 100.0, 85.0, 240),
     "bottom end at the frame edge": (77.0, 180.0, 100.0, 85.0, 240),
-    "top end bounded by a steep face alone": (200.0, 43.5, 100.0, 87.0, 240),
+    "per-face form, top face plane through the north pole": (200.0, 43.5, 100.0, 87.0, 240),
     "window across the seam": (359.9, 60.0, 100.0, 85.0, 240),
-    "steep side and forward faces": (200.0, 90.0, 100.0, 85.0, 240),
+    "per-face form, steep side and forward faces": (200.0, 90.0, 100.0, 85.0, 240),
     "column end taken again": (123.0, 69.00000000002865, 100.0, 60.0, 30),
     "box of one tile row": (180.0, 90.0, 10.0, 10.0, 240),
     "box of five tile rows": (180.0, 90.0, 170.0, 150.0, 240),
@@ -538,10 +541,13 @@ def test_binding_face_spans_equal_per_face_spans(theta, phi, fov_theta, fov_phi,
     )
 
 
-# (pog, fov, (top-end faces, bottom-end faces, steep faces)).  The two
-# sides and the forward face share the sign of n_z, so with sides of
-# ordinary width the top end has 0, 1, 4 or 5 faces; a near-zero width
-# makes the sides steep and leaves 2 or 3.
+# (pog, fov, (top-end faces, bottom-end faces, steep faces)).  A PoG with
+# no steep face takes the binding-face form: the two sides and the forward
+# face share the sign of n_z, so with sides of ordinary width the top end
+# has 0, 1, 4 or 5 faces.  A PoG with a steep face takes the per-face form
+# on its whole window: at the equator, with a face plane through a pole,
+# or with a near-zero width that makes the sides steep and leaves 2 or 3
+# tilted faces at the top end.
 BRANCH_CASES = [
     ((30.0, 60.0), (100.0, 85.0), (1, 4, 0)),
     ((200.0, 91.0), (0.001, 85.0), (2, 1, 2)),
@@ -566,9 +572,10 @@ BRANCH_CASES = [
 @pytest.mark.parametrize("n_v", [30, 480, 1920])
 @pytest.mark.parametrize("pog, fov, groups", BRANCH_CASES)
 def test_binding_face_spans_every_branch(pog, fov, groups, n_v):
-    pog, fov = SphericalPoint(*pog), FieldOfView(*fov)
+    pog, fov, res = SphericalPoint(*pog), FieldOfView(*fov), Resolution(2 * n_v, n_v)
     assert face_groups(pog, fov) == groups
-    assert_spans_match_per_face(pog, fov, Resolution(2 * n_v, n_v))
+    assert gaze_at(pog, fov, res).steep == (groups[2] > 0)
+    assert_spans_match_per_face(pog, fov, res)
 
 
 def least_c_rule_misses_a_row(pog, fov, res):
@@ -930,14 +937,16 @@ def test_window_path_cases_take_their_path(case):
         assert top_faces == steep == 0 and rows[0].tolist() == [0] * res.n_h
     elif case == "bottom end at the frame edge":
         assert bottom_faces == steep == 0 and rows[1].tolist() == [n_v - 1] * res.n_h
-    elif case == "top end bounded by a steep face alone":
+    elif case == "per-face form, top face plane through the north pole":
         assert top_faces == 0 and steep == 1
-    elif case == "steep side and forward faces":
+    elif case == "per-face form, steep side and forward faces":
         assert steep == 3
     elif case == "box of one tile row":
         assert box == (2, 1)
     elif case == "box of five tile rows":
         assert box == (0, 5)
+    # The per-face form serves exactly the PoGs with a steep face.
+    assert gaze_at(pog, fov, res).steep == (steep > 0)
     # Every tile row with weight lies in the box.
     expected = index_clip_tile_sums(*per_face_spans(pog, fov, res), TileGrid(5, 8, res))
     filled = np.flatnonzero(expected.any(axis=1))
@@ -1006,7 +1015,7 @@ def test_boundary_sample_on_a_pole_keeps_to_the_viewport(theta):
 
     def mismatch(phi):
         pog = SphericalPoint(theta, phi)
-        rows = np.stack(mask_module._polyline_spans(pog, FOV, res, 4))
+        rows = mask_module._polyline_spans(pog, FOV, res, 4)
         return np.count_nonzero(_spans_to_raster(0, rows, res) != _membership_raster(pog, FOV, res))
 
     for phi in (FOV.phi_deg / 2.0, 180.0 - FOV.phi_deg / 2.0):

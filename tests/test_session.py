@@ -137,11 +137,7 @@ def test_synthetic_trace_step_sizes():
     assert moved > 0 and dwelled > 0
 
 
-def test_synthetic_trace_start_and_validation():
-    start = SphericalPoint(200.0, 60.0)
-    trace = synthetic_trace(duration_s=1.0, fps=10.0, seed=1, start=start)
-    assert trace.samples[0].theta_deg == pytest.approx(200.0)
-    assert trace.samples[0].phi_deg == pytest.approx(60.0)
+def test_synthetic_trace_validation():
     with pytest.raises(ValueError):
         synthetic_trace(duration_s=0.0, fps=30.0)
     with pytest.raises(ValueError):
@@ -504,9 +500,9 @@ def test_all_tiles_high_quality_gives_unit_quality():
     # footprint without them must pool to exactly 1 as well.
     inner = [(r, c) for r in range(5) for c in range(1, 7)]
     footprint = {v: inner for v in range(LAYOUT.variant_count)}
-    trace = synthetic_trace(
-        duration_s=1.0, fps=10.0, speed_deg_per_s=10.0, seed=25, start=SphericalPoint(180.0, 90.0)
-    )
+    # Ten frames spiralling out to 8.1 degrees from (180, 90).
+    spiral = [SphericalPoint(180.0 + 0.9 * k * math.cos(k), 90.0 + 0.9 * k * math.sin(k)) for k in range(10)]
+    trace = points_trace(10.0, spiral)
     timeline = evaluate_session(trace, base_config(hq_footprint=footprint))
     assert timeline.q_frame.tolist() == [1.0] * 10
 
