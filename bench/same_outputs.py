@@ -13,11 +13,13 @@ and compares every file the two runs wrote, byte for byte.  The
 benchmark's traces repeat no PoG on vaqm, so a ``dwell`` case follows
 them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
 0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm,
-and by vaqm ``evaluate`` at three more fields of view, DWELL_FOVS.
-It prints one line per case and seed, which for a differing
-``_frames.csv`` also gives how many frames differ and the largest
-|dq_frame|, and exits 1 if any output differs, any run fails or a run
-writes no file at all.
+and by vaqm ``evaluate`` at three more fields of view, DWELL_FOVS.  A
+``mask`` case exports ``vq360 mask`` PGM and NPZ rasters, projected and
+``--exact``, at the gaze points of MASK_POGS; it does not depend on the
+seed, so it runs at the first seed only.  It prints one line per case
+and seed, which for a differing ``_frames.csv`` also gives how many
+frames differ and the largest |dq_frame|, and exits 1 if any output
+differs, any run fails or a run writes no file at all.
 
 Standard library only, besides the numpy that perfbench's workloads use.
 """
@@ -44,6 +46,17 @@ DWELL_TRACES = (("long", 20.0), ("short", 1.7))
 # is within 45 degrees of that pole; and the widest the tests cover, whose
 # corner hull nears 180 degrees and whose corners pass near a pole.
 DWELL_FOVS = ("60,40", "120,90", "170,150")
+MASK = "mask"
+# The mask case's (label, resolution, theta,phi): a pole, the seam, the
+# equator, the default field of view's phi = v/2, where the top face plane
+# passes through the north pole, and at 4K the seam at phi = 180 - v/2.
+MASK_POGS = (
+    ("pole", "960x480", "77,0"),
+    ("seam", "960x480", "359.9,60"),
+    ("equator", "960x480", "180,90"),
+    ("half-v", "960x480", "47.74,42.5"),
+    ("seam-4k", "3840x1920", "0.001,137.5"),
+)
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -170,6 +183,17 @@ def dwell_commands(parent: str, inputs: str, seed: int) -> list[tuple[str, ...]]
     return commands
 
 
+def mask_commands() -> list[tuple[str, ...]]:
+    """Command lines of the mask case: each of MASK_POGS projected and
+    exact, each written as PGM and NPZ."""
+    commands = []
+    for label, resolution, pog in MASK_POGS:
+        for name, exact in ((label, ()), (f"{label}-exact", ("--exact",))):
+            out = ("--out", f"{{out}}/{name}.pgm", "--npz", f"{{out}}/{name}.npz")
+            commands.append(("mask", "--resolution", resolution, "--pog", pog, *exact, *out))
+    return commands
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     for root in (args.checkout, args.parent_checkout):
@@ -179,7 +203,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    known = (*workloads.NAMES, DWELL)
+    known = (*workloads.NAMES, DWELL, MASK)
     names = args.workload or known
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -187,13 +211,15 @@ def main(argv=None) -> int:
         return 2
     status = 0
     for name in names:
-        for seed in args.seeds:
+        for seed in args.seeds[:1] if name == MASK else args.seeds:
             with tempfile.TemporaryDirectory(prefix="vq360-same-") as work:
                 inputs = os.path.join(work, "inputs")
                 os.makedirs(inputs)
                 try:
                     if name == DWELL:
                         commands = dwell_commands(args.parent_checkout, inputs, seed)
+                    elif name == MASK:
+                        commands = mask_commands()
                     else:
                         commands = [workloads.build(name, inputs, seed).argv]
                 except RuntimeError as exc:

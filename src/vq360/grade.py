@@ -43,30 +43,26 @@ class TileGrid:
 
     def row_edges(self) -> np.ndarray:
         """Pixel-row boundaries of the tile rows (length rows + 1)."""
-        base = self.resolution.n_v // self.rows
-        edges = np.arange(self.rows + 1, dtype=np.int64) * base
-        edges[-1] = self.resolution.n_v
-        return edges
+        return _uniform_edges(self.resolution.n_v, self.rows)
 
     def col_edges(self) -> np.ndarray:
         """Pixel-column boundaries of the tile columns (length cols + 1)."""
-        base = self.resolution.n_h // self.cols
-        edges = np.arange(self.cols + 1, dtype=np.int64) * base
-        edges[-1] = self.resolution.n_h
-        return edges
-
-    def tile_slices(self, tile_row: int, tile_col: int) -> tuple[slice, slice]:
-        if not (0 <= tile_row < self.rows and 0 <= tile_col < self.cols):
-            raise ValueError(f"tile ({tile_row},{tile_col}) outside {self.rows}x{self.cols} grid")
-        r = self.row_edges()
-        c = self.col_edges()
-        return slice(int(r[tile_row]), int(r[tile_row + 1])), slice(int(c[tile_col]), int(c[tile_col + 1]))
+        return _uniform_edges(self.resolution.n_h, self.cols)
 
     def tiles_of_pixels(self, pixel_row: np.ndarray, pixel_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tile rows and columns holding in-frame pixel index arrays."""
-        tr = np.minimum(pixel_row // (self.resolution.n_v // self.rows), self.rows - 1)
-        tc = np.minimum(pixel_col // (self.resolution.n_h // self.cols), self.cols - 1)
+        """Tile rows and columns holding in-frame pixel index arrays: the
+        count of inner edges at or before each pixel."""
+        tr = np.searchsorted(self.row_edges()[1:-1], pixel_row, side="right")
+        tc = np.searchsorted(self.col_edges()[1:-1], pixel_col, side="right")
         return tr, tc
+
+
+def _uniform_edges(pixels: int, tiles: int) -> np.ndarray:
+    """Boundaries of tiles equal pixels // tiles wide, the remainder going
+    to the last tile (length tiles + 1)."""
+    edges = np.arange(tiles + 1, dtype=np.int64) * (pixels // tiles)
+    edges[-1] = pixels
+    return edges
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,8 @@ class VariantLayout:
         """Area under each PoG of angle arrays: the pixel holding the
         direction (spherical_to_pixel_arrays: truncated, clamped to the
         last column and row), then the tile holding that pixel
-        (TileGrid.tiles_of_pixels: floor division by the tile size,
-        remainder pixels in the last tile row and column)."""
+        (TileGrid.tiles_of_pixels, from the tile edges: remainder pixels
+        in the last tile row and column)."""
         col, row = spherical_to_pixel_arrays(theta_deg, phi_deg, self.grid.resolution)
         return self._area_table[self.grid.tiles_of_pixels(row, col)]
 

@@ -47,8 +47,8 @@ place.
 Both mask builders hand out spans in one form: the first column of a
 cyclic run of columns and the (2, count) intp rows holding each run
 column's top and bottom row, empty when top > bot.  The polyline
-rasterizer's run is every column from column 0; ``_full_width_spans``
-expands either to every column.
+rasterizer's run is every column from column 0, so ``project_viewport``
+compares each pixel row against those rows as they are.
 """
 
 from __future__ import annotations
@@ -291,10 +291,10 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
     value is the same product and sum as in one whole-raster evaluation.
     """
     normals = _face_normals(pog.theta_deg, pog.phi_deg, fov)
-    theta = np.deg2rad(column_centers_deg(res))
+    sin_t, cos_t = _column_trig(res)
     phi = np.deg2rad(row_centers_deg(res))
     sin_p = np.sin(phi)[:, None]
-    azimuthal = normals[:, :1] * np.sin(theta) + normals[:, 1:2] * np.cos(theta)
+    azimuthal = normals[:, :1] * sin_t + normals[:, 1:2] * cos_t
     polar = normals[:, 2:] * np.cos(phi)
     inside = np.ones((res.n_v, res.n_h), dtype=bool)
     value = np.empty((_ORACLE_BLOCK_ROWS, res.n_h))
@@ -538,8 +538,7 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
     bottom, window column i being column (start + i) mod n_h, and the
     window columns with an end within _TILTED_SLACK of a row center,
     ascending.  Every top lies in [0, n_v] and every bottom in
-    [-1, n_v - 1]; a column is empty when top > bot.  _full_width_spans
-    gives every column's span.
+    [-1, n_v - 1]; a column is empty when top > bot.
     """
     start, count = gaze.start, gaze.count
     scale = res.n_v / math.pi
@@ -579,19 +578,6 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
     np.ceil(ends[0], out=ends[0])
     np.floor(ends[1], out=ends[1])
     return start, ends.astype(np.intp), near
-
-
-def _full_width_spans(start: int, rows: np.ndarray, res: Resolution) -> tuple[np.ndarray, np.ndarray]:
-    """int32 top and bot of every column, shape (n_h,), from the spans of
-    a cyclic run of columns from start: columns outside the run, and
-    empty ones (top > bot), get top = n_v and bot = -1."""
-    top = np.full(res.n_h, res.n_v, dtype=np.int32)
-    bot = np.full(res.n_h, -1, dtype=np.int32)
-    filled = rows[0] <= rows[1]
-    columns = ((start + np.arange(rows.shape[1])) % res.n_h)[filled]
-    top[columns] = rows[0, filled]
-    bot[columns] = rows[1, filled]
-    return top, bot
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +675,10 @@ def _column_spans(
     """Per-column row spans [top, bot] of the filled polyline interior,
     in the form _project_spans gives on a window from column 0 that holds
     every column: intp rows of shape (2, n_h), row 0 each column's top and
-    row 1 its bottom.  A column is empty when top > bot; one that no
-    segment crosses has top = n_v and bot = -1.  Columns wrap modulo n_h;
-    if a pole is inside the viewport the spans extend to the corresponding
+    row 1 its bottom, which project_viewport compares pixel rows against
+    as they are.  A column is empty when top > bot; one that no segment
+    crosses has top = n_v and bot = -1.  Columns wrap modulo n_h; if a
+    pole is inside the viewport the spans extend to the corresponding
     frame edge.
     """
     col_pitch = res.column_pitch_deg
@@ -752,13 +739,6 @@ def _weighted_mask(inside: np.ndarray, pog: SphericalPoint, fov: FieldOfView, re
     return ViewportMask(resolution=res, weights=weights, pog=pog, fov=fov, area=area)
 
 
-def _spans_to_raster(start: int, rows: np.ndarray, res: Resolution) -> np.ndarray:
-    """Boolean raster of the spans of a cyclic run of columns from start."""
-    top, bot = _full_width_spans(start, rows, res)
-    pixel_rows = np.arange(res.n_v, dtype=np.int32)[:, None]
-    return (pixel_rows >= top[None, :]) & (pixel_rows <= bot[None, :])
-
-
 def project_viewport(
     pog: SphericalPoint,
     fov: FieldOfView,
@@ -784,8 +764,9 @@ def project_viewport(
         Dense sin(phi)-weighted raster; may wrap around the horizontal
         seam and extends to the frame edge when a pole is inside.
     """
-    inside = _spans_to_raster(0, _polyline_spans(pog, fov, res, samples_per_side), res)
-    return _weighted_mask(inside, pog, fov, res)
+    top, bot = _polyline_spans(pog, fov, res, samples_per_side)
+    pixel_rows = np.arange(res.n_v)[:, None]
+    return _weighted_mask((pixel_rows >= top) & (pixel_rows <= bot), pog, fov, res)
 
 
 def exact_mask(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> ViewportMask:

@@ -159,11 +159,8 @@ class SessionConfig:
             raise ValueError(f"segment length must be positive and finite, got {self.segment_ms} ms")
         if self.layout.grid.resolution != self.resolution:
             raise ValueError("layout tiling and session resolution differ")
-        grid = self.avaqm_grid
-        # type() is int rejects bools.
-        pair = type(grid) is tuple and len(grid) == 2 and all(type(n) is int and n > 0 for n in grid)
-        if not (grid is None or pair):
-            raise ValueError(f"bank grid must be a pair of positive integers, got {grid!r}")
+        if self.avaqm_grid is not None:
+            _check_bank_grid(self.avaqm_grid)
         if not 0.0 <= self.t_q <= 1.0:
             raise ValueError(f"quality threshold t_q must lie in [0, 1], got {self.t_q}")
         if self.normalization not in (NORMALIZATION_MASK_AREA, NORMALIZATION_ANALYTIC):
@@ -554,21 +551,34 @@ def _tile_sums_at(theta_deg: np.ndarray, phi_deg: np.ndarray, config: SessionCon
     return sums.reshape(theta_deg.size, -1)
 
 
+def _check_bank_grid(grid) -> None:
+    # type() is int rejects bools.
+    if not (type(grid) is tuple and len(grid) == 2 and all(type(n) is int and n > 0 for n in grid)):
+        raise ValueError(f"bank grid must be a pair of positive integers, got {grid!r}")
+
+
+def _bank_angles(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths and polar angles of the centers of a bank grid (bank_centers)."""
+    _check_bank_grid(grid)
+    rows, cols = grid
+    theta = np.tile((np.arange(cols) + 0.5) * (360.0 / cols), rows)
+    return theta, np.repeat((np.arange(rows) + 0.5) * (180.0 / rows), cols)
+
+
+def _unit_vectors(theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+    """Unit vectors of angle arrays, shape (directions, 3)."""
+    return np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
+
+
 def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
     """Cell-centered grid of PoG centers, row-major from the north edge."""
-    if grid_rows < 1 or grid_cols < 1:
-        raise ValueError(f"bank grid must be at least 1x1, got {grid_rows}x{grid_cols}")
-    phi_step = 180.0 / grid_rows
-    theta_step = 360.0 / grid_cols
-    return tuple(
-        SphericalPoint((j + 0.5) * theta_step, (i + 0.5) * phi_step)
-        for i in range(grid_rows)
-        for j in range(grid_cols)
-    )
+    theta, phi = _bank_angles((grid_rows, grid_cols))
+    return tuple(map(SphericalPoint, theta.tolist(), phi.tolist()))
 
 
-def _nearest_centers(centers: Sequence[SphericalPoint], theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-    """Index of the center nearest to each PoG on the sphere.
+def _nearest_centers(centers_xyz: np.ndarray, theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
+    """Index of the center, of unit vectors centers_xyz (_unit_vectors),
+    nearest to each PoG on the sphere.
 
     That is the largest dot product; dot products within _NEAREST_TIE_DOT
     of it tie, and a tie goes to the lowest index.  The margin is far above
@@ -576,12 +586,11 @@ def _nearest_centers(centers: Sequence[SphericalPoint], theta_deg: np.ndarray, p
     same way as a block does.  A block holds NEAREST_CENTER_DOTS / centers
     PoGs, at least one.
     """
-    theta_c = np.array([c.theta_deg for c in centers], dtype=np.float64)
-    phi_c = np.array([c.phi_deg for c in centers], dtype=np.float64)
-    centers_xyz = np.stack(spherical_to_cartesian_arrays(theta_c, phi_c), axis=1)
-    directions = np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
+    if not len(centers_xyz):
+        raise ValueError("no centers to snap to")
+    directions = _unit_vectors(theta_deg, phi_deg)
     nearest = np.empty(len(directions), dtype=np.intp)
-    block = max(1, NEAREST_CENTER_DOTS // len(centers))
+    block = max(1, NEAREST_CENTER_DOTS // len(centers_xyz))
     for start in range(0, len(directions), block):
         dots = directions[start : start + block] @ centers_xyz.T
         ties = dots >= dots.max(axis=1, keepdims=True) - _NEAREST_TIE_DOT
@@ -595,12 +604,14 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
     Ties resolve to the lowest (row, col) index, as the centers are
     stored row-major; see _nearest_centers.
     """
-    return int(_nearest_centers(centers, np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
+    theta = np.array([c.theta_deg for c in centers], dtype=np.float64)
+    phi = np.array([c.phi_deg for c in centers], dtype=np.float64)
+    return int(_nearest_centers(_unit_vectors(theta, phi), np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
 
 
-def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
-    """Centers and tile sums, shape (centers, tiles), of the bank of
-    config.avaqm_grid.
+def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Center unit vectors (_unit_vectors), shape (centers, 3), and tile
+    sums, shape (centers, tiles), of the bank of config.avaqm_grid.
 
     The centers of a bank row (bank_centers) share phi and, when the
     bank's column count divides n_h, sit n_h / cols pixel columns apart.
@@ -616,9 +627,8 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[tuple, np.ndarray]:
     first center had an end taken again, and every row when the column
     count does not divide n_h, is projected center by center.
     """
-    centers = bank_centers(*config.avaqm_grid)
-    theta = np.array([c.theta_deg for c in centers])
-    phi = np.array([c.phi_deg for c in centers])
+    theta, phi = _bank_angles(config.avaqm_grid)
+    centers = _unit_vectors(theta, phi)
     cols = config.avaqm_grid[1]
     res, grid = config.resolution, config.layout.grid
     n_h = res.n_h
@@ -657,7 +667,7 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
     only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
     is projected exactly; with one (avaqm) the bank is built once for all
     traces (_bank_tile_sums) and each moved PoG snaps to its nearest
-    center (nearest_center_index).  Only the traces, FoV, resolution, tile
+    center (_nearest_centers).  Only the traces, FoV, resolution, tile
     grid and bank grid matter, so one geometry serves every segment
     length, footprint, normalization and threshold.
     """

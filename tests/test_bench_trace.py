@@ -6,7 +6,8 @@ helpers (``_bench``, ``_result``) on each workload of BENCHMARK.json
 with ``--size tiny --trace 1`` and reads the last line as strictly as
 ``bench/record.py`` does, so a traced run that exits 0 with a last line
 that is not a result, holds a non-finite value or lacks a per-layer
-metric fails here.  About 2 s per workload.
+metric fails here.  It also checks the bank's center count and the
+projections per distinct PoG.  About 2 s per workload.
 """
 
 import importlib.util
@@ -17,6 +18,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# Bank centers built by a tiny run: vaqm builds no bank, and the others one
+# 3x6 bank.
+BANK_CENTERS = {"vaqm-4k": 0, "avaqm-long": 18, "study-sweep": 18}
 
 
 def _load(name, path):
@@ -47,3 +51,6 @@ def test_traced_tiny_run_reports_every_per_layer_metric(smoke, record, workload)
     missing = [m["name"] for m in SPEC["per_layer"] if m["name"] not in metrics]
     assert not missing and "mask.spans_per_distinct_pog" in metrics, missing
     assert metrics["trace.absent_layers"] == 0
+    # Each distinct PoG of the trace frames, or each bank center, is projected once.
+    assert metrics["session.bank.centers"] == BANK_CENTERS[workload]
+    assert metrics["mask.spans_per_distinct_pog"] == 1.0

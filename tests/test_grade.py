@@ -16,6 +16,8 @@ from vq360.grade import (
     variant_layout_26,
 )
 
+from reference import tile_slices
+
 RES = Resolution(960, 480)
 
 
@@ -63,24 +65,31 @@ def test_tile_slices_partition_frame():
     covered = np.zeros((50, 100), dtype=int)
     for tr in range(grid.rows):
         for tc in range(grid.cols):
-            rows, cols = grid.tile_slices(tr, tc)
+            rows, cols = tile_slices(grid, tr, tc)
             covered[rows, cols] += 1
     assert np.array_equal(covered, np.ones_like(covered))
 
 
 def test_tile_of_pixel_matches_slices():
-    grid = TileGrid(3, 7, Resolution(100, 50))
-    expected_rows = np.empty((50, 100), dtype=int)
-    expected_cols = np.empty((50, 100), dtype=int)
-    for tr in range(grid.rows):
-        for tc in range(grid.cols):
-            rows, cols = grid.tile_slices(tr, tc)
-            expected_rows[rows, cols] = tr
-            expected_cols[rows, cols] = tc
-    pixel_row, pixel_col = np.indices((50, 100))
-    tile_row, tile_col = grid.tiles_of_pixels(pixel_row, pixel_col)
-    assert np.array_equal(tile_row, expected_rows)
-    assert np.array_equal(tile_col, expected_cols)
+    """At every pixel, with and without remainder pixels: the tile whose
+    edges hold it, which is also floor division by the tile size, clamped
+    to the last tile."""
+    for tiles, size in (((3, 7), (100, 50)), ((5, 8), (962, 481)), ((5, 8), (966, 483)), ((4, 6), (960, 480))):
+        res = Resolution(*size)
+        grid = TileGrid(*tiles, res)
+        expected_rows = np.empty((res.n_v, res.n_h), dtype=int)
+        expected_cols = np.empty((res.n_v, res.n_h), dtype=int)
+        for tr in range(grid.rows):
+            for tc in range(grid.cols):
+                rows, cols = tile_slices(grid, tr, tc)
+                expected_rows[rows, cols] = tr
+                expected_cols[rows, cols] = tc
+        pixel_row, pixel_col = np.indices((res.n_v, res.n_h))
+        tile_row, tile_col = grid.tiles_of_pixels(pixel_row, pixel_col)
+        assert np.array_equal(tile_row, expected_rows)
+        assert np.array_equal(tile_col, expected_cols)
+        assert np.array_equal(tile_row, np.minimum(pixel_row // (res.n_v // grid.rows), grid.rows - 1))
+        assert np.array_equal(tile_col, np.minimum(pixel_col // (res.n_h // grid.cols), grid.cols - 1))
 
 
 def test_tile_grid_validation():
@@ -90,7 +99,7 @@ def test_tile_grid_validation():
         TileGrid(481, 8, RES)
     grid = TileGrid(2, 2, RES)
     with pytest.raises(ValueError):
-        grid.tile_slices(2, 0)
+        tile_slices(grid, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def test_binary_grade_map_marks_exactly_the_footprint():
     assert set(np.unique(grade.grades)) <= {0.0, 1.0}
     expected = np.zeros((RES.n_v, RES.n_h))
     for tile in neighbor_footprint_oracle(layout.grid, layout.areas[variant]):
-        rows, cols = layout.grid.tile_slices(*tile)
+        rows, cols = tile_slices(layout.grid, *tile)
         expected[rows, cols] = 1.0
     assert np.array_equal(grade.grades, expected)
 
@@ -205,7 +214,7 @@ def test_binary_grade_map_marks_exactly_the_footprint():
 def test_binary_grade_map_equals_tile_slices_reference(size):
     """Every variant under every kind of footprint, with remainder pixels in
     the last tile row and column at 102x51: the raster is the table's row
-    painted tile by tile through TileGrid.tile_slices."""
+    painted tile by tile through tile_slices."""
     layout = variant_layout_26(Resolution(*size))
     explicit = {v: [(v % 5, (3 * v) % 8), (4 - v % 5, 7)] for v in range(layout.variant_count)}
     for footprint in ("area-only", "area+neighbors", explicit):
@@ -213,7 +222,7 @@ def test_binary_grade_map_equals_tile_slices_reference(size):
         for variant in range(layout.variant_count):
             expected = np.zeros((layout.grid.resolution.n_v, layout.grid.resolution.n_h))
             for tile in np.argwhere(table[variant]).tolist():
-                rows, cols = layout.grid.tile_slices(*tile)
+                rows, cols = tile_slices(layout.grid, *tile)
                 expected[rows, cols] = 1.0
             grades = binary_grade_map(layout, variant, footprint).grades
             assert grades.dtype == np.float64 and np.array_equal(grades, expected), (size, footprint, variant)

@@ -30,10 +30,8 @@ from vq360.grade import TileGrid, variant_layout_26
 from vq360.mask import (
     BOUNDARY_EPS,
     _base_polyline,
-    _full_width_spans,
     _membership_raster,
     _project_spans,
-    _spans_to_raster,
     arc_phi_deg,
     corner_colatitudes_deg,
     exact_mask,
@@ -45,6 +43,7 @@ from vq360.mask import (
 )
 from vq360.session import _sin_prefix, _tile_row_weights, _tile_weight_sums, bank_centers, nearest_center_index
 
+from reference import full_width_spans, spans_to_raster
 from rotations import phi_rotation_matrix, theta_rotation_matrix
 
 FOV = FieldOfView(100.0, 85.0)
@@ -402,12 +401,12 @@ def tile_sums(start, rows, grid):
 def project_full_width(pog, fov, res):
     """_project_spans expanded to every column, and whether it took a column end again."""
     start, rows, near = spans_at(pog, fov, res)
-    return (*_full_width_spans(start, rows, res), near.size > 0)
+    return (*full_width_spans(start, rows, res), near.size > 0)
 
 
 def assert_spans_match_oracle(pog, fov, res):
     start, rows, _ = spans_at(pog, fov, res)
-    spans = _spans_to_raster(start, rows, res)
+    spans = spans_to_raster(start, rows, res)
     oracle = _membership_raster(pog, fov, res)
     assert np.count_nonzero(spans != oracle) == 0
 
@@ -485,7 +484,7 @@ def assert_spans_match_per_face(pog, fov, res):
     expected_top, expected_bot = per_face_spans(pog, fov, res)
     start, rows, _ = spans_at(pog, fov, res)
     assert rows.dtype == np.intp and rows.shape == (2, gaze_at(pog, fov, res).count)
-    top, bot = _full_width_spans(start, rows, res)
+    top, bot = full_width_spans(start, rows, res)
     assert top.dtype == bot.dtype == np.int32
     assert np.array_equal(top, expected_top)
     assert np.array_equal(bot, expected_bot)
@@ -700,7 +699,7 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
             pog = SphericalPoint((meridian + 180.0) % 360.0, 360.0 - along)
         expected = per_face_spans(pog, FOV, res)
         window = spans_at(pog, FOV, res)[:2]
-        spans = _full_width_spans(*window, res)
+        spans = full_width_spans(*window, res)
         assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
         # The row differences taken apart, as np.diff, then per tile.
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
@@ -897,7 +896,7 @@ def test_tile_sums_equal_the_index_clip_form(theta, phi, fov_theta, fov_phi, n_v
     grid = TileGrid(min(tiles[0], n_v), min(tiles[1], res.n_h), res)
     pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
     start, rows, _ = spans_at(pog, fov, res)
-    top, bot = _full_width_spans(start, rows, res)
+    top, bot = full_width_spans(start, rows, res)
     sums = tile_sums(start, rows, grid)
     assert_bitwise_equal(sums, index_clip_tile_sums(top, bot, grid))
     assert_bitwise_equal(sums, index_clip_tile_sums(*per_face_spans(pog, fov, res), grid))
@@ -1016,7 +1015,7 @@ def test_boundary_sample_on_a_pole_keeps_to_the_viewport(theta):
     def mismatch(phi):
         pog = SphericalPoint(theta, phi)
         rows = mask_module._polyline_spans(pog, FOV, res, 4)
-        return np.count_nonzero(_spans_to_raster(0, rows, res) != _membership_raster(pog, FOV, res))
+        return np.count_nonzero(spans_to_raster(0, rows, res) != _membership_raster(pog, FOV, res))
 
     for phi in (FOV.phi_deg / 2.0, 180.0 - FOV.phi_deg / 2.0):
         assert mismatch(phi) <= max(mismatch(phi - 0.1), mismatch(phi + 0.1)) + 2
@@ -1070,6 +1069,10 @@ def test_bank_centers_grid():
     assert sorted({c.theta_deg for c in centers}) == [30.0, 90.0, 150.0, 210.0, 270.0, 330.0]
     assert centers[0].theta_deg == 30.0 and centers[0].phi_deg == 30.0
     assert len(bank_centers(10, 20)) == 200
+    # Bitwise the cell centers of the row-major rule, at any grid.
+    for rows, cols in ((1, 1), (5, 10), (7, 13), (20, 40)):
+        expected = [((j + 0.5) * (360.0 / cols), (i + 0.5) * (180.0 / rows)) for i in range(rows) for j in range(cols)]
+        assert [(c.theta_deg, c.phi_deg) for c in bank_centers(rows, cols)] == expected
 
 
 def test_nearest_center_matches_haversine_oracle():

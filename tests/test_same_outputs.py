@@ -1,5 +1,5 @@
-"""The byte-identity check: its comparison of two output directories and
-its dwell case."""
+"""The byte-identity check: its comparison of two output directories,
+its dwell case and its mask case."""
 
 import importlib.util
 import pathlib
@@ -133,3 +133,24 @@ def test_dwell_case_is_compared(capsys, monkeypatch, same_outputs):
     line = capsys.readouterr().out.strip()
     assert line.startswith("dwell seed 7: identical (long-avaqm_frames.csv, ")
     assert line.endswith(", study-vaqm/error_table.csv, study-vaqm/segment_table.csv)")
+
+
+def test_mask_case_exports_both_builders_at_each_pog(same_outputs):
+    commands = same_outputs.mask_commands()
+    assert all(argv[0] == "mask" for argv in commands)
+    pogs = [(argv[argv.index("--resolution") + 1], argv[argv.index("--pog") + 1]) for argv in commands]
+    assert pogs[::2] == pogs[1::2] == [(res, pog) for _, res, pog in same_outputs.MASK_POGS]
+    assert [res for res, _ in pogs].count("3840x1920") == 2
+    assert ["--exact" in argv for argv in commands] == [False, True] * len(same_outputs.MASK_POGS)
+    outputs = [(argv[argv.index("--out") + 1], argv[argv.index("--npz") + 1]) for argv in commands]
+    assert len({path for pair in outputs for path in pair}) == 2 * len(commands)
+
+
+def test_mask_case_is_compared_once(capsys, monkeypatch, same_outputs):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7,8", "--workload", "mask"]
+    assert same_outputs.main(argv) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert line.startswith("mask seed 7: identical (equator-exact.npz, equator-exact.pgm, equator.npz, ")
+    assert line.endswith(", seam-exact.pgm, seam.npz, seam.pgm)")

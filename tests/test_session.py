@@ -14,9 +14,10 @@ from vq360.geometry import (
     SphericalPoint,
     angular_distance_deg,
     row_centers_deg,
+    spherical_to_cartesian_arrays,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
-from vq360.mask import _full_width_spans, _gazes, _project_spans, exact_mask
+from vq360.mask import _gazes, _project_spans, exact_mask
 from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
@@ -42,6 +43,8 @@ from vq360.session import (
     write_trace_csv,
 )
 
+from reference import full_width_spans
+
 RES = Resolution(960, 480)
 FOV = FieldOfView(100.0, 85.0)
 LAYOUT = variant_layout_26(RES)
@@ -56,6 +59,14 @@ def base_config(**overrides):
 def points_trace(fps, points):
     """A trace with one PoG per frame, from SphericalPoints."""
     return SessionTrace(fps, [p.theta_deg for p in points], [p.phi_deg for p in points])
+
+
+def center_vectors(centers):
+    """Unit vectors of SphericalPoints, shape (points, 3), from arrays of
+    their angles."""
+    theta = np.array([c.theta_deg for c in centers])
+    phi = np.array([c.phi_deg for c in centers])
+    return np.stack(spherical_to_cartesian_arrays(theta, phi), axis=1)
 
 
 def area_under(layout, theta_deg, phi_deg):
@@ -447,6 +458,10 @@ def test_session_config_validation():
     for grid in ((2.5, 6), (3,), (0, 5), (3, -6), (True, 6), (3, 6, 1), [3, 6], "3x6", 3):
         with pytest.raises(ValueError, match="bank grid must be a pair of positive integers"):
             base_config(avaqm_grid=grid)
+    # bank_centers checks its grid by the same rule.
+    for grid in ((2.5, 6), (0, 5), (3, -6), (True, 6)):
+        with pytest.raises(ValueError, match="bank grid must be a pair of positive integers"):
+            bank_centers(*grid)
     with pytest.raises(ValueError):
         base_config(resolution=Resolution(1920, 960))
     # The footprint is resolved, and so checked, when the config is built.
@@ -561,6 +576,33 @@ def test_avaqm_geometry_is_one_row_per_bank_center():
     assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
 
 
+def test_snapping_to_no_centers_is_rejected():
+    with pytest.raises(ValueError, match="no centers to snap to"):
+        nearest_center_index((), SphericalPoint(10.0, 20.0))
+
+
+def test_session_geometries_form_the_bank_vectors_once(monkeypatch):
+    """Traces that share a bank snap to its center vectors as the build
+    formed them: directions are formed once for the bank and once per
+    trace, for its moved PoGs."""
+    traces = [synthetic_trace(duration_s=1.0, fps=10.0, seed=seed) for seed in (51, 52, 53)]
+    to_cartesian = session_module.spherical_to_cartesian_arrays
+    sizes = []
+
+    def counted(theta_deg, phi_deg):
+        sizes.append(np.size(theta_deg))
+        return to_cartesian(theta_deg, phi_deg)
+
+    monkeypatch.setattr(session_module, "spherical_to_cartesian_arrays", counted)
+    geometries = session_geometries(traces, base_config(avaqm_grid=(3, 6)))
+    moved = [1 + np.count_nonzero((np.diff(t.theta_deg) != 0.0) | (np.diff(t.phi_deg) != 0.0)) for t in traces]
+    assert sizes == [18] + moved
+    monkeypatch.undo()
+    centers = bank_centers(3, 6)
+    for trace, geometry in zip(traces, geometries):
+        assert geometry.mask_rows.tolist() == [nearest_center_index(centers, p) for p in trace.samples]
+
+
 def dwell_trace():
     """A 6 s walk at 10 fps that dwells on about half its frames, with a
     repeat at frame 1, a move in phi alone, a dwell on a bank tie point
@@ -593,7 +635,7 @@ def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
     monkeypatch.setattr(session_module, "_nearest_centers", counted)
     (geometry,) = session_geometries([trace], config)
     assert snapped == [len(moved)]
-    every = snap(bank_centers(3, 6), trace.theta_deg, trace.phi_deg)
+    every = snap(center_vectors(bank_centers(3, 6)), trace.theta_deg, trace.phi_deg)
     assert geometry.mask_rows.dtype == every.dtype
     assert geometry.mask_rows.tolist() == every.tolist()
 
@@ -701,7 +743,7 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
     bank, sums = session_module._bank_tile_sums(config)
-    assert bank == centers
+    assert bank.tobytes() == center_vectors(centers).tobytes()
     assert sums.tobytes() == expected.tobytes()
     assert calls == projected
     assert len(calls) == projections
@@ -752,7 +794,7 @@ def test_large_bank_snaps_in_blocks_like_one_pog_at_a_time():
     pogs = ties[:4] + ties[4::997] + list(map(SphericalPoint, rng.uniform(0.0, 360.0, 40), rng.uniform(0.0, 180.0, 40)))
     assert session_module.NEAREST_CENTER_DOTS // len(centers) == 10 < len(pogs)
     theta, phi = (np.array([getattr(p, name) for p in pogs]) for name in ("theta_deg", "phi_deg"))
-    snapped = session_module._nearest_centers(centers, theta, phi)
+    snapped = session_module._nearest_centers(center_vectors(centers), theta, phi)
     assert snapped.tolist() == [nearest_center_index(centers, p) for p in pogs]
 
 
@@ -799,7 +841,7 @@ def test_tile_weight_sums_match_row_by_row_loop():
     theta, phi = np.array([180.0, 320.0, 10.0]), np.array([30.0, 110.0, 179.0])
     for gaze in _gazes(theta, phi, FOV, RES):
         start, rows, _ = _project_spans(gaze, RES)
-        top, bot = _full_width_spans(start, rows, RES)
+        top, bot = full_width_spans(start, rows, RES)
         expected = np.empty((grid.rows, grid.cols))
         for r in range(grid.rows):
             lo = np.maximum(top, edges[r])
