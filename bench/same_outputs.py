@@ -15,8 +15,11 @@ them: traces from ``--parent-checkout``'s ``vq360 synth-trace --dwell
 0.3``, scored by ``evaluate`` and ``study`` with vaqm and with avaqm,
 and by vaqm ``evaluate`` at three more fields of view, DWELL_FOVS.  A
 ``mask`` case exports ``vq360 mask`` PGM and NPZ rasters, projected and
-``--exact``, at the gaze points of MASK_POGS; it does not depend on the
-seed, so it runs at the first seed only.  It prints one line per case
+``--exact``, at the gaze points of MASK_POGS.  A ``ties`` case scores
+one fixed trace through the poles, cell edges, centers and equidistant
+midpoints of each of TIE_GRIDS by avaqm ``evaluate`` at each of them.
+The mask and ties cases do not depend on the seed, so they run at the
+first seed only.  It prints one line per case
 and seed, which for a differing ``_frames.csv`` also gives how many
 frames differ and the largest |dq_frame|, and exits 1 if any output
 differs, any run fails or a run writes no file at all.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +61,12 @@ MASK_POGS = (
     ("half-v", "960x480", "47.74,42.5"),
     ("seam-4k", "3840x1920", "0.001,137.5"),
 )
+TIES = "ties"
+# The ties case's bank grids: the error table's default coarsest grid,
+# the benchmark's and one twice as fine.
+TIE_GRIDS = ((3, 6), (10, 20), (20, 40))
+# Each tie point is also moved by these, in either angle or both.
+TIE_NUDGES = (-1e-13, 0.0, 1e-13)
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -74,7 +84,9 @@ def _parse_args(argv):
     parser.add_argument("--parent-checkout", required=True, help="root of the checkout to compare against")
     parser.add_argument("--seeds", type=_parse_seeds, default=[1301, 1302], help="workload seeds as A,B,C")
     parser.add_argument(
-        "--workload", action="append", help=f"workload name or {DWELL!r}; repeat for more (default: all)"
+        "--workload",
+        action="append",
+        help=f"workload name, {DWELL!r}, {MASK!r} or {TIES!r}; repeat for more (default: all)",
     )
     return parser.parse_args(argv)
 
@@ -194,6 +206,42 @@ def mask_commands() -> list[tuple[str, ...]]:
     return commands
 
 
+def tie_pogs() -> list[tuple[float, float]]:
+    """(theta, phi) of the ties case's trace.  For each of TIE_GRIDS,
+    every pair of a cell-edge or center azimuth and a cell-edge or center
+    polar angle: the centers, the cell corners and edges (the poles among
+    them), and so the points halfway between two centers of a row or of a
+    column; each moved by TIE_NUDGES in either angle and kept in range.
+    Then the seam at theta = 0 and just below 360 at each polar angle."""
+    pogs = []
+    phis = set()
+    for rows, cols in TIE_GRIDS:
+        thetas = [j * 180.0 / cols for j in range(2 * cols)]
+        for phi in (i * 90.0 / rows for i in range(2 * rows + 1)):
+            phis.add(phi)
+            for theta in thetas:
+                for d_theta in TIE_NUDGES:
+                    for d_phi in TIE_NUDGES:
+                        pogs.append(((theta + d_theta) % 360.0, min(max(phi + d_phi, 0.0), 180.0)))
+    pogs += [(theta, phi) for phi in sorted(phis) for theta in (0.0, math.nextafter(360.0, 0.0))]
+    return pogs
+
+
+def tie_commands(inputs: str) -> list[tuple[str, ...]]:
+    """Command lines of the ties case, after writing its trace (tie_pogs)
+    to inputs: avaqm evaluate at each of TIE_GRIDS."""
+    path = os.path.join(inputs, "ties.csv")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("frame", "theta_deg", "phi_deg"))
+        writer.writerows((frame, repr(theta), repr(phi)) for frame, (theta, phi) in enumerate(tie_pogs()))
+    return [
+        ("evaluate", "--trace", path, "--resolution", "960x480", "--method", "avaqm", "--grid", f"{rows}x{cols}",
+         "--out-prefix", f"{{out}}/ties-{rows}x{cols}")
+        for rows, cols in TIE_GRIDS
+    ]
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     for root in (args.checkout, args.parent_checkout):
@@ -203,7 +251,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    known = (*workloads.NAMES, DWELL, MASK)
+    known = (*workloads.NAMES, DWELL, MASK, TIES)
     names = args.workload or known
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -211,7 +259,7 @@ def main(argv=None) -> int:
         return 2
     status = 0
     for name in names:
-        for seed in args.seeds[:1] if name == MASK else args.seeds:
+        for seed in args.seeds[:1] if name in (MASK, TIES) else args.seeds:
             with tempfile.TemporaryDirectory(prefix="vq360-same-") as work:
                 inputs = os.path.join(work, "inputs")
                 os.makedirs(inputs)
@@ -220,6 +268,8 @@ def main(argv=None) -> int:
                         commands = dwell_commands(args.parent_checkout, inputs, seed)
                     elif name == MASK:
                         commands = mask_commands()
+                    elif name == TIES:
+                        commands = tie_commands(inputs)
                     else:
                         commands = [workloads.build(name, inputs, seed).argv]
                 except RuntimeError as exc:

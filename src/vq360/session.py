@@ -74,6 +74,9 @@ QUATERNION_UNIT_TOLERANCE = 1e-3
 # bank snaps 1024 PoGs per block.
 NEAREST_CENTER_DOTS = 1024 * 200
 _NEAREST_TIE_DOT = 1e-12
+# A PoG certified to the center of its own bank cell is nearer to it than
+# to any other center by at least this much in dot product.
+_CERTIFIED_GAP_DOT = 10 * _NEAREST_TIE_DOT
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
 QUATERNION_HEADER = ("frame", "qw", "qx", "qy", "qz")
@@ -576,19 +579,28 @@ def bank_centers(grid_rows: int, grid_cols: int) -> tuple[SphericalPoint, ...]:
     return tuple(map(SphericalPoint, theta.tolist(), phi.tolist()))
 
 
-def _nearest_centers(centers_xyz: np.ndarray, theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
-    """Index of the center, of unit vectors centers_xyz (_unit_vectors),
-    nearest to each PoG on the sphere.
+def _nearest_centers(centers_xyz: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Index of the center, of unit vectors centers_xyz, nearest to each
+    of the unit vectors directions on the sphere (both _unit_vectors): the
+    dense rule, one dot product per center.
 
     That is the largest dot product; dot products within _NEAREST_TIE_DOT
     of it tie, and a tie goes to the lowest index.  The margin is far above
     the rounding of a 3-term dot product, so one PoG resolves a tie the
     same way as a block does.  A block holds NEAREST_CENTER_DOTS / centers
     PoGs, at least one.
+
+    avaqm's frames snap in two steps (_snapped_centers) and reach this
+    rule only in the second.  First the center c of a PoG's own bank cell
+    is taken when the PoG lies within s/2 - delta of it, which one dot
+    product tells: s bounds from below the distance from c to every other
+    center, so every other center is at least s/2 + delta away and its
+    dot product at least 2 sin(s/2) sin(delta), ten tie margins, below
+    c's, and this rule could give no other index (_certified_dots has
+    the bound and its proof).  Only the PoGs left over come here.
     """
     if not len(centers_xyz):
         raise ValueError("no centers to snap to")
-    directions = _unit_vectors(theta_deg, phi_deg)
     nearest = np.empty(len(directions), dtype=np.intp)
     block = max(1, NEAREST_CENTER_DOTS // len(centers_xyz))
     for start in range(0, len(directions), block):
@@ -602,16 +614,85 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
     """Index of the center with smallest great-circle distance to the PoG.
 
     Ties resolve to the lowest (row, col) index, as the centers are
-    stored row-major; see _nearest_centers.
+    stored row-major; see _nearest_centers, the dense rule this applies.
+    avaqm's frames take most of their centers from a one-dot-product
+    certificate instead (_snapped_centers, _certified_dots), which gives
+    the same index: it accepts a center only when the dense rule would
+    find no other one nearest or tied.
     """
     theta = np.array([c.theta_deg for c in centers], dtype=np.float64)
     phi = np.array([c.phi_deg for c in centers], dtype=np.float64)
-    return int(_nearest_centers(_unit_vectors(theta, phi), np.array([pog.theta_deg]), np.array([pog.phi_deg]))[0])
+    pog_xyz = _unit_vectors(np.array([pog.theta_deg]), np.array([pog.phi_deg]))
+    return int(_nearest_centers(_unit_vectors(theta, phi), pog_xyz)[0])
 
 
-def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Center unit vectors (_unit_vectors), shape (centers, 3), and tile
-    sums, shape (centers, tiles), of the bank of config.avaqm_grid.
+def _certified_dots(grid: tuple[int, int]) -> np.ndarray:
+    """Per row of a bank grid, the dot product with a center of that row
+    at or above which a PoG is certified to snap to that center: the dense
+    rule (_nearest_centers) finds no other center nearest or tied.
+
+    Let s bound from below the distance from a row-r center c to every
+    other center: min(180/rows, 2 asin(sin phi_r sin(180/cols))) degrees,
+    without a term whose row or column count is 1.  The first term holds
+    because a great-circle distance is at least the difference of the two
+    polar angles, a whole row spacing between rows; the second is the
+    distance to c's neighbor in its own row, as within a row the distance
+    grows with the azimuth gap.  A PoG p within s/2 - delta of c is then
+    at least s/2 + delta from every other center c', as
+    d(p, c') >= d(c, c') - d(p, c), so
+
+        p.c - p.c' >= cos(s/2 - delta) - cos(s/2 + delta) = 2 sin(s/2) sin(delta).
+
+    delta makes that _CERTIFIED_GAP_DOT, ten times the tie margin, so the
+    rounding of the dot products (about 1e-16) leaves c the one largest,
+    with no tie.  The row's value is cos(s/2 - delta); it is inf, so
+    certifying nothing, where no delta < s/2 exists, and -inf in a 1x1
+    bank, whose one center is every PoG's.
+    """
+    rows, cols = grid
+    if rows == cols == 1:
+        return np.full(1, -np.inf)
+    phi = np.deg2rad(_bank_angles(grid)[1][::cols])
+    spacing = np.full(rows, np.pi / rows if rows > 1 else np.inf)
+    if cols > 1:
+        spacing = np.minimum(spacing, 2.0 * np.arcsin(np.sin(phi) * np.sin(np.pi / cols)))
+    half = spacing / 2.0
+    reach = half - np.arcsin(np.minimum(1.0, _CERTIFIED_GAP_DOT / (2.0 * np.sin(half))))
+    return np.where(reach > 0.0, np.cos(reach), np.inf)
+
+
+def _snapped_centers(
+    centers_xyz: np.ndarray, certified: np.ndarray, theta_deg: np.ndarray, phi_deg: np.ndarray
+) -> np.ndarray:
+    """Index of the center nearest to each PoG by the dense rule
+    (_nearest_centers), for a bank of center unit vectors centers_xyz and
+    its _certified_dots, in two steps.
+
+    1. The candidate is the center of the PoG's own bank cell: row
+       floor(phi rows/180), clipped, and column floor(theta cols/360)
+       mod cols.  It is taken when the PoG's dot product with it reaches
+       the certified dot of its row, which leaves the dense rule no other
+       center to give.
+    2. Every other PoG goes through the dense rule.
+
+    The certificate holds for any candidate, so truncating a negative
+    angle picks a worse one, never a wrong one.  The PoGs' unit vectors
+    are formed once, for both steps.
+    """
+    rows = len(certified)
+    cols = len(centers_xyz) // rows
+    directions = _unit_vectors(theta_deg, phi_deg)
+    row = np.clip((phi_deg * (rows / 180.0)).astype(np.intp), 0, rows - 1)
+    own = row * cols + (theta_deg * (cols / 360.0)).astype(np.intp) % cols
+    rest = np.flatnonzero(np.einsum("ij,ij->i", directions, centers_xyz[own]) < certified[row])
+    own[rest] = _nearest_centers(centers_xyz, directions[rest])
+    return own
+
+
+def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center unit vectors (_unit_vectors), shape (centers, 3), tile sums,
+    shape (centers, tiles), and the per-row certified dots
+    (_certified_dots) of the bank of config.avaqm_grid.
 
     The centers of a bank row (bank_centers) share phi and, when the
     bank's column count divides n_h, sit n_h / cols pixel columns apart.
@@ -629,11 +710,12 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     theta, phi = _bank_angles(config.avaqm_grid)
     centers = _unit_vectors(theta, phi)
+    certified = _certified_dots(config.avaqm_grid)
     cols = config.avaqm_grid[1]
     res, grid = config.resolution, config.layout.grid
     n_h = res.n_h
     if n_h % cols:
-        return centers, _tile_sums_at(theta, phi, config)
+        return centers, _tile_sums_at(theta, phi, config), certified
     step = n_h // cols
     col_starts = _tile_edges(grid)[2]
     sums = np.zeros((len(centers), grid.rows, grid.cols))
@@ -652,7 +734,7 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate((weights, weights), axis=1, out=box)
         for shift, out in zip(range(0, n_h, step), row_sums):
             np.add.reduceat(box[:, n_h - shift : 2 * n_h - shift], col_starts, axis=1, out=out[row0 : row0 + len(box)])
-    return centers, sums.reshape(len(centers), -1)
+    return centers, sums.reshape(len(centers), -1), certified
 
 
 def _geometry_key(config: SessionConfig) -> tuple:
@@ -667,9 +749,16 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
     only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
     is projected exactly; with one (avaqm) the bank is built once for all
     traces (_bank_tile_sums) and each moved PoG snaps to its nearest
-    center (_nearest_centers).  Only the traces, FoV, resolution, tile
-    grid and bank grid matter, so one geometry serves every segment
-    length, footprint, normalization and threshold.
+    center (_snapped_centers) in two steps.  First the center of its own
+    bank cell is taken when one dot product with it certifies it: the PoG
+    lies within s/2 - delta of it, where s bounds the distance from that
+    center to every other one from below and delta keeps every other dot
+    product ten tie margins below (_certified_dots, with the proof).  Only
+    the PoGs left over build a dot table against every center, by the
+    dense rule (_nearest_centers), and the index is the same either way.
+    Only the traces, FoV, resolution, tile grid and bank grid matter, so
+    one geometry serves every segment length, footprint, normalization
+    and threshold.
     """
     key = _geometry_key(config)
     bank = None if config.avaqm_grid is None else _bank_tile_sums(config)
@@ -682,8 +771,8 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
         if bank is None:
             sums = _tile_sums_at(theta[moved], phi[moved], config)
         else:
-            centers, sums = bank
-            rows = _nearest_centers(centers, theta[moved], phi[moved])[rows]
+            centers, sums, certified = bank
+            rows = _snapped_centers(centers, certified, theta[moved], phi[moved])[rows]
         geometries.append(SessionGeometry(key, sums, rows))
     return geometries
 

@@ -1,12 +1,18 @@
 """Dense forms of the library's compact ones, for the tests.
 
-The library hands out viewport spans as a cyclic run of columns and
-reads tiles from their edges; these expand the spans to every column
-and to a raster, and a tile to its pixel slices, as references to check
-the compact forms against.
+The library hands out viewport spans as a cyclic run of columns, reads
+tiles from their edges and certifies most snaps to a bank center with
+one dot product; these expand the spans to every column and to a
+raster, a tile to its pixel slices, and snap every PoG by a dot product
+with every center, as references to check the compact forms against.
 """
 
 import numpy as np
+
+from vq360.geometry import spherical_to_cartesian_arrays
+
+# Dot products of a snap within this of the largest tie.
+NEAREST_TIE_DOT = 1e-12
 
 
 def full_width_spans(start, rows, res):
@@ -36,3 +42,14 @@ def tile_slices(grid, tile_row, tile_col):
     r = grid.row_edges()
     c = grid.col_edges()
     return slice(int(r[tile_row]), int(r[tile_row + 1])), slice(int(c[tile_col]), int(c[tile_col + 1]))
+
+
+def nearest_centers(centers_xyz, theta_deg, phi_deg):
+    """Index of the center, of unit vectors centers_xyz (shape (centers,
+    3)), nearest to each PoG: the largest dot product, with dot products
+    within NEAREST_TIE_DOT of it tied and a tie going to the lowest index.
+    One (PoGs x centers) table, no certificate."""
+    directions = np.stack(spherical_to_cartesian_arrays(theta_deg, phi_deg), axis=1)
+    dots = directions @ centers_xyz.T
+    ties = dots >= dots.max(axis=1, keepdims=True) - NEAREST_TIE_DOT
+    return np.argmax(ties, axis=1)

@@ -154,3 +154,35 @@ def test_mask_case_is_compared_once(capsys, monkeypatch, same_outputs):
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert line.startswith("mask seed 7: identical (equator-exact.npz, equator-exact.pgm, equator.npz, ")
     assert line.endswith(", seam-exact.pgm, seam.npz, seam.pgm)")
+
+
+def test_tie_case_scores_tie_points_by_avaqm_at_each_grid(tmp_path, same_outputs):
+    commands = same_outputs.tie_commands(str(tmp_path))
+    assert [argv[argv.index("--grid") + 1] for argv in commands] == ["3x6", "10x20", "20x40"]
+    assert all(argv[0] == "evaluate" and argv[argv.index("--method") + 1] == "avaqm" for argv in commands)
+    rows = np.loadtxt(tmp_path / "ties.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == list(range(len(rows)))
+    pogs = set(map(tuple, rows[:, 1:].tolist()))
+    assert pogs == set(same_outputs.tie_pogs())
+    for rows_, cols in same_outputs.TIE_GRIDS:
+        d_theta, d_phi = 360.0 / cols, 180.0 / rows_
+        for nudge in (-1e-13, 0.0, 1e-13):
+            # A center, a cell corner, and the points halfway between two
+            # centers of a row and of a column.
+            assert (1.5 * d_theta, 0.5 * d_phi + nudge) in pogs
+            assert (d_theta + nudge, d_phi) in pogs
+            assert (d_theta, 0.5 * d_phi + nudge) in pogs
+            assert (0.5 * d_theta + nudge, d_phi) in pogs
+    assert {(0.0, 0.0), (0.0, 180.0), (0.0, 90.0), (np.nextafter(360.0, 0.0), 90.0)} <= pogs
+
+
+def test_tie_case_is_compared_once(capsys, monkeypatch, same_outputs):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7,8", "--workload", "ties"]
+    assert same_outputs.main(argv) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert line == (
+        "ties seed 7: identical (ties-10x20_frames.csv, ties-10x20_summary.json, ties-20x40_frames.csv, "
+        "ties-20x40_summary.json, ties-3x6_frames.csv, ties-3x6_summary.json)"
+    )

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vq360 import session as session_module
 from vq360.geometry import (
@@ -43,7 +45,7 @@ from vq360.session import (
     write_trace_csv,
 )
 
-from reference import full_width_spans
+from reference import full_width_spans, nearest_centers
 
 RES = Resolution(960, 480)
 FOV = FieldOfView(100.0, 85.0)
@@ -625,17 +627,17 @@ def test_bank_geometry_snaps_each_dwell_once(monkeypatch):
     frames are snapped, and the rows equal snapping every frame."""
     trace, moved = dwell_trace()
     config = base_config(avaqm_grid=(3, 6))
-    snap = session_module._nearest_centers
+    snap = session_module._snapped_centers
     snapped = []
 
-    def counted(centers, theta_deg, phi_deg):
+    def counted(centers, certified, theta_deg, phi_deg):
         snapped.append(theta_deg.size)
-        return snap(centers, theta_deg, phi_deg)
+        return snap(centers, certified, theta_deg, phi_deg)
 
-    monkeypatch.setattr(session_module, "_nearest_centers", counted)
+    monkeypatch.setattr(session_module, "_snapped_centers", counted)
     (geometry,) = session_geometries([trace], config)
     assert snapped == [len(moved)]
-    every = snap(center_vectors(bank_centers(3, 6)), trace.theta_deg, trace.phi_deg)
+    every = nearest_centers(center_vectors(bank_centers(3, 6)), trace.theta_deg, trace.phi_deg)
     assert geometry.mask_rows.dtype == every.dtype
     assert geometry.mask_rows.tolist() == every.tolist()
 
@@ -742,7 +744,7 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
         return project(gaze, res)
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
-    bank, sums = session_module._bank_tile_sums(config)
+    bank, sums, _ = session_module._bank_tile_sums(config)
     assert bank.tobytes() == center_vectors(centers).tobytes()
     assert sums.tobytes() == expected.tobytes()
     assert calls == projected
@@ -786,16 +788,83 @@ def test_nearest_center_rule_is_shared_on_ties():
 
 def test_large_bank_snaps_in_blocks_like_one_pog_at_a_time():
     """A block holds NEAREST_CENTER_DOTS / centers PoGs, 10 for a 100x200
-    bank; every PoG of a sample, poles and ties among them, snaps to the
-    center nearest_center_index gives it alone."""
-    centers = bank_centers(100, 200)
+    bank; every PoG of a sample, poles and ties among them, snaps, by the
+    dense rule in blocks and by the two steps, to the center the dense
+    reference gives it alone."""
+    centers = center_vectors(bank_centers(100, 200))
     rng = np.random.default_rng(32)
     ties = tie_pogs(100, 200)
     pogs = ties[:4] + ties[4::997] + list(map(SphericalPoint, rng.uniform(0.0, 360.0, 40), rng.uniform(0.0, 180.0, 40)))
     assert session_module.NEAREST_CENTER_DOTS // len(centers) == 10 < len(pogs)
     theta, phi = (np.array([getattr(p, name) for p in pogs]) for name in ("theta_deg", "phi_deg"))
-    snapped = session_module._nearest_centers(center_vectors(centers), theta, phi)
-    assert snapped.tolist() == [nearest_center_index(centers, p) for p in pogs]
+    alone = [int(nearest_centers(centers, theta[i : i + 1], phi[i : i + 1])[0]) for i in range(len(pogs))]
+    directions = np.stack(spherical_to_cartesian_arrays(theta, phi), axis=1)
+    assert session_module._nearest_centers(centers, directions).tolist() == alone
+    certified = session_module._certified_dots((100, 200))
+    assert session_module._snapped_centers(centers, certified, theta, phi).tolist() == alone
+
+
+def _grid_angle(draw, count, span):
+    """An angle in [0, span] for a grid of count cells: a cell edge, a
+    center, either end of the range or any value, moved by one of -1e-13,
+    0 and 1e-13."""
+    cell = span / count
+    kind = draw(st.sampled_from(("edge", "center", "end", "any")))
+    if kind == "edge":
+        angle = draw(st.integers(0, count)) * cell
+    elif kind == "center":
+        angle = (draw(st.integers(0, count - 1)) + 0.5) * cell
+    elif kind == "end":
+        angle = draw(st.sampled_from((0.0, math.nextafter(span, 0.0), span)))
+    else:
+        angle = draw(st.floats(0.0, span))
+    return angle + draw(st.sampled_from((-1e-13, 0.0, 1e-13)))
+
+
+@st.composite
+def bank_and_pogs(draw):
+    """A bank grid of 1-50 rows and 1-100 columns and up to 40 PoGs on
+    its poles, cell edges, centers, the points halfway between centers
+    (a center's angle with a cell edge's), the seam and anywhere."""
+    rows, cols = draw(st.integers(1, 50)), draw(st.integers(1, 100))
+    pogs = [(_grid_angle(draw, cols, 360.0), _grid_angle(draw, rows, 180.0)) for _ in range(draw(st.integers(1, 40)))]
+    return rows, cols, pogs
+
+
+@given(case=bank_and_pogs())
+@example(case=(1, 1, [(0.0, 0.0), (180.0, 90.0), (0.0, 180.0)]))
+@example(case=(3, 6, [(0.0, 0.0), (60.0, 30.0), (30.0, 60.0 + 1e-13), (math.nextafter(360.0, 0.0), 90.0)]))
+@example(case=(10, 20, [(9.0, 9.0), (18.0, 9.0 - 1e-13), (9.0, 18.0 + 1e-13), (0.0, 180.0), (27.0, 171.0)]))
+def test_two_step_snap_gives_the_dense_reference_index(case):
+    """The own-cell certificate and the dense rule for the rest give every
+    PoG the index of the dense reference, ties and poles included."""
+    rows, cols, pogs = case
+    trace = SessionTrace(10.0, [t for t, _ in pogs], [p for _, p in pogs])
+    centers = center_vectors(bank_centers(rows, cols))
+    certified = session_module._certified_dots((rows, cols))
+    snapped = session_module._snapped_centers(centers, certified, trace.theta_deg, trace.phi_deg)
+    assert snapped.tolist() == nearest_centers(centers, trace.theta_deg, trace.phi_deg).tolist()
+
+
+def test_certificate_decides_most_moved_pogs_and_no_tie(monkeypatch):
+    """On a 10x20 bank the certificate decides at least half the moved
+    PoGs of a head walk; a PoG on a pole or equidistant from two centers
+    is always left to the dense rule."""
+    walk = synthetic_trace(duration_s=20.0, fps=30.0, seed=41)
+    ties = points_trace(10.0, tie_pogs(10, 20))
+    moved = [1 + np.count_nonzero((np.diff(t.theta_deg) != 0.0) | (np.diff(t.phi_deg) != 0.0)) for t in (walk, ties)]
+    assert np.count_nonzero(ties.phi_deg % 180.0 == 0.0) == 4
+    dense = session_module._nearest_centers
+    sent = []
+
+    def counted(centers_xyz, directions):
+        sent.append(len(directions))
+        return dense(centers_xyz, directions)
+
+    monkeypatch.setattr(session_module, "_nearest_centers", counted)
+    session_geometries([walk, ties], base_config(avaqm_grid=(10, 20)))
+    assert sent[0] <= moved[0] / 2
+    assert sent[1] == moved[1] == len(ties.samples)
 
 
 def test_variant_schedule_follows_segment_starts():
