@@ -62,9 +62,11 @@ MASK_POGS = (
     ("seam-4k", "3840x1920", "0.001,137.5"),
 )
 TIES = "ties"
-# The ties case's bank grids: the error table's default coarsest grid,
-# the benchmark's and one twice as fine.
-TIE_GRIDS = ((3, 6), (10, 20), (20, 40))
+# The ties case's bank grids: the error table's default coarsest grid;
+# one whose 13 columns do not divide the 960 of the frame, so its bank is
+# projected center by center, and whose odd row count puts a row of
+# centers on the equator; the benchmark's; and one twice as fine.
+TIE_GRIDS = ((3, 6), (7, 13), (10, 20), (20, 40))
 # Each tie point is also moved by these, in either angle or both.
 TIE_NUDGES = (-1e-13, 0.0, 1e-13)
 # As in perfbench: one BLAS/OpenMP thread per process.

@@ -170,7 +170,8 @@ def _base_polyline(fov_theta: float, fov_phi: float, samples_per_side: int):
     uniformly spaced interior parameters to its last corner.  Corner
     vertices are thus duplicated so that every segment lies on a single
     side (the duplicate pairs form zero-length segments the rasterizer
-    skips).  Returns (theta, phi, side, param) float64/int8 arrays.
+    skips).  Returns (theta, phi, side, param) float64/int8 arrays, cached
+    per field of view and sample count and read-only.
     """
     if samples_per_side < 1:
         raise ValueError(f"samples_per_side must be >= 1, got {samples_per_side}")
@@ -187,6 +188,8 @@ def _base_polyline(fov_theta: float, fov_phi: float, samples_per_side: int):
     corners = phi.reshape(4, -1)
     corners[:, 0] = [phi_top, phi_top, phi_bottom, phi_bottom]
     corners[:, -1] = [phi_top, phi_bottom, phi_bottom, phi_top]
+    for array in (theta, phi, side, param):
+        array.setflags(write=False)
     return theta, phi, side, param
 
 
@@ -292,10 +295,9 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
     """
     normals = _face_normals(pog.theta_deg, pog.phi_deg, fov)
     sin_t, cos_t = _column_trig(res)
-    phi = np.deg2rad(row_centers_deg(res))
-    sin_p = np.sin(phi)[:, None]
+    sin_p, cos_p = _row_trig(res)
     azimuthal = normals[:, :1] * sin_t + normals[:, 1:2] * cos_t
-    polar = normals[:, 2:] * np.cos(phi)
+    polar = normals[:, 2:] * cos_p
     inside = np.ones((res.n_v, res.n_h), dtype=bool)
     value = np.empty((_ORACLE_BLOCK_ROWS, res.n_h))
     passes = np.empty((_ORACLE_BLOCK_ROWS, res.n_h), dtype=bool)
@@ -303,7 +305,7 @@ def _membership_raster(pog: SphericalPoint, fov: FieldOfView, res: Resolution) -
         stop = min(start + _ORACLE_BLOCK_ROWS, res.n_v)
         block, block_value, block_passes = inside[start:stop], value[: stop - start], passes[: stop - start]
         for face_azimuthal, face_polar in zip(azimuthal, polar):
-            np.multiply(sin_p[start:stop], face_azimuthal, out=block_value)
+            np.multiply(sin_p[start:stop, None], face_azimuthal, out=block_value)
             block_value += face_polar[start:stop, None]
             np.greater_equal(block_value, -BOUNDARY_EPS, out=block_passes)
             block &= block_passes
@@ -336,9 +338,18 @@ def _pole_containment(pog: SphericalPoint, fov: FieldOfView) -> tuple[bool, bool
 
 @lru_cache(maxsize=8)
 def _column_trig(res: Resolution) -> np.ndarray:
-    """Rows sin(theta) and cos(theta) of the pixel-column azimuths, shape (2, n_h)."""
+    """Rows sin(theta) and cos(theta) of the pixel-column azimuths, shape (2, n_h), read-only."""
     theta = np.deg2rad(column_centers_deg(res))
     trig = np.stack([np.sin(theta), np.cos(theta)])
+    trig.setflags(write=False)
+    return trig
+
+
+@lru_cache(maxsize=8)
+def _row_trig(res: Resolution) -> np.ndarray:
+    """Rows sin(phi) and cos(phi) of the pixel-row polar angles, shape (2, n_v),
+    read-only: the one source of the rows' sin(phi) weights."""
+    trig = np.stack([np.sin(np.deg2rad(row_centers_deg(res))), np.cos(np.deg2rad(row_centers_deg(res)))])
     trig.setflags(write=False)
     return trig
 
@@ -733,7 +744,7 @@ def _polyline_spans(
 
 
 def _weighted_mask(inside: np.ndarray, pog: SphericalPoint, fov: FieldOfView, res: Resolution) -> ViewportMask:
-    sin_rows = np.sin(np.deg2rad(row_centers_deg(res)))[:, None]
+    sin_rows = _row_trig(res)[0, :, None]
     weights = np.where(inside, sin_rows.astype(np.float32), np.float32(0.0))
     area = float(np.sum(weights, dtype=np.float64))
     return ViewportMask(resolution=res, weights=weights, pog=pog, fov=fov, area=area)

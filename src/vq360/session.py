@@ -52,11 +52,10 @@ from .geometry import (
     SphericalPoint,
     cartesian_to_spherical_arrays,
     equivalent_pixels_viewport,
-    row_centers_deg,
     spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, _hq_table
-from .mask import _atomic_write_bytes, _gazes, _project_spans
+from .mask import _atomic_write_bytes, _gazes, _project_spans, _row_trig
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
@@ -464,22 +463,18 @@ def _variant_per_frame(trace: SessionTrace, config: SessionConfig) -> np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _sin_prefix(res: Resolution) -> np.ndarray:
-    """Prefix sums of sin(phi) over pixel rows; S[k] sums rows < k."""
-    sines = np.sin(np.deg2rad(row_centers_deg(res)))
-    return np.concatenate(([0.0], np.cumsum(sines)))
-
-
-@lru_cache(maxsize=8)
-def _tile_edges(grid: TileGrid) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The tile-row edges, _sin_prefix at each of them as a column, and
-    the first column of each tile column."""
+def _tile_table(grid: TileGrid) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """What the tile sums read of a tile grid, read-only: the tile-row
+    edges; the prefix sums S of the pixel rows' sin(phi) (_row_trig), S[k]
+    summing rows < k; S at each tile-row edge, as a column; and the first
+    column of each tile column."""
     row_edges = grid.row_edges()
-    edge_prefix = _sin_prefix(grid.resolution)[row_edges, None]
+    prefix = np.concatenate(([0.0], np.cumsum(_row_trig(grid.resolution)[0])))
+    edge_prefix = prefix[row_edges, None]
     col_starts = grid.col_edges()[:-1]
-    for table in (edge_prefix, col_starts):
+    for table in (prefix, edge_prefix, col_starts):
         table.setflags(write=False)
-    return tuple(row_edges.tolist()), edge_prefix, col_starts
+    return tuple(row_edges.tolist()), prefix, edge_prefix, col_starts
 
 
 def _tile_row_weights(start: int, rows: np.ndarray, grid: TileGrid) -> tuple[int, np.ndarray]:
@@ -488,13 +483,14 @@ def _tile_row_weights(start: int, rows: np.ndarray, grid: TileGrid) -> tuple[int
     tile row of the spans' box and the box's weights, shape (box rows, n_h).
 
     A column's weight above tile-row edge e is S[clip(e, top, bot + 1)],
-    with S = _sin_prefix; differences over the edges give its weight in
-    each tile row, so all tile rows come out of one pass.  Every row's
-    sin(phi) is positive, so S is strictly increasing and that value is
-    clip(S[e], S[top], S[bot + 1]), bit for bit: two gathers per column
-    and a max and a min per inner edge (the first edge gives
-    min(S[top], S[bot + 1]) and the last S[bot + 1]).  An empty column
-    (top > bot) clamps every edge to S[bot + 1] and adds nothing.
+    with S the sin(phi) prefix sums of _tile_table; differences over the
+    edges give its weight in each tile row, so all tile rows come out of
+    one pass.  Every row's sin(phi) is positive, so S is strictly
+    increasing and that value is clip(S[e], S[top], S[bot + 1]), bit for
+    bit: two gathers per column and a max and a min per inner edge (the
+    first edge gives min(S[top], S[bot + 1]) and the last S[bot + 1]).
+    An empty column (top > bot) clamps every edge to S[bot + 1] and adds
+    nothing.
 
     The box runs from the tile row of the least top to that of the
     greatest bot.  Every edge up to its first clamps to min(S[top],
@@ -502,11 +498,10 @@ def _tile_row_weights(start: int, rows: np.ndarray, grid: TileGrid) -> tuple[int
     weight outside the box, or outside the run, is exactly +0.0.
     """
     n_h, count = grid.resolution.n_h, rows.shape[1]
-    row_edges, edge_prefix, _ = _tile_edges(grid)
+    row_edges, prefix, edge_prefix, _ = _tile_table(grid)
     top, bot = rows
     first = bisect.bisect_right(row_edges, int(top.min())) - 1
     last = max(first, bisect.bisect_right(row_edges, int(bot.max())))
-    prefix = _sin_prefix(grid.resolution)
     above = np.empty((last - first + 1, count))
     lo, hi = above[0], above[-1]
     # Spans index rows 0..n_v, so the gathers need no bounds check.
@@ -539,7 +534,7 @@ def _tile_weight_sums(start: int, rows: np.ndarray, grid: TileGrid, out: np.ndar
     the pairwise sum of the rest, so the +0.0 columns stay in place to keep
     the bits."""
     first, weights = _tile_row_weights(start, rows, grid)
-    np.add.reduceat(weights, _tile_edges(grid)[2], axis=1, out=out[first : first + len(weights)])
+    np.add.reduceat(weights, _tile_table(grid)[3], axis=1, out=out[first : first + len(weights)])
 
 
 def _tile_sums_at(theta_deg: np.ndarray, phi_deg: np.ndarray, config: SessionConfig) -> np.ndarray:
@@ -588,16 +583,8 @@ def _nearest_centers(centers_xyz: np.ndarray, directions: np.ndarray) -> np.ndar
     of it tie, and a tie goes to the lowest index.  The margin is far above
     the rounding of a 3-term dot product, so one PoG resolves a tie the
     same way as a block does.  A block holds NEAREST_CENTER_DOTS / centers
-    PoGs, at least one.
-
-    avaqm's frames snap in two steps (_snapped_centers) and reach this
-    rule only in the second.  First the center c of a PoG's own bank cell
-    is taken when the PoG lies within s/2 - delta of it, which one dot
-    product tells: s bounds from below the distance from c to every other
-    center, so every other center is at least s/2 + delta away and its
-    dot product at least 2 sin(s/2) sin(delta), ten tie margins, below
-    c's, and this rule could give no other index (_certified_dots has
-    the bound and its proof).  Only the PoGs left over come here.
+    PoGs, at least one.  avaqm's frames reach this rule only when their
+    own cell's center is not certified (_snapped_centers, _certified_dots).
     """
     if not len(centers_xyz):
         raise ValueError("no centers to snap to")
@@ -615,10 +602,8 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
 
     Ties resolve to the lowest (row, col) index, as the centers are
     stored row-major; see _nearest_centers, the dense rule this applies.
-    avaqm's frames take most of their centers from a one-dot-product
-    certificate instead (_snapped_centers, _certified_dots), which gives
-    the same index: it accepts a center only when the dense rule would
-    find no other one nearest or tied.
+    avaqm's frames get the same index in two steps (_snapped_centers,
+    _certified_dots).
     """
     theta = np.array([c.theta_deg for c in centers], dtype=np.float64)
     phi = np.array([c.phi_deg for c in centers], dtype=np.float64)
@@ -669,30 +654,29 @@ def _snapped_centers(
     its _certified_dots, in two steps.
 
     1. The candidate is the center of the PoG's own bank cell: row
-       floor(phi rows/180), clipped, and column floor(theta cols/360)
-       mod cols.  It is taken when the PoG's dot product with it reaches
-       the certified dot of its row, which leaves the dense rule no other
-       center to give.
+       floor(phi rows/180), at most rows - 1, and column floor(theta
+       cols/360) mod cols.  It is taken when the PoG's dot product with
+       it reaches the certified dot of its row, which leaves the dense
+       rule no other center to give.
     2. Every other PoG goes through the dense rule.
 
-    The certificate holds for any candidate, so truncating a negative
-    angle picks a worse one, never a wrong one.  The PoGs' unit vectors
-    are formed once, for both steps.
+    A trace's phi lies in [0, 180] (SessionTrace), so the row needs a
+    bound only above, where phi = 180 reaches rows.  The PoGs' unit
+    vectors are formed once, for both steps.
     """
     rows = len(certified)
     cols = len(centers_xyz) // rows
     directions = _unit_vectors(theta_deg, phi_deg)
-    row = np.clip((phi_deg * (rows / 180.0)).astype(np.intp), 0, rows - 1)
+    row = np.minimum((phi_deg * (rows / 180.0)).astype(np.intp), rows - 1)
     own = row * cols + (theta_deg * (cols / 360.0)).astype(np.intp) % cols
-    rest = np.flatnonzero(np.einsum("ij,ij->i", directions, centers_xyz[own]) < certified[row])
+    rest = np.flatnonzero(np.einsum("ij,ij->i", directions, centers_xyz.take(own, axis=0)) < certified[row])
     own[rest] = _nearest_centers(centers_xyz, directions[rest])
     return own
 
 
-def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center unit vectors (_unit_vectors), shape (centers, 3), tile sums,
-    shape (centers, tiles), and the per-row certified dots
-    (_certified_dots) of the bank of config.avaqm_grid.
+def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Center unit vectors (_unit_vectors), shape (centers, 3), and tile
+    sums, shape (centers, tiles), of the bank of config.avaqm_grid.
 
     The centers of a bank row (bank_centers) share phi and, when the
     bank's column count divides n_h, sit n_h / cols pixel columns apart.
@@ -710,14 +694,13 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray, np.n
     """
     theta, phi = _bank_angles(config.avaqm_grid)
     centers = _unit_vectors(theta, phi)
-    certified = _certified_dots(config.avaqm_grid)
     cols = config.avaqm_grid[1]
     res, grid = config.resolution, config.layout.grid
     n_h = res.n_h
     if n_h % cols:
-        return centers, _tile_sums_at(theta, phi, config), certified
+        return centers, _tile_sums_at(theta, phi, config)
     step = n_h // cols
-    col_starts = _tile_edges(grid)[2]
+    col_starts = _tile_table(grid)[3]
     sums = np.zeros((len(centers), grid.rows, grid.cols))
     doubled = np.empty((grid.rows, 2 * n_h))
     for first, gaze in zip(range(0, len(centers), cols), _gazes(theta[::cols], phi[::cols], config.fov, res)):
@@ -734,7 +717,7 @@ def _bank_tile_sums(config: SessionConfig) -> tuple[np.ndarray, np.ndarray, np.n
         np.concatenate((weights, weights), axis=1, out=box)
         for shift, out in zip(range(0, n_h, step), row_sums):
             np.add.reduceat(box[:, n_h - shift : 2 * n_h - shift], col_starts, axis=1, out=out[row0 : row0 + len(box)])
-    return centers, sums.reshape(len(centers), -1), certified
+    return centers, sums.reshape(len(centers), -1)
 
 
 def _geometry_key(config: SessionConfig) -> tuple:
@@ -749,19 +732,14 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
     only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
     is projected exactly; with one (avaqm) the bank is built once for all
     traces (_bank_tile_sums) and each moved PoG snaps to its nearest
-    center (_snapped_centers) in two steps.  First the center of its own
-    bank cell is taken when one dot product with it certifies it: the PoG
-    lies within s/2 - delta of it, where s bounds the distance from that
-    center to every other one from below and delta keeps every other dot
-    product ten tie margins below (_certified_dots, with the proof).  Only
-    the PoGs left over build a dot table against every center, by the
-    dense rule (_nearest_centers), and the index is the same either way.
+    center (_snapped_centers, against the bank grid's _certified_dots).
     Only the traces, FoV, resolution, tile grid and bank grid matter, so
     one geometry serves every segment length, footprint, normalization
     and threshold.
     """
     key = _geometry_key(config)
     bank = None if config.avaqm_grid is None else _bank_tile_sums(config)
+    certified = None if bank is None else _certified_dots(config.avaqm_grid)
     geometries = []
     for trace in traces:
         theta, phi = trace.theta_deg, trace.phi_deg
@@ -771,7 +749,7 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
         if bank is None:
             sums = _tile_sums_at(theta[moved], phi[moved], config)
         else:
-            centers, sums, certified = bank
+            centers, sums = bank
             rows = _snapped_centers(centers, certified, theta[moved], phi[moved])[rows]
         geometries.append(SessionGeometry(key, sums, rows))
     return geometries

@@ -3,13 +3,14 @@
 The library hands out viewport spans as a cyclic run of columns, reads
 tiles from their edges and certifies most snaps to a bank center with
 one dot product; these expand the spans to every column and to a
-raster, a tile to its pixel slices, and snap every PoG by a dot product
-with every center, as references to check the compact forms against.
+raster, a tile to its pixel slices, sum the rows' sin(phi) weights
+afresh, and snap every PoG by a dot product with every center, as
+references to check the compact forms against.
 """
 
 import numpy as np
 
-from vq360.geometry import spherical_to_cartesian_arrays
+from vq360.geometry import row_centers_deg, spherical_to_cartesian_arrays
 
 # Dot products of a snap within this of the largest tie.
 NEAREST_TIE_DOT = 1e-12
@@ -33,6 +34,12 @@ def spans_to_raster(start, rows, res):
     top, bot = full_width_spans(start, rows, res)
     pixel_rows = np.arange(res.n_v, dtype=np.int32)[:, None]
     return (pixel_rows >= top[None, :]) & (pixel_rows <= bot[None, :])
+
+
+def sin_prefix(res):
+    """Prefix sums of sin(phi) over the pixel rows; S[k] sums rows < k."""
+    sines = np.sin(np.deg2rad(row_centers_deg(res)))
+    return np.concatenate(([0.0], np.cumsum(sines)))
 
 
 def tile_slices(grid, tile_row, tile_col):

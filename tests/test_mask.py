@@ -41,9 +41,9 @@ from vq360.mask import (
     write_mask_npz,
     write_mask_pgm,
 )
-from vq360.session import _sin_prefix, _tile_row_weights, _tile_weight_sums, bank_centers, nearest_center_index
+from vq360.session import _tile_row_weights, _tile_table, _tile_weight_sums, bank_centers, nearest_center_index
 
-from reference import full_width_spans, spans_to_raster
+from reference import full_width_spans, sin_prefix, spans_to_raster
 from rotations import phi_rotation_matrix, theta_rotation_matrix
 
 FOV = FieldOfView(100.0, 85.0)
@@ -350,6 +350,23 @@ def test_base_face_normals_are_cached_read_only():
     with pytest.raises(ValueError):
         normals[0, 0] = 1.0
 
+
+def test_cached_tables_are_read_only():
+    """Every cached table refuses a write into any of its arrays, so no
+    caller can change it under the later ones."""
+    row_edges, *tile_arrays = _tile_table(variant_layout_26(RES).grid)
+    assert type(row_edges) is tuple
+    tables = [
+        mask_module._column_trig(RES),
+        mask_module._row_trig(RES),
+        *tile_arrays,
+        mask_module._base_face_normals(FOV),
+        *_base_polyline(FOV.theta_deg, FOV.phi_deg, 8),
+    ]
+    assert len(tables) == 10
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
 
 def one_shot_membership(pog, fov, res):
     """The membership test over the whole raster at once, face by face."""
@@ -703,7 +720,7 @@ def test_binding_face_spans_and_tile_sums_on_a_4k_pole_sweep():
         assert np.array_equal(spans[0], expected[0]) and np.array_equal(spans[1], expected[1]), pog
         # The row differences taken apart, as np.diff, then per tile.
         rows = np.clip(grid.row_edges()[:, None], expected[0], expected[1] + 1)
-        weights = np.diff(_sin_prefix(res)[rows], axis=0)
+        weights = np.diff(sin_prefix(res)[rows], axis=0)
         assert np.array_equal(tile_sums(*window, grid), np.add.reduceat(weights, grid.col_edges()[:-1], axis=1))
 
 
@@ -874,7 +891,7 @@ def index_clip_tile_sums(top, bot, grid):
     span [top, bot + 1] as a row index into the sin(phi) prefix sums, the
     differences over the edges, then summed per tile column."""
     rows = np.clip(grid.row_edges().astype(np.int32)[:, None], top, bot + 1)
-    weights = np.diff(_sin_prefix(grid.resolution)[rows], axis=0)
+    weights = np.diff(sin_prefix(grid.resolution)[rows], axis=0)
     return np.add.reduceat(weights, grid.col_edges()[:-1], axis=1)
 
 

@@ -158,7 +158,7 @@ def test_mask_case_is_compared_once(capsys, monkeypatch, same_outputs):
 
 def test_tie_case_scores_tie_points_by_avaqm_at_each_grid(tmp_path, same_outputs):
     commands = same_outputs.tie_commands(str(tmp_path))
-    assert [argv[argv.index("--grid") + 1] for argv in commands] == ["3x6", "10x20", "20x40"]
+    assert [argv[argv.index("--grid") + 1] for argv in commands] == ["3x6", "7x13", "10x20", "20x40"]
     assert all(argv[0] == "evaluate" and argv[argv.index("--method") + 1] == "avaqm" for argv in commands)
     rows = np.loadtxt(tmp_path / "ties.csv", delimiter=",", skiprows=1)
     assert rows[:, 0].tolist() == list(range(len(rows)))
@@ -184,5 +184,6 @@ def test_tie_case_is_compared_once(capsys, monkeypatch, same_outputs):
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert line == (
         "ties seed 7: identical (ties-10x20_frames.csv, ties-10x20_summary.json, ties-20x40_frames.csv, "
-        "ties-20x40_summary.json, ties-3x6_frames.csv, ties-3x6_summary.json)"
+        "ties-20x40_summary.json, ties-3x6_frames.csv, ties-3x6_summary.json, ties-7x13_frames.csv, "
+        "ties-7x13_summary.json)"
     )

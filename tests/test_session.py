@@ -744,7 +744,7 @@ def test_bank_tile_sums_equal_center_by_center_builds(monkeypatch, fov, res, gri
         return project(gaze, res)
 
     monkeypatch.setattr(session_module, "_project_spans", counted)
-    bank, sums, _ = session_module._bank_tile_sums(config)
+    bank, sums = session_module._bank_tile_sums(config)
     assert bank.tobytes() == center_vectors(centers).tobytes()
     assert sums.tobytes() == expected.tobytes()
     assert calls == projected
