@@ -18,8 +18,10 @@ and by vaqm ``evaluate`` at three more fields of view, DWELL_FOVS.  A
 ``--exact``, at the gaze points of MASK_POGS.  A ``ties`` case scores
 one fixed trace through the poles, cell edges, centers and equidistant
 midpoints of each of TIE_GRIDS by avaqm ``evaluate`` at each of them.
-The mask and ties cases do not depend on the seed, so they run at the
-first seed only.  It prints one line per case
+No workload reads quaternions under the z-up convention, so a ``z-up``
+case scores the quaternion trace of the tiny avaqm-long workload that
+way, by vaqm and by avaqm ``evaluate``.  The mask and ties cases do not
+depend on the seed, so they run at the first seed only.  It prints one line per case
 and seed, which for a differing ``_frames.csv`` also gives how many
 frames differ and the largest |dq_frame|, and exits 1 if any output
 differs, any run fails or a run writes no file at all.
@@ -65,8 +67,11 @@ TIES = "ties"
 # The ties case's bank grids: the error table's default coarsest grid;
 # one whose 13 columns do not divide the 960 of the frame, so its bank is
 # projected center by center, and whose odd row count puts a row of
-# centers on the equator; the benchmark's; and one twice as fine.
-TIE_GRIDS = ((3, 6), (7, 13), (10, 20), (20, 40))
+# centers on the equator; the benchmark's; one twice as fine; and one
+# column and one row, where a PoG's own column or row holds no
+# neighbour to beat.
+TIE_GRIDS = ((3, 6), (7, 13), (10, 20), (20, 40), (4, 1), (1, 5))
+ZUP = "z-up"
 # Each tie point is also moved by these, in either angle or both.
 TIE_NUDGES = (-1e-13, 0.0, 1e-13)
 # As in perfbench: one BLAS/OpenMP thread per process.
@@ -88,7 +93,7 @@ def _parse_args(argv):
     parser.add_argument(
         "--workload",
         action="append",
-        help=f"workload name, {DWELL!r}, {MASK!r} or {TIES!r}; repeat for more (default: all)",
+        help=f"workload name, {DWELL!r}, {MASK!r}, {TIES!r} or {ZUP!r}; repeat for more (default: all)",
     )
     return parser.parse_args(argv)
 
@@ -244,6 +249,16 @@ def tie_commands(inputs: str) -> list[tuple[str, ...]]:
     ]
 
 
+def zup_commands(trace: str) -> list[tuple[str, ...]]:
+    """Command lines of the z-up case: the quaternion trace read under
+    --convention z-up and scored by vaqm and by avaqm evaluate."""
+    flags = ("evaluate", "--trace", trace, "--convention", "z-up", "--resolution", "960x480")
+    return [
+        (*flags, "--out-prefix", "{out}/z-up-vaqm"),
+        (*flags, "--method", "avaqm", "--grid", "10x20", "--out-prefix", "{out}/z-up-avaqm"),
+    ]
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     for root in (args.checkout, args.parent_checkout):
@@ -253,7 +268,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    known = (*workloads.NAMES, DWELL, MASK, TIES)
+    known = (*workloads.NAMES, DWELL, MASK, TIES, ZUP)
     names = args.workload or known
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -272,6 +287,8 @@ def main(argv=None) -> int:
                         commands = mask_commands()
                     elif name == TIES:
                         commands = tie_commands(inputs)
+                    elif name == ZUP:
+                        commands = zup_commands(workloads.build("avaqm-long", inputs, seed, tiny=True).sessions[0].path)
                     else:
                         commands = [workloads.build(name, inputs, seed).argv]
                 except RuntimeError as exc:

@@ -107,10 +107,24 @@ def write_frame_csv(q_frame: np.ndarray, path: str) -> None:
     """Per-frame series as CSV with header frame,q_frame.
 
     Each distinct value is formatted once: values are told apart by bit
-    pattern, so -0.0 keeps its own text.
+    pattern, so -0.0 keeps its own text.  The rows are laid out as one
+    byte table, a frame number's digits, the comma, its value's text and
+    the newline, and the bytes are read off it in order, less the NULs
+    that stand for leading zeros and pad the shorter texts.
     """
     values = np.asarray(q_frame, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = list(map(",%r\n".__mod__, bits.view(np.float64).tolist()))
-    rows = map(str.__add__, map(str, range(values.size)), map(texts.__getitem__, inverse.tolist()))
-    _atomic_write_bytes(path, ("frame,q_frame\n" + "".join(rows)).encode("ascii"))
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=np.bytes_)
+    frames = np.arange(values.size)
+    width = len(str(max(values.size - 1, 0)))
+    rows = np.empty((values.size, width + texts.itemsize + 2), dtype=np.uint8)
+    for column in range(width):
+        power = 10 ** (width - 1 - column)
+        rows[:, column] = frames // power % 10 + ord("0")
+        if power > 1:
+            # The frames below the power have no digit here.
+            rows[:power, column] = 0
+    rows[:, width] = ord(",")
+    rows[:, width + 1 : -1] = texts.view(np.uint8).reshape(texts.size, texts.itemsize)[inverse]
+    rows[:, -1] = ord("\n")
+    _atomic_write_bytes(path, b"frame,q_frame\n" + rows[rows != 0].tobytes())

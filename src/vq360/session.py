@@ -73,8 +73,8 @@ QUATERNION_UNIT_TOLERANCE = 1e-3
 # bank snaps 1024 PoGs per block.
 NEAREST_CENTER_DOTS = 1024 * 200
 _NEAREST_TIE_DOT = 1e-12
-# A PoG certified to the center of its own bank cell is nearer to it than
-# to any other center by at least this much in dot product.
+# A PoG certified to a bank center is nearer to it than to any other
+# center by at least this much in dot product.
 _CERTIFIED_GAP_DOT = 10 * _NEAREST_TIE_DOT
 
 TRACE_HEADER = ("frame", "theta_deg", "phi_deg")
@@ -307,13 +307,23 @@ def _load_columns(path: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] |
     return header, np.ascontiguousarray(table["frame"]), np.ascontiguousarray(values)
 
 
+def _cross(a, b) -> tuple:
+    """Cross product of two vectors given by their three components, floats
+    or arrays: np.cross's products and differences, in its order, without
+    its per-call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def _quaternion_directions(qw, qx, qy, qz, convention: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    forward = _FORWARD_BY_CONVENTION[convention]
-    basis = _QUATERNION_CONVENTIONS[convention]
-    u = np.stack([qx, qy, qz], axis=1)
-    t = 2.0 * np.cross(u, forward[None, :])
-    rotated = forward[None, :] + qw[:, None] * t + np.cross(u, t)
-    return tuple((rotated @ basis).T)
+    """The convention's forward axis f rotated by each unit quaternion, in
+    this package's frame: f + qw t + u x t with u = (qx, qy, qz) and t =
+    2 u x f, both cross products taken one component at a time."""
+    forward = _FORWARD_BY_CONVENTION[convention].tolist()
+    u = (qx, qy, qz)
+    t = [2.0 * c for c in _cross(u, forward)]
+    rotated = np.stack([f + qw * ti + c for f, ti, c in zip(forward, t, _cross(u, t))], axis=1)
+    return tuple((rotated @ _QUATERNION_CONVENTIONS[convention]).T)
 
 
 def parse_trace(path: str, fps: float = DEFAULT_FPS, convention: str = "y-up") -> SessionTrace:
@@ -363,13 +373,6 @@ def write_trace_csv(trace: SessionTrace, path: str) -> None:
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors: np.cross's products and differences,
-    in its order, without its per-call overhead."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def synthetic_trace(
     duration_s: float = 60.0,
     fps: float = DEFAULT_FPS,
@@ -397,9 +400,9 @@ def synthetic_trace(
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     s = math.sqrt(1.0 - z * z)
     p = np.array([s * math.cos(azimuth), s * math.sin(azimuth), z])
-    heading = _cross(p, rng.normal(size=3))
+    heading = np.array(_cross(p.tolist(), rng.normal(size=3).tolist()))
     while np.linalg.norm(heading) < 1e-9:
-        heading = _cross(p, rng.normal(size=3))
+        heading = np.array(_cross(p.tolist(), rng.normal(size=3).tolist()))
     heading /= np.linalg.norm(heading)
 
     step = math.radians(speed_deg_per_s / fps)
@@ -411,7 +414,7 @@ def synthetic_trace(
         if rng.random() < dwell_probability or step == 0.0:
             continue
         turn = math.radians(rng.normal(0.0, turn_sigma_deg))
-        heading = heading * math.cos(turn) + _cross(p, heading) * math.sin(turn)
+        heading = heading * math.cos(turn) + np.array(_cross(p.tolist(), heading.tolist())) * math.sin(turn)
         p, heading = (
             p * math.cos(step) + heading * math.sin(step),
             heading * math.cos(step) - p * math.sin(step),
@@ -583,8 +586,8 @@ def _nearest_centers(centers_xyz: np.ndarray, directions: np.ndarray) -> np.ndar
     of it tie, and a tie goes to the lowest index.  The margin is far above
     the rounding of a 3-term dot product, so one PoG resolves a tie the
     same way as a block does.  A block holds NEAREST_CENTER_DOTS / centers
-    PoGs, at least one.  avaqm's frames reach this rule only when their
-    own cell's center is not certified (_snapped_centers, _certified_dots).
+    PoGs, at least one.  avaqm's frames reach this rule only when no
+    center is certified to them (_snapped_centers).
     """
     if not len(centers_xyz):
         raise ValueError("no centers to snap to")
@@ -602,8 +605,7 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
 
     Ties resolve to the lowest (row, col) index, as the centers are
     stored row-major; see _nearest_centers, the dense rule this applies.
-    avaqm's frames get the same index in two steps (_snapped_centers,
-    _certified_dots).
+    avaqm's frames get the same index in two steps (_snapped_centers).
     """
     theta = np.array([c.theta_deg for c in centers], dtype=np.float64)
     phi = np.array([c.phi_deg for c in centers], dtype=np.float64)
@@ -611,66 +613,83 @@ def nearest_center_index(centers: Sequence[SphericalPoint], pog: SphericalPoint)
     return int(_nearest_centers(_unit_vectors(theta, phi), pog_xyz)[0])
 
 
-def _certified_dots(grid: tuple[int, int]) -> np.ndarray:
-    """Per row of a bank grid, the dot product with a center of that row
-    at or above which a PoG is certified to snap to that center: the dense
-    rule (_nearest_centers) finds no other center nearest or tied.
+def _snap_tables(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Sine and cosine tables of a bank grid for _snapped_centers.
 
-    Let s bound from below the distance from a row-r center c to every
-    other center: min(180/rows, 2 asin(sin phi_r sin(180/cols))) degrees,
-    without a term whose row or column count is 1.  The first term holds
-    because a great-circle distance is at least the difference of the two
-    polar angles, a whole row spacing between rows; the second is the
-    distance to c's neighbor in its own row, as within a row the distance
-    grows with the azimuth gap.  A PoG p within s/2 - delta of c is then
-    at least s/2 + delta from every other center c', as
-    d(p, c') >= d(c, c') - d(p, c), so
-
-        p.c - p.c' >= cos(s/2 - delta) - cos(s/2 + delta) = 2 sin(s/2) sin(delta).
-
-    delta makes that _CERTIFIED_GAP_DOT, ten times the tie margin, so the
-    rounding of the dot products (about 1e-16) leaves c the one largest,
-    with no tie.  The row's value is cos(s/2 - delta); it is inf, so
-    certifying nothing, where no delta < s/2 exists, and -inf in a 1x1
-    bank, whose one center is every PoG's.
+    Per column j, shape (3, 2, cols): sin theta_j and cos theta_j, then s
+    times their differences to column j - 1, then to column j + 1, where
+    columns count mod cols and s = sin(90/rows), the least sin phi of any
+    row.  Per row k, shape (2, 2, rows): sin phi_k and cos phi_k less
+    those of row k - 1, then of row k + 1.  Past the poles the rows are
+    mirrored: phi_{-1} = -phi_0 and phi_rows = 360 - phi_{rows-1}.
     """
     rows, cols = grid
-    if rows == cols == 1:
-        return np.full(1, -np.inf)
-    phi = np.deg2rad(_bank_angles(grid)[1][::cols])
-    spacing = np.full(rows, np.pi / rows if rows > 1 else np.inf)
-    if cols > 1:
-        spacing = np.minimum(spacing, 2.0 * np.arcsin(np.sin(phi) * np.sin(np.pi / cols)))
-    half = spacing / 2.0
-    reach = half - np.arcsin(np.minimum(1.0, _CERTIFIED_GAP_DOT / (2.0 * np.sin(half))))
-    return np.where(reach > 0.0, np.cos(reach), np.inf)
+    theta, phi = _bank_angles(grid)
+    phi = phi[::cols]
+    angles = np.deg2rad(np.concatenate((theta[-1:], theta[:cols], theta[:1], -phi[:1], phi, 360.0 - phi[-1:])))
+    trig = np.array((np.sin(angles), np.cos(angles)))
+    azimuth, polar = trig[:, : cols + 2], trig[:, cols + 2 :]
+    s = math.sin(math.pi / (2 * rows))
+    own = azimuth[:, 1:-1]
+    columns = np.array((own, s * (own - azimuth[:, :-2]), s * (own - azimuth[:, 2:])))
+    own = polar[:, 1:-1]
+    return columns, np.array((own - polar[:, :-2], own - polar[:, 2:]))
 
 
 def _snapped_centers(
-    centers_xyz: np.ndarray, certified: np.ndarray, theta_deg: np.ndarray, phi_deg: np.ndarray
+    centers_xyz: np.ndarray, tables: tuple[np.ndarray, np.ndarray], theta_deg: np.ndarray, phi_deg: np.ndarray
 ) -> np.ndarray:
     """Index of the center nearest to each PoG by the dense rule
     (_nearest_centers), for a bank of center unit vectors centers_xyz and
-    its _certified_dots, in two steps.
+    its _snap_tables, in two steps.
 
-    1. The candidate is the center of the PoG's own bank cell: row
-       floor(phi rows/180), at most rows - 1, and column floor(theta
-       cols/360) mod cols.  It is taken when the PoG's dot product with
-       it reaches the certified dot of its row, which leaves the dense
-       rule no other center to give.
+    1. The candidate lies in the PoG's own column j = floor(theta cols/360)
+       mod cols, in the row k nearest to psi = atan2(h_j, z), where the PoG
+       has unit vector (x, y, z) and h_j = x sin theta_j + y cos theta_j =
+       sin phi cos(theta - theta_j).  It is taken when its dot product
+       beats those of its four grid neighbours, rows k - 1 and k + 1 of
+       column j and columns j - 1 and j + 1 of row k, by
+       _CERTIFIED_GAP_DOT.
     2. Every other PoG goes through the dense rule.
 
-    A trace's phi lies in [0, 180] (SessionTrace), so the row needs a
-    bound only above, where phi = 180 reaches rows.  The PoGs' unit
-    vectors are formed once, for both steps.
+    Why the candidate is then the dense rule's index: the dot product with
+    center (k, j) is sin phi_k h_j + cos phi_k z, and h_j = rho cos(alpha
+    - theta_j), with (rho, alpha) the polar form of (x, y).  So within any
+    row the dot product falls as the azimuth gap |alpha - theta_j| grows.
+    A column that beats both of its neighbours holds the PoG's least
+    azimuth gap, below 180/cols, and its center is the nearest in every
+    row.  With two or more columns that gap is below 90 degrees, so h_j >
+    0 and psi lies in (0, 180).  Down column j the dot product is R
+    cos(phi_k - psi), which rises and then falls, so a row that beats both
+    of its neighbours is the nearest of the column.  The candidate then
+    beats every other center by at least the least of its four gaps.  Row
+    neighbours past a pole are mirrored centers: beating them is not
+    needed, and fails only near a pole.  The column gaps are bounded from
+    below with sin(90/rows) in place of sin phi_k (_snap_tables).  With
+    one column a center is its own column neighbour, so its gaps are 0 and
+    nothing is certified; ties and poles leave a gap near 0 as well.
+
+    The gaps round by about 1e-15, as do the dense rule's dot products;
+    _CERTIFIED_GAP_DOT, ten times the tie margin, leaves the candidate the
+    one largest dot product, with no tie.  psi only picks the candidate,
+    which the gaps check, so it takes |h_j| and the row is at most rows -
+    1.  The PoGs' unit vectors are formed once, for both steps.
     """
-    rows = len(certified)
-    cols = len(centers_xyz) // rows
-    directions = _unit_vectors(theta_deg, phi_deg)
-    row = np.minimum((phi_deg * (rows / 180.0)).astype(np.intp), rows - 1)
-    own = row * cols + (theta_deg * (cols / 360.0)).astype(np.intp) % cols
-    rest = np.flatnonzero(np.einsum("ij,ij->i", directions, centers_xyz.take(own, axis=0)) < certified[row])
-    own[rest] = _nearest_centers(centers_xyz, directions[rest])
+    columns, polar = tables
+    cols, rows = columns.shape[2], polar.shape[2]
+    directions = np.array(spherical_to_cartesian_arrays(theta_deg, phi_deg))
+    x, y, z = directions
+    col = (theta_deg * (cols / 360.0)).astype(np.intp) % cols
+    terms = columns.take(col, axis=2)
+    # h_j, then the two column gaps.
+    azimuth = terms[:, 0] * x + terms[:, 1] * y
+    h = azimuth[0]
+    row = np.minimum((np.arctan2(np.abs(h), z) * (rows / np.pi)).astype(np.intp), rows - 1)
+    terms = polar.take(row, axis=2)
+    gaps = np.minimum(terms[:, 0] * h + terms[:, 1] * z, azimuth[1:])
+    own = row * cols + col
+    rest = np.flatnonzero(np.minimum(gaps[0], gaps[1]) < _CERTIFIED_GAP_DOT)
+    own[rest] = _nearest_centers(centers_xyz, directions.T[rest])
     return own
 
 
@@ -732,14 +751,14 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
     only moved PoGs make masks.  Without a bank grid (vaqm) each moved PoG
     is projected exactly; with one (avaqm) the bank is built once for all
     traces (_bank_tile_sums) and each moved PoG snaps to its nearest
-    center (_snapped_centers, against the bank grid's _certified_dots).
+    center (_snapped_centers, with the bank grid's _snap_tables).
     Only the traces, FoV, resolution, tile grid and bank grid matter, so
     one geometry serves every segment length, footprint, normalization
     and threshold.
     """
     key = _geometry_key(config)
     bank = None if config.avaqm_grid is None else _bank_tile_sums(config)
-    certified = None if bank is None else _certified_dots(config.avaqm_grid)
+    tables = None if bank is None else _snap_tables(config.avaqm_grid)
     geometries = []
     for trace in traces:
         theta, phi = trace.theta_deg, trace.phi_deg
@@ -750,7 +769,7 @@ def session_geometries(traces: Sequence[SessionTrace], config: SessionConfig) ->
             sums = _tile_sums_at(theta[moved], phi[moved], config)
         else:
             centers, sums = bank
-            rows = _snapped_centers(centers, certified, theta[moved], phi[moved])[rows]
+            rows = _snapped_centers(centers, tables, theta[moved], phi[moved])[rows]
         geometries.append(SessionGeometry(key, sums, rows))
     return geometries
 

@@ -2,15 +2,17 @@
 
 The library hands out viewport spans as a cyclic run of columns, reads
 tiles from their edges and certifies most snaps to a bank center with
-one dot product; these expand the spans to every column and to a
-raster, a tile to its pixel slices, sum the rows' sin(phi) weights
-afresh, and snap every PoG by a dot product with every center, as
+one dot product, and rotates quaternions one vector component at a
+time; these expand the spans to every column and to a raster, a tile to
+its pixel slices, sum the rows' sin(phi) weights afresh, snap every PoG
+by a dot product with every center and rotate by np.cross, as
 references to check the compact forms against.
 """
 
 import numpy as np
 
 from vq360.geometry import row_centers_deg, spherical_to_cartesian_arrays
+from vq360.session import _FORWARD_BY_CONVENTION, _QUATERNION_CONVENTIONS
 
 # Dot products of a snap within this of the largest tie.
 NEAREST_TIE_DOT = 1e-12
@@ -60,3 +62,13 @@ def nearest_centers(centers_xyz, theta_deg, phi_deg):
     dots = directions @ centers_xyz.T
     ties = dots >= dots.max(axis=1, keepdims=True) - NEAREST_TIE_DOT
     return np.argmax(ties, axis=1)
+
+
+def quaternion_directions(qw, qx, qy, qz, convention):
+    """The convention's forward axis rotated by each unit quaternion, in
+    the package's frame, with both cross products taken by np.cross."""
+    forward = _FORWARD_BY_CONVENTION[convention]
+    u = np.stack([qx, qy, qz], axis=1)
+    t = 2.0 * np.cross(u, forward[None, :])
+    rotated = forward[None, :] + qw[:, None] * t + np.cross(u, t)
+    return tuple((rotated @ _QUATERNION_CONVENTIONS[convention]).T)

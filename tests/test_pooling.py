@@ -158,12 +158,18 @@ def test_timeline_holds_read_only_copies_and_builds_frames_on_demand():
         np.repeat([0.25, 1.0 / 3.0, 0.0, 0.25, 1.0], [5000, 1, 7000, 3, 2000]),
         np.repeat(np.random.default_rng(9).random(40), 9)[::2],
         np.random.default_rng(10).random(300, dtype=np.float32).repeat(3),
+        [],
+        *(np.random.default_rng(n).choice([0.0, 0.25, 1.0 / 3.0, 1.0], n) for n in (9, 10, 11, 99, 100, 101, 100_001)),
     ],
-    ids=["edge values", "36000 random", "signed zeros", "one frame", "long runs", "strided view", "float32"],
+    ids=[
+        "edge values", "36000 random", "signed zeros", "one frame", "long runs", "strided view", "float32", "empty",
+        *(f"{n} frames" for n in (9, 10, 11, 99, 100, 101, 100_001)),
+    ],
 )
 def test_write_frame_csv_bytes(tmp_path, q):
     """The same bytes as formatting each row with an f-string, although
-    each distinct value is formatted once."""
+    each distinct value is formatted once; frame counts on either side of
+    a new digit, and the empty series, which writes the header alone."""
     path = tmp_path / "frames.csv"
     write_frame_csv(np.asarray(q), str(path))
     rows = "".join(f"{index},{value!r}\n" for index, value in enumerate(np.asarray(q, dtype=np.float64).tolist()))

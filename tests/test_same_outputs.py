@@ -158,7 +158,7 @@ def test_mask_case_is_compared_once(capsys, monkeypatch, same_outputs):
 
 def test_tie_case_scores_tie_points_by_avaqm_at_each_grid(tmp_path, same_outputs):
     commands = same_outputs.tie_commands(str(tmp_path))
-    assert [argv[argv.index("--grid") + 1] for argv in commands] == ["3x6", "7x13", "10x20", "20x40"]
+    assert [argv[argv.index("--grid") + 1] for argv in commands] == ["3x6", "7x13", "10x20", "20x40", "4x1", "1x5"]
     assert all(argv[0] == "evaluate" and argv[argv.index("--method") + 1] == "avaqm" for argv in commands)
     rows = np.loadtxt(tmp_path / "ties.csv", delimiter=",", skiprows=1)
     assert rows[:, 0].tolist() == list(range(len(rows)))
@@ -168,10 +168,11 @@ def test_tie_case_scores_tie_points_by_avaqm_at_each_grid(tmp_path, same_outputs
         d_theta, d_phi = 360.0 / cols, 180.0 / rows_
         for nudge in (-1e-13, 0.0, 1e-13):
             # A center, a cell corner, and the points halfway between two
-            # centers of a row and of a column.
-            assert (1.5 * d_theta, 0.5 * d_phi + nudge) in pogs
-            assert (d_theta + nudge, d_phi) in pogs
-            assert (d_theta, 0.5 * d_phi + nudge) in pogs
+            # centers of a row and of a column, on the seam's side for a
+            # one-column grid.
+            assert ((1.5 * d_theta) % 360.0, 0.5 * d_phi + nudge) in pogs
+            assert ((d_theta + nudge) % 360.0 if cols > 1 else nudge % 360.0, d_phi) in pogs
+            assert (d_theta % 360.0, 0.5 * d_phi + nudge) in pogs
             assert (0.5 * d_theta + nudge, d_phi) in pogs
     assert {(0.0, 0.0), (0.0, 180.0), (0.0, 90.0), (np.nextafter(360.0, 0.0), 90.0)} <= pogs
 
@@ -183,7 +184,27 @@ def test_tie_case_is_compared_once(capsys, monkeypatch, same_outputs):
     assert same_outputs.main(argv) == 0
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert line == (
-        "ties seed 7: identical (ties-10x20_frames.csv, ties-10x20_summary.json, ties-20x40_frames.csv, "
-        "ties-20x40_summary.json, ties-3x6_frames.csv, ties-3x6_summary.json, ties-7x13_frames.csv, "
+        "ties seed 7: identical (ties-10x20_frames.csv, ties-10x20_summary.json, ties-1x5_frames.csv, "
+        "ties-1x5_summary.json, ties-20x40_frames.csv, ties-20x40_summary.json, ties-3x6_frames.csv, "
+        "ties-3x6_summary.json, ties-4x1_frames.csv, ties-4x1_summary.json, ties-7x13_frames.csv, "
         "ties-7x13_summary.json)"
     )
+
+
+def test_zup_case_reads_quaternions_under_z_up(tmp_path, same_outputs):
+    trace = tmp_path / "quaternions.csv"
+    trace.write_text("frame,qw,qx,qy,qz\n0,1,0,0,0\n")
+    commands = same_outputs.zup_commands(str(trace))
+    assert all(argv[:3] == ("evaluate", "--trace", str(trace)) for argv in commands)
+    assert all(argv[argv.index("--convention") + 1] == "z-up" for argv in commands)
+    assert [argv[argv.index("--grid") + 1] if "--grid" in argv else "vaqm" for argv in commands] == ["vaqm", "10x20"]
+
+
+def test_zup_case_is_compared_at_each_seed(capsys, monkeypatch, same_outputs):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7,8", "--workload", "z-up"]
+    assert same_outputs.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    files = "z-up-avaqm_frames.csv, z-up-avaqm_summary.json, z-up-vaqm_frames.csv, z-up-vaqm_summary.json"
+    assert lines == [f"z-up seed {seed}: identical ({files})" for seed in (7, 8)]
