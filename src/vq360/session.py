@@ -400,9 +400,9 @@ def synthetic_trace(
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     s = math.sqrt(1.0 - z * z)
     p = np.array([s * math.cos(azimuth), s * math.sin(azimuth), z])
-    heading = np.array(_cross(p.tolist(), rng.normal(size=3).tolist()))
+    heading = np.array(_cross(p, rng.normal(size=3)))
     while np.linalg.norm(heading) < 1e-9:
-        heading = np.array(_cross(p.tolist(), rng.normal(size=3).tolist()))
+        heading = np.array(_cross(p, rng.normal(size=3)))
     heading /= np.linalg.norm(heading)
 
     step = math.radians(speed_deg_per_s / fps)
@@ -414,7 +414,7 @@ def synthetic_trace(
         if rng.random() < dwell_probability or step == 0.0:
             continue
         turn = math.radians(rng.normal(0.0, turn_sigma_deg))
-        heading = heading * math.cos(turn) + np.array(_cross(p.tolist(), heading.tolist())) * math.sin(turn)
+        heading = heading * math.cos(turn) + np.array(_cross(p, heading)) * math.sin(turn)
         p, heading = (
             p * math.cos(step) + heading * math.sin(step),
             heading * math.cos(step) - p * math.sin(step),
@@ -558,12 +558,18 @@ def _check_bank_grid(grid) -> None:
         raise ValueError(f"bank grid must be a pair of positive integers, got {grid!r}")
 
 
-def _bank_angles(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuths and polar angles of the centers of a bank grid (bank_centers)."""
+def _bank_axes(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths of the columns and polar angles of the rows of a bank grid's
+    centers, each at the middle of its cell."""
     _check_bank_grid(grid)
     rows, cols = grid
-    theta = np.tile((np.arange(cols) + 0.5) * (360.0 / cols), rows)
-    return theta, np.repeat((np.arange(rows) + 0.5) * (180.0 / rows), cols)
+    return (np.arange(cols) + 0.5) * (360.0 / cols), (np.arange(rows) + 0.5) * (180.0 / rows)
+
+
+def _bank_angles(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths and polar angles of the centers of a bank grid (bank_centers)."""
+    theta, phi = _bank_axes(grid)
+    return np.concatenate([theta] * len(phi)), np.repeat(phi, len(theta))
 
 
 def _unit_vectors(theta_deg: np.ndarray, phi_deg: np.ndarray) -> np.ndarray:
@@ -623,10 +629,9 @@ def _snap_tables(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     those of row k - 1, then of row k + 1.  Past the poles the rows are
     mirrored: phi_{-1} = -phi_0 and phi_rows = 360 - phi_{rows-1}.
     """
-    rows, cols = grid
-    theta, phi = _bank_angles(grid)
-    phi = phi[::cols]
-    angles = np.deg2rad(np.concatenate((theta[-1:], theta[:cols], theta[:1], -phi[:1], phi, 360.0 - phi[-1:])))
+    theta, phi = _bank_axes(grid)
+    rows, cols = len(phi), len(theta)
+    angles = np.deg2rad(np.concatenate((theta[-1:], theta, theta[:1], -phi[:1], phi, 360.0 - phi[-1:])))
     trig = np.array((np.sin(angles), np.cos(angles)))
     azimuth, polar = trig[:, : cols + 2], trig[:, cols + 2 :]
     s = math.sin(math.pi / (2 * rows))
@@ -688,7 +693,7 @@ def _snapped_centers(
     terms = polar.take(row, axis=2)
     gaps = np.minimum(terms[:, 0] * h + terms[:, 1] * z, azimuth[1:])
     own = row * cols + col
-    rest = np.flatnonzero(np.minimum(gaps[0], gaps[1]) < _CERTIFIED_GAP_DOT)
+    rest = (np.minimum(gaps[0], gaps[1]) < _CERTIFIED_GAP_DOT).nonzero()[0]
     own[rest] = _nearest_centers(centers_xyz, directions.T[rest])
     return own
 

@@ -167,9 +167,12 @@ def test_tie_case_scores_tie_points_by_avaqm_at_each_grid(tmp_path, same_outputs
     for rows_, cols in same_outputs.TIE_GRIDS:
         d_theta, d_phi = 360.0 / cols, 180.0 / rows_
         for nudge in (-1e-13, 0.0, 1e-13):
-            # A center, a cell corner on the seam, and the points halfway
-            # between two centers of a row and of a column.
+            # A center, a cell corner off the seam (a one-column bank has
+            # none) and one on it, and the points halfway between two
+            # centers of a row and of a column.
             assert ((1.5 * d_theta) % 360.0, 0.5 * d_phi + nudge) in pogs
+            if cols > 1:
+                assert (d_theta + nudge, d_phi) in pogs
             assert (nudge % 360.0, d_phi) in pogs
             assert (d_theta % 360.0, 0.5 * d_phi + nudge) in pogs
             assert (0.5 * d_theta + nudge, d_phi) in pogs
