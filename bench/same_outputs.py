@@ -20,7 +20,10 @@ one fixed trace through the poles, cell edges, centers and equidistant
 midpoints of each of TIE_GRIDS by avaqm ``evaluate`` at each of them.
 No workload reads quaternions under the z-up convention, so a ``z-up``
 case scores the quaternion trace of the tiny avaqm-long workload that
-way, by vaqm and by avaqm ``evaluate``.  The mask and ties cases do not
+way, by vaqm and by avaqm ``evaluate``.  Every workload trace is plain LF
+rows, so an ``ingest`` case writes an angle and a quaternion trace in every
+other form ``parse_trace`` accepts (ingest_texts) and scores each the same
+two ways.  The mask and ties cases do not
 depend on the seed, so they run at the first seed only.  It prints one line per case
 and seed, which for a differing ``_frames.csv`` also gives how many
 frames differ and the largest |dq_frame|, and exits 1 if any output
@@ -33,9 +36,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -74,6 +79,13 @@ TIE_GRIDS = ((3, 6), (7, 13), (10, 20), (20, 40), (4, 1), (1, 5))
 ZUP = "z-up"
 # Each tie point is also moved by these, in either angle or both.
 TIE_NUDGES = (-1e-13, 0.0, 1e-13)
+INGEST = "ingest"
+INGEST_FRAMES = 600
+# The ingest case's forms of a frame number and of a value, taken in turn.
+INGEST_FRAME_FORMS = ("{}", " {} ", "+{}", "\t{}")
+INGEST_VALUE_FORMS = ("{!r}", " {!r}\t", "{:+.17g}", "{:.16e}", "{:+.16E}")
+# Its line ends, taken in turn; every seventh row is followed by an empty line.
+INGEST_LINE_ENDS = ("\n", "\r\n", "\r")
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -93,7 +105,8 @@ def _parse_args(argv):
     parser.add_argument(
         "--workload",
         action="append",
-        help=f"workload name, {DWELL!r}, {MASK!r}, {TIES!r} or {ZUP!r}; repeat for more (default: all)",
+        help=f"workload name, {DWELL!r}, {MASK!r}, {TIES!r}, {ZUP!r} or {INGEST!r}; repeat for more "
+        "(default: all)",
     )
     return parser.parse_args(argv)
 
@@ -259,6 +272,56 @@ def zup_commands(trace: str) -> list[tuple[str, ...]]:
     ]
 
 
+def ingest_texts(seed: int) -> dict[str, str]:
+    """The ingest case's traces as {file name: text}: INGEST_FRAMES random
+    gaze points as angles and as unit quaternions, in every form
+    parse_trace accepts.  The header names are padded, the rows are
+    shuffled out of frame order, numbers take INGEST_FRAME_FORMS and
+    INGEST_VALUE_FORMS in turn (padding, + signs, exponents), lines end
+    by INGEST_LINE_ENDS with empty lines between rows, and the last row has
+    no line end.  Frames 0 and 1 hold 1e-400, 5e-324 and -0.0."""
+    rng = random.Random(seed)
+    angles = [["1e-400", "5e-324"], ["5e-324", "-0.0"]]
+    quaternions = [["1e0", "1e-400", "5e-324", "-0.0"], ["+0.0", "1E0", "-5e-324", "1e-400"]]
+    forms = itertools.cycle(INGEST_VALUE_FORMS)
+    for _ in range(2, INGEST_FRAMES):
+        angles.append([next(forms).format(rng.uniform(0.0, 360.0)), next(forms).format(rng.uniform(0.0, 180.0))])
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        norm = math.sqrt(sum(c * c for c in q))
+        quaternions.append([next(forms).format(c / norm) for c in q])
+    texts = {}
+    for name, header, rows in (
+        ("ingest-angles.csv", "frame , theta_deg,phi_deg ", angles),
+        ("ingest-quaternions.csv", " frame,qw ,qx,qy,qz", quaternions),
+    ):
+        lines = [
+            ",".join((INGEST_FRAME_FORMS[frame % len(INGEST_FRAME_FORMS)].format(frame), *values))
+            for frame, values in enumerate(rows)
+        ]
+        rng.shuffle(lines)
+        parts = [header + "\r\n"]
+        for index, line in enumerate(lines[:-1]):
+            end = INGEST_LINE_ENDS[index % len(INGEST_LINE_ENDS)]
+            parts.append(line + end * (2 if index % 7 == 6 else 1))
+        texts[name] = "".join(parts) + lines[-1]
+    return texts
+
+
+def ingest_commands(inputs: str, seed: int) -> list[tuple[str, ...]]:
+    """Command lines of the ingest case, after writing ingest_texts to
+    inputs: each trace scored by vaqm and by avaqm evaluate."""
+    commands = []
+    for name, text in ingest_texts(seed).items():
+        path = os.path.join(inputs, name)
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        flags = ("evaluate", "--trace", path, "--resolution", "960x480")
+        prefix = f"{{out}}/{name.removesuffix('.csv')}"
+        commands.append((*flags, "--out-prefix", f"{prefix}-vaqm"))
+        commands.append((*flags, "--method", "avaqm", "--grid", "10x20", "--out-prefix", f"{prefix}-avaqm"))
+    return commands
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     for root in (args.checkout, args.parent_checkout):
@@ -268,7 +331,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    known = (*workloads.NAMES, DWELL, MASK, TIES, ZUP)
+    known = (*workloads.NAMES, DWELL, MASK, TIES, ZUP, INGEST)
     names = args.workload or known
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -287,6 +350,8 @@ def main(argv=None) -> int:
                         commands = mask_commands()
                     elif name == TIES:
                         commands = tie_commands(inputs)
+                    elif name == INGEST:
+                        commands = ingest_commands(inputs, seed)
                     elif name == ZUP:
                         commands = zup_commands(workloads.build("avaqm-long", inputs, seed, tiny=True).sessions[0].path)
                     else:

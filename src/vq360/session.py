@@ -34,7 +34,6 @@ against a dense reference built on the per-pixel membership oracle.
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 import json
 import math
@@ -211,54 +210,28 @@ class SessionGeometry:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str) -> tuple[tuple[str, ...], list[list[str]]]:
+def _trace_rows(source, dtype: np.dtype) -> np.ndarray:
+    """Rows of a text handle or a list of lines, by np.loadtxt.  numpy
+    warnings are raised as errors: numpy 1.23-1.26 only warns when it reads
+    a frame such as 1.0 as an integer, and every version warns on no rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _data_lines(path: str):
+    """(file line, text) of each non-empty line after the header.  Lines
+    end at LF, CR or CRLF both here and in np.loadtxt, which skips the
+    empty ones, and no row spans two lines, so the i-th row is the i-th
+    line given here."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(name.strip() for name in next(reader))
-            # A row with no non-blank field is skipped.
-            rows = [row for row in reader if any(map(str.strip, row))]
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty trace")
-    return header, rows
+        next(handle)
+        yield from ((number, line) for number, line in enumerate(handle, start=2) if line.rstrip("\r\n"))
 
 
 def _line_of(path: str, index: int) -> int:
-    """File line of the index-th data row that _read_rows returns."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        lines = (reader.line_num for row in reader if any(map(str.strip, row)))
-        return next(itertools.islice(lines, index, None))
-
-
-def _parse_columns(path: str, rows: list[list[str]], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer frame numbers and the finite float columns 1..width-1 of the rows.
-
-    Each row is converted once; the first short or unreadable row is
-    reported as path:line.  Values are checked for being finite only after
-    every row has been read, so a malformed row is reported even when a
-    non-finite value comes before it.
-    """
-    frames = np.empty(len(rows), dtype=np.int64)
-    values = np.empty((len(rows), width - 1))
-    for index, row in enumerate(rows):
-        try:
-            if len(row) < width:
-                raise ValueError("short row")
-            frames[index] = int(row[0])
-            values[index] = [float(field) for field in row[1:width]]
-        except (ValueError, OverflowError):
-            raise ValueError(f"{path}:{_line_of(path, index)}: malformed row") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = int(bad[0]) // (width - 1)
-        raise ValueError(f"{path}:{_line_of(path, index)}: non-finite value")
-    return frames, values
+    """File line of the index-th data row."""
+    return next(itertools.islice(_data_lines(path), index, None))[0]
 
 
 def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:
@@ -278,32 +251,45 @@ def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:
     return order
 
 
-def _load_columns(path: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """Header, frame numbers and value columns by numpy's C parser, or None.
+def _refused_row(path: str, dtype: np.dtype) -> str:
+    """Why np.loadtxt refused a file: its first data line that np.loadtxt
+    refuses alone, or else that it holds no data line."""
+    for number, line in _data_lines(path):
+        try:
+            _trace_rows([line], dtype)
+        except (ValueError, Warning):
+            return f"{path}:{number}: malformed row"
+    return f"{path}: empty trace"
 
-    The csv module reads the header row; when it is a known header,
-    np.loadtxt reads the rest of the same handle, so both see the same
-    lines and decoding.  The C parser accepts only rows that int() and
-    float() read to the same values and skips only the empty lines that
-    _read_rows skips, so row indices agree.  None (any exception, no row,
-    a non-finite value) leaves the file to _read_rows and _parse_columns,
-    which accept quoted fields, extra columns and rows of blank fields,
-    and report a bad row as path:line.
+
+def _load_columns(path: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Header, frame numbers and finite value columns of a trace file.
+
+    The first line holds the header's comma-separated names, each stripped;
+    np.loadtxt reads every row after it from the same handle.  A file it
+    refuses is reported at its first data line that it refuses alone
+    (_refused_row), and a non-finite value at its row's line.
     """
     try:
         with open(path, newline="") as handle:
-            header = tuple(name.strip() for name in next(csv.reader(handle)))
+            line = handle.readline()
+            if not line:
+                raise ValueError(f"{path}: empty trace")
+            text = line.rstrip("\r\n")
+            header = tuple(name.strip() for name in text.split(","))
             if header not in (TRACE_HEADER, QUATERNION_HEADER):
-                return None
+                raise ValueError(f"{path}:1: unrecognized header {text!r}")
             dtype = np.dtype([("frame", np.int64), ("values", np.float64, (len(header) - 1,))])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except Exception:
-        return None
+            try:
+                table = _trace_rows(handle, dtype)
+            except (ValueError, Warning):
+                raise ValueError(_refused_row(path, dtype)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = table["values"]
-    if not table.size or not np.isfinite(values).all():
-        return None
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{path}:{_line_of(path, int(np.argmin(finite.all(axis=1))))}: non-finite value")
     return header, np.ascontiguousarray(table["frame"]), np.ascontiguousarray(values)
 
 
@@ -330,22 +316,17 @@ def parse_trace(path: str, fps: float = DEFAULT_FPS, convention: str = "y-up") -
     """Read a head-movement trace CSV.
 
     Accepts the canonical header frame,theta_deg,phi_deg or the
-    quaternion header frame,qw,qx,qy,qz.  Quaternion rows rotate the
-    convention's forward axis and must be unit within 1e-3; the identity
-    quaternion maps to (180, 90).  Frames must number 0..n-1 once each,
-    in any row order, and every value must be finite; a bad row is
-    reported as path:line.
+    quaternion header frame,qw,qx,qy,qz, then one row per non-empty
+    line: an integer frame and the header's values, plain numbers
+    separated by commas, with spaces around a number allowed.  Quaternion
+    rows rotate the convention's forward axis and must be unit within
+    1e-3; the identity quaternion maps to (180, 90).  Frames must number
+    0..n-1 once each, in any row order, and every value must be finite;
+    a bad row is reported as path:line.
     """
     if convention not in _QUATERNION_CONVENTIONS:
         raise ValueError(f"unknown axis convention {convention!r}")
-    loaded = _load_columns(path)
-    if loaded is None:
-        header, rows = _read_rows(path)
-        if header not in (TRACE_HEADER, QUATERNION_HEADER):
-            raise ValueError(f"{path}: unrecognized header {','.join(header)}")
-        frames, values = _parse_columns(path, rows, len(header))
-    else:
-        header, frames, values = loaded
+    header, frames, values = _load_columns(path)
     order = _frame_order(path, frames)
     if header == TRACE_HEADER:
         return SessionTrace(fps, values[order, 0], values[order, 1])

@@ -448,6 +448,16 @@ def test_data_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3 and f"error: {trace}: 'utf-8' codec can't decode byte 0xff" in err
 
+    # A row np.loadtxt refuses is named by its line.
+    for row in ("0,10,45,", '"0",10,45'):
+        trace.write_text(f"frame,theta_deg,phi_deg\n{row}\n")
+        code, _, err = run(
+            capsys,
+            "evaluate", "--trace", str(trace), "--resolution", "960x480",
+            "--out-prefix", str(tmp_path / "r"),
+        )
+        assert code == 3 and f"error: {trace}:2: malformed row" in err
+
     manifest = tmp_path / "empty.json"
     manifest.write_text("[]")
     code, _, err = run(

@@ -3,6 +3,7 @@ its dwell case and its mask case."""
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -210,3 +211,42 @@ def test_zup_case_is_compared_at_each_seed(capsys, monkeypatch, same_outputs):
     lines = capsys.readouterr().out.strip().splitlines()
     files = "z-up-avaqm_frames.csv, z-up-avaqm_summary.json, z-up-vaqm_frames.csv, z-up-vaqm_summary.json"
     assert lines == [f"z-up seed {seed}: identical ({files})" for seed in (7, 8)]
+
+
+def test_ingest_case_writes_every_accepted_form(tmp_path, same_outputs):
+    from vq360.session import parse_trace
+
+    commands = same_outputs.ingest_commands(str(tmp_path), 7)
+    names = ["ingest-angles.csv", "ingest-quaternions.csv"]
+    assert [argv[2] for argv in commands] == [str(tmp_path / name) for name in names for _ in range(2)]
+    assert [argv[argv.index("--grid") + 1] if "--grid" in argv else "vaqm" for argv in commands] == ["vaqm", "10x20"] * 2
+    for name in names:
+        text = (tmp_path / name).read_bytes().decode("ascii")
+        assert text == same_outputs.ingest_texts(7)[name]
+        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+        frames = [int(row.split(",")[0]) for row in rows if row]
+        assert sorted(frames) == list(range(same_outputs.INGEST_FRAMES)) and frames != sorted(frames)
+        assert "" in rows and not text.endswith(("\n", "\r"))
+        # CRLF, lone CR and LF line ends, then padded header names and numbers.
+        assert "\r\n" in text and re.search("\r[^\n]", text) and re.search("[^\r]\n", text)
+        assert text.split(",")[0] in ("frame ", " frame")
+        for form in ("1e-400", "5e-324", "-0.0", ",+", "\t,", ", "):
+            assert form in text
+        assert re.search(r"\de[+-]\d", text) and re.search(r"\dE[+-]\d", text)
+        assert parse_trace(str(tmp_path / name)).n_frames == same_outputs.INGEST_FRAMES
+    assert same_outputs.ingest_texts(7) != same_outputs.ingest_texts(8)
+
+
+def test_ingest_case_is_compared_at_each_seed(capsys, monkeypatch, same_outputs):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7,8", "--workload", "ingest"]
+    assert same_outputs.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    files = ", ".join(
+        f"ingest-{trace}-{method}_{kind}"
+        for trace in ("angles", "quaternions")
+        for method in ("avaqm", "vaqm")
+        for kind in ("frames.csv", "summary.json")
+    )
+    assert lines == [f"ingest seed {seed}: identical ({files})" for seed in (7, 8)]

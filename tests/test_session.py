@@ -24,10 +24,6 @@ from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
     SessionTrace,
-    _frame_order,
-    _load_columns,
-    _parse_columns,
-    _read_rows,
     _tile_weight_sums,
     _variant_per_frame,
     active_variant,
@@ -274,93 +270,102 @@ def test_parse_trace_errors(tmp_path):
 ANGLES = "frame,theta_deg,phi_deg\n"
 QUATERNIONS = "frame,qw,qx,qy,qz\n"
 HALF = repr(math.sqrt(0.5))
+MALFORMED = ": malformed row"
 
-# (name, file text, whether numpy's C parser reads it).  The C parser
-# takes only rows that int() and float() read to the same values; every
-# other file goes to the csv path, which accepts or rejects it.
+# (name, file text, outcome): the trace's (theta, phi) lists, or what the
+# message says after the file's path.  One row per non-empty line: an
+# integer frame and the header's values as plain numbers, spaces around
+# a number allowed.  Quotes, extra fields, rows of only spaces or blank
+# fields, and the "_" separators and non-ASCII digits that int() and
+# float() read are refused at their line.
 PARSE_CORPUS = [
-    ("plain", ANGLES + "0,10,45\n1,11.5,46\n", True),
-    ("plus sign", ANGLES + "+1,10,+45\n0,-10,46\n", True),
-    ("padded fields", ANGLES + " 1 , 10 , 45 \n\t0\t,11,46\n", True),
-    ("bare points", ANGLES + "0,1.,.5\n", True),
-    ("exponents and extremes", ANGLES + "0,1E5,2e-3\n1,5e-324,-0.0\n2,1e-400,0\n", True),
-    ("crlf", "frame,theta_deg,phi_deg\r\n0,10,45\r\n1,11,46\r\n", True),
-    ("lone cr", "frame,theta_deg,phi_deg\r0,10,45\r1,11,46\r", True),
-    ("no final newline", ANGLES + "0,10,45\n1,11,46", True),
-    ("blank lines", ANGLES + "\n1,10,45\n\n\n0,11,46\n\n", True),
-    ("duplicate after blank lines", ANGLES + "1,10,45\n\n0,11,46\n\n1,12,47\n", True),
-    ("missing frame", ANGLES + "0,10,45\n2,11,46\n", True),
-    ("quaternions", QUATERNIONS + f"1,{HALF},0,{HALF},0\n0,1,0,0,0\n", True),
-    ("non-unit quaternion after blank line", QUATERNIONS + "0,1,0,0,0\n\n1,2,0,0,0\n", True),
-    ("float frame", ANGLES + "0,10,45\n1.0,11,46\n", False),
-    ("exponent frame", ANGLES + "1e3,10,45\n", False),
-    ("frame beyond int64", ANGLES + "99999999999999999999,10,45\n", False),
-    ("underscore value", ANGLES + "0,1_0,45\n", False),
-    ("underscore frame", ANGLES + "1_0,10,45\n", False),
-    ("hex value", ANGLES + "0,0x10,45\n", False),
-    ("quoted fields", ANGLES + '"1",10,45\n0,"11",46\n', False),
-    ("hash in a field", ANGLES + "0,4 # c,45\n", False),
-    ("whitespace-only row", ANGLES + "0,10,45\n   \n1,11,46\n", False),
-    ("blank-field row", ANGLES + "0,10,45\n , , \n1,11,46\n", False),
-    ("blank-field quaternion row", QUATERNIONS + "0,1,0,0,0\n , , , , \n1,1,0,0,0\n", False),
-    ("extra column", ANGLES + "0,10,45,7\n1,11,46,x\n", False),
-    ("trailing comma", ANGLES + "0,10,45,\n", False),
-    ("too few columns", ANGLES + "0,10,45\n1,11\n", False),
-    ("word value", ANGLES + "0,ten,45\n", False),
-    ("nan", ANGLES + "0,10,45\n1,nan,46\n", False),
-    ("inf", QUATERNIONS + "0,1,0,0,0\n1,1,inf,0,0\n", False),
-    ("overflow to inf", ANGLES + "0,1e999,45\n", False),
-    ("header only", ANGLES, False),
-    ("empty file", "", False),
-    ("unknown header", "time,yaw,pitch\n0,0,0\n", False),
+    ("plain", ANGLES + "0,10,45\n1,11.5,46\n", ([10.0, 11.5], [45.0, 46.0])),
+    ("plus sign", ANGLES + "+1,10,+45\n0,-10,46\n", ([350.0, 10.0], [46.0, 45.0])),
+    ("padded fields", ANGLES + " 1 , 10 , 45 \n\t0\t,11,46\n", ([11.0, 10.0], [46.0, 45.0])),
+    ("bare points", ANGLES + "0,1.,.5\n", ([1.0], [0.5])),
+    (
+        "exponents and extremes",
+        ANGLES + "0,1E5,2e-3\n1,5e-324,-0.0\n2,1e-400,0\n",
+        ([280.0, 5e-324, 0.0], [2e-3, -0.0, 0.0]),
+    ),
+    ("crlf", "frame,theta_deg,phi_deg\r\n0,10,45\r\n1,11,46\r\n", ([10.0, 11.0], [45.0, 46.0])),
+    ("lone cr", "frame,theta_deg,phi_deg\r0,10,45\r1,11,46\r", ([10.0, 11.0], [45.0, 46.0])),
+    ("no final newline", ANGLES + "0,10,45\n1,11,46", ([10.0, 11.0], [45.0, 46.0])),
+    ("blank lines", ANGLES + "\n1,10,45\n\n\n0,11,46\n\n", ([11.0, 10.0], [46.0, 45.0])),
+    ("duplicate after blank lines", ANGLES + "1,10,45\n\n0,11,46\n\n1,12,47\n", ":6: duplicate frame 1"),
+    ("missing frame", ANGLES + "0,10,45\n2,11,46\n", ": missing frame 1"),
+    ("quaternions", QUATERNIONS + f"1,{HALF},0,{HALF},0\n0,1,0,0,0\n", ([180.0, 90.0], [90.0, 90.0])),
+    (
+        "non-unit quaternion after blank line",
+        QUATERNIONS + "0,1,0,0,0\n\n1,2,0,0,0\n",
+        ":4: non-unit quaternion (|q| = 2.000000) at frame 1",
+    ),
+    ("float frame", ANGLES + "0,10,45\n1.0,11,46\n", ":3" + MALFORMED),
+    ("exponent frame", ANGLES + "1e3,10,45\n", ":2" + MALFORMED),
+    ("frame beyond int64", ANGLES + "99999999999999999999,10,45\n", ":2" + MALFORMED),
+    ("underscore value", ANGLES + "0,1_0,45\n", ":2" + MALFORMED),
+    ("underscore frame", ANGLES + "1_0,10,45\n", ":2" + MALFORMED),
+    ("non-ASCII digit value", ANGLES + "0,٣,45\n", ":2" + MALFORMED),
+    ("non-ASCII digit frame", ANGLES + "0,10,45\n١,11,46\n", ":3" + MALFORMED),
+    ("hex value", ANGLES + "0,0x10,45\n", ":2" + MALFORMED),
+    ("quoted fields", ANGLES + '"1",10,45\n0,"11",46\n', ":2" + MALFORMED),
+    ("hash in a field", ANGLES + "0,4 # c,45\n", ":2" + MALFORMED),
+    ("whitespace-only row", ANGLES + "0,10,45\n   \n1,11,46\n", ":3" + MALFORMED),
+    ("blank-field row", ANGLES + "0,10,45\n , , \n1,11,46\n", ":3" + MALFORMED),
+    ("blank-field quaternion row", QUATERNIONS + "0,1,0,0,0\n , , , , \n1,1,0,0,0\n", ":3" + MALFORMED),
+    ("extra column", ANGLES + "0,10,45,7\n1,11,46,x\n", ":2" + MALFORMED),
+    ("trailing comma", ANGLES + "0,10,45,\n", ":2" + MALFORMED),
+    ("too few columns", ANGLES + "0,10,45\n1,11\n", ":3" + MALFORMED),
+    ("word value", ANGLES + "0,ten,45\n", ":2" + MALFORMED),
+    ("nan", ANGLES + "0,10,45\n1,nan,46\n", ":3: non-finite value"),
+    ("inf", QUATERNIONS + "0,1,0,0,0\n1,1,inf,0,0\n", ":3: non-finite value"),
+    ("overflow to inf", ANGLES + "0,1e999,45\n", ":2: non-finite value"),
+    (
+        "last of 10,001 rows",
+        ANGLES + "".join(f"{i},10,45\n" for i in range(10000)) + "10000,10,x\n",
+        ":10002" + MALFORMED,
+    ),
+    ("header only", ANGLES, ": empty trace"),
+    ("blank lines only", ANGLES + "\n\r\n\r", ": empty trace"),
+    ("empty file", "", ": empty trace"),
+    ("unknown header", "time,yaw,pitch\n0,0,0\n", ":1: unrecognized header 'time,yaw,pitch'"),
+    (
+        "quoted header",
+        '"frame","theta_deg","phi_deg"\n0,10,45\n',
+        ":1: unrecognized header '\"frame\",\"theta_deg\",\"phi_deg\"'",
+    ),
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    ("byte-order mark", "﻿" + ANGLES + "0,10,45\n", ":1: unrecognized header '\\ufeffframe,theta_deg,phi_deg'"),
 ]
 
 
-def parse_outcome(path):
-    """The trace's angle arrays, or the message parse_trace raises."""
-    try:
-        trace = parse_trace(path)
-    except ValueError as exc:
-        return str(exc)
-    return trace.theta_deg, trace.phi_deg
-
-
-@pytest.mark.parametrize("name, text, by_c_parser", PARSE_CORPUS, ids=[case[0] for case in PARSE_CORPUS])
-def test_parse_paths_agree(tmp_path, monkeypatch, name, text, by_c_parser):
+@pytest.mark.parametrize("name, text, outcome", PARSE_CORPUS, ids=[case[0] for case in PARSE_CORPUS])
+def test_parse_paths_agree(tmp_path, name, text, outcome):
+    """Each file's parse agrees with its recorded outcome: the arrays, or
+    the exact message with its line."""
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
-    loaded = _load_columns(str(path))
-    assert (loaded is not None) == by_c_parser
-    if loaded is not None:
-        header, rows = _read_rows(str(path))
-        frames, values = _parse_columns(str(path), rows, len(header))
-        assert loaded[0] == header
-        assert np.array_equal(loaded[1], frames) and np.array_equal(loaded[2], values)
-        assert loaded[2].flags.c_contiguous
-        try:
-            order = _frame_order(str(path), frames)
-        except ValueError:
-            pass
-        else:
-            assert np.array_equal(_frame_order(str(path), loaded[1]), order)
-    got = parse_outcome(str(path))
-    # The csv path alone.
-    monkeypatch.setattr(session_module, "_load_columns", lambda path: None)
-    want = parse_outcome(str(path))
-    if isinstance(want, str):
-        assert got == want
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as caught:
+            parse_trace(str(path))
+        assert str(caught.value) == str(path) + outcome
     else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        trace = parse_trace(str(path))
+        assert (trace.theta_deg.tolist(), trace.phi_deg.tolist()) == (
+            pytest.approx(outcome[0], abs=1e-9),
+            pytest.approx(outcome[1], abs=1e-9),
+        )
 
 
 def test_parse_error_lines_count_blank_lines(tmp_path):
-    """Both paths report the file line, blank lines included."""
+    """Errors name the file line, blank lines included; a line of blank
+    fields is a malformed row, not a blank line."""
     path = tmp_path / "trace.csv"
     path.write_text(ANGLES + "1,10,45\n\n0,11,46\n\n1,12,47\n")
     with pytest.raises(ValueError, match=r"trace.csv:6: duplicate frame 1"):
         parse_trace(str(path))
     path.write_text(ANGLES + "1,10,45\n\n0,11,46\n , , \n1,12,47\n")
-    with pytest.raises(ValueError, match=r"trace.csv:6: duplicate frame 1"):
+    with pytest.raises(ValueError, match=r"trace.csv:5: malformed row"):
         parse_trace(str(path))
 
 
