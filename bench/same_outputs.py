@@ -21,10 +21,10 @@ midpoints of each of TIE_GRIDS by avaqm ``evaluate`` at each of them.
 No workload reads quaternions under the z-up convention, so a ``z-up``
 case scores the quaternion trace of the tiny avaqm-long workload that
 way, by vaqm and by avaqm ``evaluate``.  Every workload trace is plain LF
-rows, so an ``ingest`` case writes an angle and a quaternion trace in every
-other form ``parse_trace`` accepts (ingest_texts) and scores each the same
-two ways.  The mask and ties cases do not
-depend on the seed, so they run at the first seed only.  It prints one line per case
+rows, so an ``ingest`` case writes an angle and a quaternion trace in
+every other form ``parse_trace`` accepts (ingest_texts) and scores each
+the same two ways.  The mask and ties cases do not depend on the seed,
+so they run at the first seed only.  It prints one line per case
 and seed, which for a differing ``_frames.csv`` also gives how many
 frames differ and the largest |dq_frame|, and exits 1 if any output
 differs, any run fails or a run writes no file at all.
