@@ -24,6 +24,7 @@ from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
     SessionTrace,
+    _load_columns,
     _tile_weight_sums,
     _variant_per_frame,
     active_variant,
@@ -342,19 +343,23 @@ PARSE_CORPUS = [
 @pytest.mark.parametrize("name, text, outcome", PARSE_CORPUS, ids=[case[0] for case in PARSE_CORPUS])
 def test_parse_paths_agree(tmp_path, name, text, outcome):
     """Each file's parse agrees with its recorded outcome: the arrays, or
-    the exact message with its line."""
+    the exact message with its line.  Angles are read exactly, subnormals
+    and signed zeros included; quaternions go through trig."""
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
     if isinstance(outcome, str):
         with pytest.raises(ValueError) as caught:
             parse_trace(str(path))
         assert str(caught.value) == str(path) + outcome
+        return
+    assert _load_columns(str(path))[2].flags.c_contiguous
+    trace = parse_trace(str(path))
+    got = (trace.theta_deg, trace.phi_deg)
+    if text.startswith(QUATERNIONS):
+        assert [a.tolist() for a in got] == [pytest.approx(want, abs=1e-9) for want in outcome]
     else:
-        trace = parse_trace(str(path))
-        assert (trace.theta_deg.tolist(), trace.phi_deg.tolist()) == (
-            pytest.approx(outcome[0], abs=1e-9),
-            pytest.approx(outcome[1], abs=1e-9),
-        )
+        assert [a.tolist() for a in got] == list(outcome)
+        assert [np.signbit(a).tolist() for a in got] == [np.signbit(want).tolist() for want in outcome]
 
 
 def test_parse_error_lines_count_blank_lines(tmp_path):
