@@ -19,16 +19,6 @@ from .grade import (
     load_footprint_json,
     variant_layout_26,
 )
-from .mask import (
-    ViewportMask,
-    corner_colatitudes_deg,
-    exact_mask,
-    exact_membership,
-    jaccard_index,
-    project_viewport,
-    write_mask_npz,
-    write_mask_pgm,
-)
 from .pooling import (
     DEFAULT_T_Q,
     FrameQuality,
@@ -56,4 +46,33 @@ from .session import (
 
 __version__ = "1.0.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The dense raster path's names.  evaluate and study never call them, so
+# the module that holds them loads on first use (__getattr__).
+_MASK_NAMES = (
+    "ViewportMask",
+    "corner_colatitudes_deg",
+    "exact_mask",
+    "exact_membership",
+    "jaccard_index",
+    "project_viewport",
+    "write_mask_npz",
+    "write_mask_pgm",
+)
+
+# spans, the engine's kernel that session imports, is not exported.
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"spans"} | {"mask", *_MASK_NAMES})
+
+
+def __getattr__(name: str):
+    """The mask module and its names, loaded on first use (PEP 562)."""
+    if name != "mask" and name not in _MASK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    mask = importlib.import_module(".mask", __name__)
+    globals().update((attr, getattr(mask, attr)) for attr in _MASK_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

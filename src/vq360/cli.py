@@ -11,7 +11,6 @@ data, 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -27,18 +26,11 @@ from .geometry import (
     equivalent_pixels_viewport,
 )
 from .grade import FOOTPRINT_AREA_NEIGHBORS, FOOTPRINT_RULES, load_footprint_json, variant_layout_26
-from .mask import (
-    DEFAULT_SAMPLES_PER_SIDE,
-    _atomic_write_bytes,
-    exact_mask,
-    project_viewport,
-    write_mask_npz,
-    write_mask_pgm,
-)
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
     NORMALIZATION_MASK_AREA,
+    _atomic_write_bytes,
     write_frame_csv,
 )
 from .session import (
@@ -192,6 +184,9 @@ def _read_footprint(config: SessionConfig, footprint: str) -> SessionConfig:
 
 
 def cmd_mask(args) -> int:
+    # The dense raster path, which no other command runs.
+    from .mask import DEFAULT_SAMPLES_PER_SIDE, exact_mask, project_viewport, write_mask_npz, write_mask_pgm
+
     res = _parse_resolution(args.resolution)
     fov = _parse_fov(args.fov)
     pog = _parse_pog(args.pog)
@@ -199,7 +194,8 @@ def cmd_mask(args) -> int:
         if args.exact:
             mask = exact_mask(pog, fov, res)
         else:
-            mask = project_viewport(pog, fov, res, args.samples)
+            samples = DEFAULT_SAMPLES_PER_SIDE if args.samples is None else args.samples
+            mask = project_viewport(pog, fov, res, samples)
     closed_form = equivalent_pixels_viewport(res, fov)
     write_mask_pgm(mask, args.out)
     if args.npz:
@@ -260,6 +256,8 @@ def _segment_list(entry: dict, default: list[float]) -> list[float]:
 
 def _write_table(path: str, rows: list[tuple]) -> None:
     """CSV with minimal quoting: a label holding a comma, quote or line feed stays one field."""
+    import csv
+
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
     _atomic_write_bytes(path, text.getvalue().encode("utf-8"))
@@ -348,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="export a viewport mask raster")
     _add_common_flags(p)
+    # Unset, it reads mask.DEFAULT_SAMPLES_PER_SIDE when cmd_mask runs.
     p.add_argument(
         "--samples",
         type=int,
-        default=DEFAULT_SAMPLES_PER_SIDE,
         help="boundary samples per viewport side (ignored with --exact)",
     )
     p.add_argument("--pog", required=True, help="point of gaze as theta,phi in degrees")

@@ -101,9 +101,10 @@ class VariantLayout:
         return self._area_table[self.grid.tiles_of_pixels(row, col)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradeMap:
-    """Dense per-pixel quality levels in [0, 1], as a read-only float64 copy."""
+    """Dense per-pixel quality levels in [0, 1], as a read-only float64 copy.
+    Grade maps compare by identity."""
 
     resolution: Resolution
     grades: np.ndarray

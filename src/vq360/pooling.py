@@ -11,14 +11,19 @@ of frames strictly above a threshold.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import equivalent_pixels_viewport
 from .grade import GradeMap
-from .mask import ViewportMask, _atomic_write_bytes
+
+if TYPE_CHECKING:
+    from .mask import ViewportMask
 
 DEFAULT_T_Q = 0.8
 NORMALIZATION_MASK_AREA = "mask-area"
@@ -101,6 +106,19 @@ def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAU
     q_window = float(values.mean())
     f_window = float(100.0 * np.count_nonzero(values > t_q) / values.size)
     return QualityTimeline(q_frame, mask_area, q_window, f_window, t_q)
+
+
+def _atomic_write_bytes(path: str, payload: bytes) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_frame_csv(q_frame: np.ndarray, path: str) -> None:

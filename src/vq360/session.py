@@ -54,14 +54,15 @@ from .geometry import (
     spherical_to_cartesian_arrays,
 )
 from .grade import TileGrid, VariantLayout, _hq_table
-from .mask import _atomic_write_bytes, _gazes, _project_spans, _row_trig
 from .pooling import (
     DEFAULT_T_Q,
     NORMALIZATION_ANALYTIC,
     NORMALIZATION_MASK_AREA,
     QualityTimeline,
+    _atomic_write_bytes,
     make_timeline,
 )
+from .spans import _gazes, _project_spans, _row_trig
 
 DEFAULT_FPS = 30.0
 METHOD_VAQM = "vaqm"
@@ -178,9 +179,10 @@ class SessionConfig:
         return METHOD_VAQM if self.avaqm_grid is None else METHOD_AVAQM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproximationReport:
-    """Per-grid error of nearest-bank-mask evaluation against exact projection."""
+    """Per-grid error of nearest-bank-mask evaluation against exact projection.
+    Reports compare by identity."""
 
     grid_rows: int
     grid_cols: int
@@ -251,14 +253,39 @@ def _frame_order(path: str, frames: np.ndarray) -> np.ndarray:
     return order
 
 
+def _refuses(lines: list[str], dtype: np.dtype) -> bool:
+    """Whether np.loadtxt refuses these data lines."""
+    try:
+        _trace_rows(lines, dtype)
+    except (ValueError, Warning):
+        return True
+    return False
+
+
 def _refused_row(path: str, dtype: np.dtype) -> str:
     """Why np.loadtxt refused a file: its first data line that np.loadtxt
-    refuses alone, or else that it holds no data line."""
+    refuses alone, or else that it holds no data line.
+
+    np.loadtxt reads each row on its own (a fixed dtype, no quoting and
+    no comments), so it refuses a run of lines iff it refuses one of them
+    alone.  The search halves the run that holds the first refused line:
+    when the run's first half is refused the line lies in it, and
+    otherwise in the second half.  That takes about log2(lines) calls and
+    reads at most as many rows as the file holds.
+    """
+    numbers, lines = [], []
     for number, line in _data_lines(path):
-        try:
-            _trace_rows([line], dtype)
-        except (ValueError, Warning):
-            return f"{path}:{number}: malformed row"
+        numbers.append(number)
+        lines.append(line)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _refuses(lines[lo:mid], dtype):
+            hi = mid
+        else:
+            lo = mid
+    if hi > lo and _refuses(lines[lo:hi], dtype):
+        return f"{path}:{numbers[lo]}: malformed row"
     return f"{path}: empty trace"
 
 

@@ -1,13 +1,20 @@
 """End-to-end tests of the vq360 command line."""
 
+import ast
 import csv
+import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vq360.cli
 import vq360.session
 from vq360.cli import main
 from vq360.geometry import FieldOfView, Resolution
@@ -624,3 +631,149 @@ def test_io_errors_exit_4(tmp_path, capsys):
         "--resolution", "960x480", "--out-prefix", str(tmp_path / "r"),
     )
     assert code == 4 and "nope.csv" in err
+
+
+# The command line's help at 100 columns: a change to a command, a flag or
+# its help changes this text on purpose.
+HELP = {
+    "": """\
+usage: vq360 [-h] {mask,evaluate,study,synth-trace} ...
+
+Viewport quality of 360 video sessions on equirectangular frames.
+
+positional arguments:
+  {mask,evaluate,study,synth-trace}
+    mask                export a viewport mask raster
+    evaluate            score one head-movement trace
+    study               batch sessions and aggregate tables from a manifest
+    synth-trace         generate a seeded random-walk trace CSV
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "mask": """\
+usage: vq360 mask [-h] [--fov FOV] [--resolution RESOLUTION] [--samples SAMPLES] --pog POG
+                  [--exact] --out OUT [--npz NPZ]
+
+options:
+  -h, --help            show this help message and exit
+  --fov FOV             horizontal,vertical field of view in degrees
+  --resolution RESOLUTION
+                        frame size as WIDTHxHEIGHT pixels
+  --samples SAMPLES     boundary samples per viewport side (ignored with --exact)
+  --pog POG             point of gaze as theta,phi in degrees
+  --exact               use the per-pixel membership oracle
+  --out OUT             output PGM path
+  --npz NPZ             also write a lossless NPZ raster
+""",
+    "evaluate": """\
+usage: vq360 evaluate [-h] [--fov FOV] [--resolution RESOLUTION] [--segment-ms SEGMENT_MS]
+                      [--fps FPS] [--convention {y-up,z-up}] [--method {vaqm,avaqm}] [--grid GRID]
+                      [--footprint FOOTPRINT] [--t-q T_Q] [--normalization {mask-area,analytic}]
+                      --trace TRACE --out-prefix OUT_PREFIX
+
+options:
+  -h, --help            show this help message and exit
+  --fov FOV             horizontal,vertical field of view in degrees
+  --resolution RESOLUTION
+                        frame size as WIDTHxHEIGHT pixels
+  --segment-ms SEGMENT_MS
+                        segment length in milliseconds; in study, only of the error table's
+                        variant schedule
+  --fps FPS             trace frame rate in frames per second
+  --convention {y-up,z-up}
+                        axis convention for quaternion traces
+  --method {vaqm,avaqm}
+                        project the mask per frame (vaqm) or reuse the nearest precomputed mask
+                        (avaqm)
+  --grid GRID           bank grid as ROWSxCOLS (avaqm)
+  --footprint FOOTPRINT
+                        HQ footprint: area-only, area+neighbors, or a JSON file path
+  --t-q T_Q             quality threshold in [0,1]
+  --normalization {mask-area,analytic}
+                        divide by the mask weight sum or by the closed-form viewport pixel count
+  --trace TRACE         trace CSV (canonical or quaternion header)
+  --out-prefix OUT_PREFIX
+                        prefix for _frames.csv and _summary.json
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"] if command else ["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+def test_mask_samples_default_is_defined_once(tmp_path, capsys):
+    """Without --samples, mask projects with mask.DEFAULT_SAMPLES_PER_SIDE,
+    the one definition of 64, which cli reads only when the command runs."""
+    from vq360 import mask
+
+    assert mask.DEFAULT_SAMPLES_PER_SIDE == 64
+    assert inspect.signature(mask.project_viewport).parameters["samples_per_side"].default == 64
+    tree = ast.parse(pathlib.Path(vq360.cli.__file__).read_text())
+    assert not any(isinstance(node, ast.Constant) and node.value == 64 for node in ast.walk(tree))
+    top_level = [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert "mask" not in top_level and "session" in top_level
+    outputs = []
+    for samples in ([], ["--samples", "64"], ["--samples", "4"]):
+        out = tmp_path / f"mask{len(outputs)}.npz"
+        code, _, _ = run(
+            capsys,
+            "mask", "--pog", "250,20", "--resolution", "960x480",
+            "--out", str(tmp_path / "mask.pgm"), "--npz", str(out), *samples,
+        )
+        assert code == 0
+        outputs.append(read_npz(out)["weights"])
+    assert np.array_equal(outputs[0], outputs[1])
+    assert not np.array_equal(outputs[0], outputs[2])
+
+
+def imported_modules(tmp_path, *argv):
+    """Modules a fresh ``python -m vq360.cli`` process imports, read from
+    its -X importtime report."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "vq360.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vq360.cli.__file__))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[-1].strip() for line in lines[1:]}
+
+
+@pytest.mark.parametrize(
+    "method", [["--method", "vaqm"], ["--method", "avaqm", "--grid", "3x6"]], ids=["vaqm", "avaqm"]
+)
+def test_evaluate_loads_neither_the_dense_path_nor_csv(tmp_path, method):
+    """evaluate runs on the span kernel alone: a one-frame run never loads
+    vq360.mask, and csv, which only study's tables use, stays unloaded."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("frame,theta_deg,phi_deg\n0,10,45\n")
+    modules = imported_modules(
+        tmp_path, "evaluate", "--trace", str(trace), "--resolution", "96x48", "--out-prefix", "r", *method
+    )
+    assert {"vq360.session", "vq360.spans"} <= modules
+    assert "vq360.mask" not in modules
+    assert "csv" not in modules
+
+
+def test_study_does_not_load_the_dense_path(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("frame,theta_deg,phi_deg\n0,10,45\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": "a", "trace": str(trace)}]))
+    modules = imported_modules(
+        tmp_path,
+        "study", "--manifest", str(manifest), "--resolution", "96x48",
+        "--segments", "500", "--grids", "3x6", "--out", "s",
+    )
+    assert {"vq360.session", "vq360.spans", "csv"} <= modules
+    assert "vq360.mask" not in modules

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vq360 import mask as mask_module
+from vq360 import spans as spans_module
 from vq360.geometry import (
     CartesianVector,
     FieldOfView,
@@ -28,10 +29,8 @@ from vq360.geometry import (
 )
 from vq360.grade import TileGrid, variant_layout_26
 from vq360.mask import (
-    BOUNDARY_EPS,
     _base_polyline,
     _membership_raster,
-    _project_spans,
     arc_phi_deg,
     corner_colatitudes_deg,
     exact_mask,
@@ -42,6 +41,7 @@ from vq360.mask import (
     write_mask_pgm,
 )
 from vq360.session import _tile_row_weights, _tile_table, _tile_weight_sums, bank_centers, nearest_center_index
+from vq360.spans import BOUNDARY_EPS, _project_spans
 
 from reference import full_width_spans, sin_prefix, spans_to_raster
 from rotations import phi_rotation_matrix, theta_rotation_matrix
@@ -234,7 +234,7 @@ def test_top_and_bottom_samples_lie_on_their_face_planes(fov_theta, fov_phi, sam
     bottom pyramid faces (rows 0 and 1 of the face normals), corners included."""
     fov = FieldOfView(fov_theta, fov_phi)
     theta, phi, _, _ = base_sides(fov, samples)
-    normals = mask_module._base_face_normals(fov)
+    normals = spans_module._base_face_normals(fov)
     for side, normal in ((0, normals[0]), (2, normals[1])):
         for t, p in zip(theta[side], phi[side]):
             assert abs(normal @ unit(t, p)) <= 1e-12
@@ -340,13 +340,15 @@ def assert_bitwise_equal(got, want):
 def test_world_face_normals_equal_the_rotation_matrix_product(theta, phi, fov_theta, fov_phi):
     pog, fov = SphericalPoint(theta, phi), FieldOfView(fov_theta, fov_phi)
     rotation = theta_rotation_matrix(pog.theta_deg - 180.0) @ phi_rotation_matrix(pog.phi_deg)
-    assert_bitwise_equal(mask_module._pog_rotations(pog.theta_deg, pog.phi_deg), rotation)
-    assert_bitwise_equal(mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov), mask_module._base_face_normals(fov) @ rotation.T)
+    assert_bitwise_equal(spans_module._pog_rotations(pog.theta_deg, pog.phi_deg), rotation)
+    assert_bitwise_equal(
+        spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov), spans_module._base_face_normals(fov) @ rotation.T
+    )
 
 
 def test_base_face_normals_are_cached_read_only():
-    normals = mask_module._base_face_normals(FieldOfView(100.0, 85.0))
-    assert normals is mask_module._base_face_normals(FieldOfView(100.0, 85.0))
+    normals = spans_module._base_face_normals(FieldOfView(100.0, 85.0))
+    assert normals is spans_module._base_face_normals(FieldOfView(100.0, 85.0))
     with pytest.raises(ValueError):
         normals[0, 0] = 1.0
 
@@ -357,10 +359,10 @@ def test_cached_tables_are_read_only():
     row_edges, *tile_arrays = _tile_table(variant_layout_26(RES).grid)
     assert type(row_edges) is tuple
     tables = [
-        mask_module._column_trig(RES),
-        mask_module._row_trig(RES),
+        spans_module._column_trig(RES),
+        spans_module._row_trig(RES),
         *tile_arrays,
-        mask_module._base_face_normals(FOV),
+        spans_module._base_face_normals(FOV),
         *_base_polyline(FOV.theta_deg, FOV.phi_deg, 8),
     ]
     assert len(tables) == 10
@@ -370,7 +372,7 @@ def test_cached_tables_are_read_only():
 
 def one_shot_membership(pog, fov, res):
     """The membership test over the whole raster at once, face by face."""
-    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
+    normals = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     phi = np.deg2rad(row_centers_deg(res))
     inside = np.ones((res.n_v, res.n_h), dtype=bool)
@@ -399,7 +401,7 @@ def test_membership_raster_equals_one_shot_evaluation(theta, phi, fov_theta, fov
 
 def gaze_at(pog, fov, res):
     """The set-up _project_spans reads, for one PoG."""
-    (gaze,) = mask_module._gazes(np.array([pog.theta_deg]), np.array([pog.phi_deg]), fov, res)
+    (gaze,) = spans_module._gazes(np.array([pog.theta_deg]), np.array([pog.phi_deg]), fov, res)
     return gaze
 
 
@@ -475,7 +477,7 @@ def per_face_spans(pog, fov, res):
     R <= BOUNDARY_EPS passes the whole column.  The five intervals are
     intersected and rounded to row centers.
     """
-    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
+    normals = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
     b = normals[:, 2:]
@@ -509,8 +511,8 @@ def assert_spans_match_per_face(pog, fov, res):
 
 def face_groups(pog, fov):
     """Faces bounding the top end, the bottom end, and steep faces."""
-    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[:, 2]
-    steep = np.abs(nz) <= mask_module._STEEP_NZ
+    nz = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[:, 2]
+    steep = np.abs(nz) <= spans_module._STEEP_NZ
     return (
         int(np.count_nonzero(~steep & (nz < 0.0))),
         int(np.count_nonzero(~steep & (nz > 0.0))),
@@ -598,14 +600,14 @@ def least_c_rule_misses_a_row(pog, fov, res):
     """True if at some column the face of least c, taken with its own
     tolerance, moves a column end across a row center that the per-face
     bound of another face of its group puts on the other side."""
-    normals = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
+    normals = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
     theta = np.deg2rad(column_centers_deg(res))
     a = normals[:, :2] @ np.stack([np.sin(theta), np.cos(theta)])
     nz = normals[:, 2:]
     r = np.hypot(a, nz)
     rows = np.deg2rad(row_centers_deg(res))
     for sign in (-1.0, 1.0):
-        group = np.flatnonzero((np.sign(nz[:, 0]) == sign) & (np.abs(nz[:, 0]) > mask_module._STEEP_NZ))
+        group = np.flatnonzero((np.sign(nz[:, 0]) == sign) & (np.abs(nz[:, 0]) > spans_module._STEEP_NZ))
         if len(group) < 2:
             continue
         # Per-face end: lower bound of the top end, upper bound of the bottom end.
@@ -652,8 +654,8 @@ def test_spans_keep_rows_within_a_tilted_face_tolerance(end, n_v):
     edge = math.radians(row_centers_deg(res)[row]) + offset
     phi = math.degrees(edge + math.radians(fov.phi_deg / 2.0) * (1.0 if end == "top" else -1.0))
     pog = SphericalPoint(float(column_centers_deg(res)[col]), phi)
-    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[0 if end == "top" else 1, 2]
-    assert abs(nz) > mask_module._STEEP_NZ
+    nz = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[0 if end == "top" else 1, 2]
+    assert abs(nz) > spans_module._STEEP_NZ
     top, bot, retook = project_full_width(pog, fov, res)
     assert retook
     assert (top[col] if end == "top" else bot[col]) == row
@@ -669,8 +671,8 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
     res = Resolution(962, 481)
     fov = FieldOfView(100.0, 60.0)
     pog = SphericalPoint(162.4532218849912, phi)
-    nz = mask_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[2, 2]
-    assert mask_module._STEEP_NZ < abs(nz) < 2.0 * mask_module._STEEP_NZ
+    nz = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)[2, 2]
+    assert spans_module._STEEP_NZ < abs(nz) < 2.0 * spans_module._STEEP_NZ
     top, bot, retook = project_full_width(pog, fov, res)
     assert retook
     assert (top[300] if end == "top" else bot[300]) == 240
@@ -680,22 +682,22 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
 
 def test_steep_face_nz_values_reach_the_per_face_path():
     """The steep faces of BRANCH_CASES hold n_z = +0.0 and |n_z| ~ 1e-17."""
-    equator = mask_module._face_normals(180.0, 90.0, FOV)[:, 2]
+    equator = spans_module._face_normals(180.0, 90.0, FOV)[:, 2]
     assert equator[2:].tolist() == [0.0, 0.0, 0.0]
     assert all(math.copysign(1.0, v) > 0 for v in equator[2:])
-    top_through_pole = mask_module._face_normals(200.0, 43.5, FieldOfView(100.0, 87.0))
+    top_through_pole = spans_module._face_normals(200.0, 43.5, FieldOfView(100.0, 87.0))
     assert 0.0 < -top_through_pole[0, 2] < 1e-15
-    top_through_pole = mask_module._face_normals(200.0, 17.0, FieldOfView(100.0, 34.0))
+    top_through_pole = spans_module._face_normals(200.0, 17.0, FieldOfView(100.0, 34.0))
     assert 0.0 < top_through_pole[0, 2] < 1e-15
 
 
 @pytest.mark.parametrize("pog", [(180.0, 90.0), (0.0, 90.0), (37.0, 90.0)])
 def test_binding_face_spans_with_negative_zero_nz(monkeypatch, pog):
     """n_z = -0.0 turns atan2's +pi into -pi on the per-face path."""
-    normals = mask_module._face_normals(*pog, FOV)
+    normals = spans_module._face_normals(*pog, FOV)
     normals[normals[:, 2] == 0.0, 2] = -0.0
     monkeypatch.setattr(
-        mask_module, "_face_normals", lambda theta, phi, fov: np.broadcast_to(normals, np.shape(theta) + (5, 3)).copy()
+        spans_module, "_face_normals", lambda theta, phi, fov: np.broadcast_to(normals, np.shape(theta) + (5, 3)).copy()
     )
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, Resolution(60, 30))
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, RES)
@@ -734,7 +736,7 @@ def corner_radius_deg(fov):
 def cap_radius_deg(fov):
     """The corner radius widened by the oracle tolerance's reach: no
     accepted direction lies farther from the PoG."""
-    return corner_radius_deg(fov) + math.degrees(mask_module._tolerance_reach(fov))
+    return corner_radius_deg(fov) + math.degrees(spans_module._tolerance_reach(fov))
 
 
 def corner_hull_half_width_deg(pog, fov):
@@ -758,7 +760,7 @@ def pole_gap_deg(pog, fov):
 
 def pole_margin(fov, res):
     """Sine of the pole gap within which the window is every column."""
-    return math.sin(mask_module._tolerance_reach(fov)) / math.sin(math.radians(res.column_pitch_deg) / 2.0)
+    return math.sin(spans_module._tolerance_reach(fov)) / math.sin(math.radians(res.column_pitch_deg) / 2.0)
 
 
 def assert_window_spans(pog, fov, res):
@@ -781,7 +783,7 @@ def test_cap_radius_bounds_the_corners():
     assert corner_radius_deg(FOV) == pytest.approx(56.4, abs=0.05)
     margin = cap_radius_deg(FOV) - corner_radius_deg(FOV)
     assert 0.0 < margin < 1e-7
-    reach = mask_module._tolerance_reach(FOV) - mask_module._WINDOW_SLACK
+    reach = spans_module._tolerance_reach(FOV) - spans_module._WINDOW_SLACK
     t, p = math.tan(math.radians(50.0)), math.tan(math.radians(42.5))
     corner = np.array([t, -1.0, p]) / math.sqrt(1.0 + t * t + p * p)
     outward = np.array([t, 0.0, p]) - np.dot([t, 0.0, p], corner) * corner

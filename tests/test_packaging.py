@@ -5,9 +5,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import vq360
@@ -90,6 +95,86 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert vq360.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(vq360))
+
+
+# The names the package serves from vq360.mask, the dense raster path,
+# which it loads on first use.
+MASK_NAMES = [
+    "ViewportMask",
+    "corner_colatitudes_deg",
+    "exact_mask",
+    "exact_membership",
+    "jaccard_index",
+    "project_viewport",
+    "write_mask_npz",
+    "write_mask_pgm",
+]
+
+
+def run_python(code: str) -> str:
+    """Standard output of a fresh interpreter running code with src/ on its path."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_mask_names_load_on_first_use():
+    """Importing the package leaves vq360.mask unloaded; __all__ and dir()
+    still hold every public name, and the first use of a mask name loads
+    the module and gives its own objects."""
+    out = run_python(
+        "import json, sys, vq360\n"
+        "before = 'vq360.mask' in sys.modules\n"
+        "names, listed = vq360.__all__, dir(vq360)\n"
+        "from vq360 import exact_mask\n"
+        "import vq360.mask\n"
+        "print(json.dumps([before, names, listed, exact_mask is vq360.mask.exact_mask]))\n"
+    )
+    before, names, listed, same = json.loads(out)
+    assert before is False
+    assert names == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(listed)
+    assert same is True
+
+
+@pytest.mark.parametrize("name", MASK_NAMES)
+def test_mask_names_are_the_mask_modules(name):
+    assert set(MASK_NAMES) <= set(PUBLIC_NAMES)
+    assert getattr(vq360, name) is getattr(vq360.mask, name)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vq360.no_such_name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: vq360.GradeMap(Resolution(4, 2), np.ones((2, 4))),
+        lambda: vq360.ViewportMask(
+            Resolution(4, 2), np.ones((2, 4)), vq360.SphericalPoint(180.0, 90.0), FieldOfView(100.0, 85.0), 8.0
+        ),
+        lambda: vq360.ApproximationReport(3, 6, 0.5, np.zeros(4), 0),
+    ],
+    ids=["GradeMap", "ViewportMask", "ApproximationReport"],
+)
+def test_records_with_array_fields_compare_by_identity(make):
+    """Two records with equal contents are two records: == and != answer
+    without comparing arrays, and a record hashes."""
+    one, two = make(), make()
+    assert one == one and not one != one
+    assert one != two and not one == two
+    assert hash(one) == hash(one)
+    assert len({one, two}) == 2
+    assert repr(one).startswith(type(one).__name__ + "(")
 
 
 def load_tracing():
@@ -134,7 +219,7 @@ def test_tracer_sees_every_vaqm_frame_in_the_geometry_layers():
     moved = 1 + sum(pogs[i] != pogs[i - 1] for i in range(1, trace.n_frames))
     assert trace.n_frames == 20 and moved < 20
     assert stats["mask.spans"]["calls"] == stats["session.tile_sums"]["calls"] == moved
-    assert vq360.session._project_spans is vq360.mask._project_spans
+    assert vq360.session._project_spans is vq360.spans._project_spans
 
 
 def benchmark_imports(path):
@@ -184,8 +269,10 @@ def test_every_private_helper_is_reached():
     """A function or class the package does not export, `_`-prefixed or
     not, is dead code when no other definition names it: delete it (or
     move it into the tests) rather than keep it for the tests.  The
-    functions the benchmark's tracer wraps by name count as reached."""
+    functions the benchmark's tracer wraps by name count as reached, and
+    so do the module hooks the interpreter calls (PEP 562)."""
     helpers, referenced = helpers_and_references()
     referenced |= {attr for _, _, attr in load_tracing().LAYERS}
+    referenced |= {"__getattr__", "__dir__"}
     assert {"_project_spans", "cartesian_to_spherical_arrays"} <= helpers.keys()
     assert sorted(f"{file}:{name}" for name, file in helpers.items() if name not in referenced) == []

@@ -19,7 +19,7 @@ from vq360.geometry import (
     spherical_to_cartesian_arrays,
 )
 from vq360.grade import binary_grade_map, variant_layout_26
-from vq360.mask import _gazes, _project_spans, exact_mask
+from vq360.mask import exact_mask
 from vq360.pooling import frame_quality, make_timeline
 from vq360.session import (
     SessionConfig,
@@ -41,6 +41,7 @@ from vq360.session import (
     synthetic_trace,
     write_trace_csv,
 )
+from vq360.spans import _gazes, _project_spans
 
 from reference import full_width_spans, nearest_centers, quaternion_directions
 
@@ -360,6 +361,32 @@ def test_parse_paths_agree(tmp_path, name, text, outcome):
     else:
         assert [a.tolist() for a in got] == list(outcome)
         assert [np.signbit(a).tolist() for a in got] == [np.signbit(want).tolist() for want in outcome]
+
+
+@pytest.mark.parametrize("bad", [[0], [1], [500], [998], [999], [3, 700], [998, 999]])
+def test_refused_row_search_is_logarithmic(tmp_path, monkeypatch, bad):
+    """A refused file's first refused line is found in about log2(rows)
+    np.loadtxt calls reading at most about as many rows as the file, not
+    one call per row, wherever the bad rows lie."""
+    rows = [f"{i},10,45\n" for i in range(1000)]
+    for index in bad:
+        rows[index] = f"{index},10,x\n"
+    path = tmp_path / "trace.csv"
+    path.write_text(ANGLES + "\n" + "".join(rows))
+    calls = []
+    trace_rows = session_module._trace_rows
+
+    def counted(source, dtype):
+        calls.append(len(source) if isinstance(source, list) else None)
+        return trace_rows(source, dtype)
+
+    monkeypatch.setattr(session_module, "_trace_rows", counted)
+    with pytest.raises(ValueError) as caught:
+        parse_trace(str(path))
+    # The header, the blank line, then the rows.
+    assert str(caught.value) == f"{path}:{bad[0] + 3}{MALFORMED}"
+    assert calls[0] is None and len(calls) <= 2 + math.ceil(math.log2(1000))
+    assert sum(calls[1:]) <= 1001
 
 
 def test_parse_error_lines_count_blank_lines(tmp_path):
