@@ -23,8 +23,13 @@ case scores the quaternion trace of the tiny avaqm-long workload that
 way, by vaqm and by avaqm ``evaluate``.  Every workload trace is plain LF
 rows, so an ``ingest`` case writes an angle and a quaternion trace in
 every other form ``parse_trace`` accepts (ingest_texts) and scores each
-the same two ways.  The mask and ties cases do not depend on the seed,
-so they run at the first seed only.  It prints one line per case
+the same two ways.  The benchmark's vaqm traces hold few gaze points
+whose viewport has a near-vertical face plane, the ones whose spans are
+taken face by face, so an ``equator`` case scores traces that pan theta
+at phi = 90, at phi = v/2 and at 180 - v/2, where the top or bottom face
+plane passes through a pole, by vaqm ``evaluate`` at 100,85 and at each
+of DWELL_FOVS, at EQUATOR_RESOLUTIONS.  The mask, ties and equator cases
+do not depend on the seed, so they run at the first seed only.  It prints one line per case
 and seed, which for a differing ``_frames.csv`` also gives how many
 frames differ and the largest |dq_frame|, and exits 1 if any output
 differs, any run fails or a run writes no file at all.
@@ -86,6 +91,13 @@ INGEST_FRAME_FORMS = ("{}", " {} ", "+{}", "\t{}")
 INGEST_VALUE_FORMS = ("{!r}", " {!r}\t", "{:+.17g}", "{:.16e}", "{:+.16E}")
 # Its line ends, taken in turn; every seventh row is followed by an empty line.
 INGEST_LINE_ENDS = ("\n", "\r\n", "\r")
+EQUATOR = "equator"
+EQUATOR_RESOLUTIONS = ("3840x1920", "960x480")
+EQUATOR_FOVS = ("100,85", *DWELL_FOVS)
+# Gaze points per pan, in theta steps of 0.9 degrees from the seam: in
+# exact arithmetic every fifth lies on a column edge at both resolutions,
+# and none on a column center.
+EQUATOR_STEPS = 400
 # As in perfbench: one BLAS/OpenMP thread per process.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -105,7 +117,7 @@ def _parse_args(argv):
     parser.add_argument(
         "--workload",
         action="append",
-        help=f"workload name, {DWELL!r}, {MASK!r}, {TIES!r}, {ZUP!r} or {INGEST!r}; repeat for more "
+        help=f"workload name, {DWELL!r}, {MASK!r}, {TIES!r}, {ZUP!r}, {INGEST!r} or {EQUATOR!r}; repeat for more "
         "(default: all)",
     )
     return parser.parse_args(argv)
@@ -322,6 +334,34 @@ def ingest_commands(inputs: str, seed: int) -> list[tuple[str, ...]]:
     return commands
 
 
+def equator_pogs(fov: str) -> list[tuple[float, float]]:
+    """(theta, phi) of the equator case's trace at a field of view "h,v":
+    a pan of EQUATOR_STEPS gaze points at phi = 90, then at phi = v/2 and
+    at 180 - v/2."""
+    half_v = float(fov.split(",")[1]) / 2.0
+    return [(0.9 * k, phi) for phi in (90.0, half_v, 180.0 - half_v) for k in range(EQUATOR_STEPS)]
+
+
+def equator_commands(inputs: str) -> list[tuple[str, ...]]:
+    """Command lines of the equator case, after writing its trace at each
+    of EQUATOR_FOVS to inputs: vaqm evaluate at each of
+    EQUATOR_RESOLUTIONS."""
+    commands = []
+    for fov in EQUATOR_FOVS:
+        label = fov.replace(",", "x")
+        path = os.path.join(inputs, f"equator-{label}.csv")
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("frame", "theta_deg", "phi_deg"))
+            writer.writerows((frame, repr(theta), repr(phi)) for frame, (theta, phi) in enumerate(equator_pogs(fov)))
+        for resolution in EQUATOR_RESOLUTIONS:
+            commands.append(
+                ("evaluate", "--trace", path, "--resolution", resolution, "--fov", fov,
+                 "--out-prefix", f"{{out}}/equator-{resolution}-{label}")
+            )
+    return commands
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     for root in (args.checkout, args.parent_checkout):
@@ -331,7 +371,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "perfbench"))
     import workloads
 
-    known = (*workloads.NAMES, DWELL, MASK, TIES, ZUP, INGEST)
+    known = (*workloads.NAMES, DWELL, MASK, TIES, ZUP, INGEST, EQUATOR)
     names = args.workload or known
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -339,7 +379,7 @@ def main(argv=None) -> int:
         return 2
     status = 0
     for name in names:
-        for seed in args.seeds[:1] if name in (MASK, TIES) else args.seeds:
+        for seed in args.seeds[:1] if name in (MASK, TIES, EQUATOR) else args.seeds:
             with tempfile.TemporaryDirectory(prefix="vq360-same-") as work:
                 inputs = os.path.join(work, "inputs")
                 os.makedirs(inputs)
@@ -352,6 +392,8 @@ def main(argv=None) -> int:
                         commands = tie_commands(inputs)
                     elif name == INGEST:
                         commands = ingest_commands(inputs, seed)
+                    elif name == EQUATOR:
+                        commands = equator_commands(inputs)
                     elif name == ZUP:
                         commands = zup_commands(workloads.build("avaqm-long", inputs, seed, tiny=True).sessions[0].path)
                     else:

@@ -201,10 +201,11 @@ def _side_points(fov: FieldOfView, side_ids: np.ndarray, params: np.ndarray):
 def exact_membership(pixel_dir: CartesianVector, pog: SphericalPoint, fov: FieldOfView) -> bool:
     """True iff a direction lies inside the viewing pyramid (boundary inclusive).
 
-    Membership is the conjunction of the four face half-space tests and
-    the forward-hemisphere test, n.v >= -BOUNDARY_EPS for each row n of
-    _face_normals, the normals _membership_raster and
-    _project_spans read.
+    Membership is the conjunction of the face half-space tests, n.v >=
+    -BOUNDARY_EPS for each row n of _face_normals, the normals
+    _membership_raster and _project_spans read: the four side faces, which
+    imply the forward-hemisphere test but at a degenerate field of view,
+    where that test is a fifth row.
     """
     return bool(np.all(_face_normals(pog.theta_deg, pog.phi_deg, fov) @ pixel_dir.as_array() >= -BOUNDARY_EPS))
 

@@ -12,7 +12,6 @@ of frames strictly above a threshold.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -109,8 +108,18 @@ def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAU
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write payload to path through a new file in the same directory,
+    moved over path by os.replace, so path holds the old bytes or all the
+    new ones.  The new file gets the mode open(path, "w") gives a new
+    file, 0o666 less the umask, which os.open applies as it creates it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)

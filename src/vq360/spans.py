@@ -4,14 +4,15 @@ The viewport is the spherical rectangle cut on the viewing sphere by a
 right rectangular pyramid (apex at the sphere center, apex angles given
 by the field of view).  Its four sides are great-circle arcs on the
 planes of the pyramid's faces.  The pyramid is described once:
-``_base_face_normals`` holds the inward face normals and the forward
-direction of the base viewport (centered at theta=180, phi=90), and
-``_face_normals`` rotates them to the point of gaze (PoG).  The span
-kernel here and the boundary sampler and membership oracle of
-:mod:`vq360.mask` read them.
+``_base_face_normals`` holds the inward normals of the four side faces
+of the base viewport (centered at theta=180, phi=90), with the forward
+direction as a fifth row only at the degenerate fields of view where the
+four do not imply the forward-hemisphere test, and ``_face_normals``
+rotates them to the point of gaze (PoG).  The span kernel here and the
+boundary sampler and membership oracle of :mod:`vq360.mask` read them.
 
 The session engine does not rasterize: it takes each column's row span
-analytically from the five face half-spaces (``_project_spans``), which
+analytically from those face half-spaces (``_project_spans``), which
 selects exactly the pixels of the per-pixel membership oracle.  What
 does not depend on the columns is set up once for all the PoGs of a
 trace (``_gazes``): the rotated face normals, the coefficients of the
@@ -72,25 +73,39 @@ _NO_COLUMNS.setflags(write=False)
 
 @lru_cache(maxsize=32)
 def _base_face_normals(fov: FieldOfView) -> np.ndarray:
-    """Inward normals of the four pyramid faces plus the forward direction.
+    """Inward normals of the four pyramid faces, and of the forward
+    hemisphere only where the four do not imply its test.
 
-    A direction v is inside the base viewport iff v . n >= 0 for all rows.
-    The array is cached per field of view and read-only.
+    A direction v is inside the base viewport iff v . n >= -BOUNDARY_EPS
+    for all rows, the oracle's test.  Write a = -v_y, and h and v for the
+    two apex angles.  Adding the top and bottom tests gives a >= -E /
+    sin(v/2), and adding the left and right ones a >= -E / sin(h/2), E =
+    BOUNDARY_EPS.  For a < 0 the same tests give |v_z| <= E / cos(v/2)
+    and |v_x| <= E / cos(h/2).  So a direction that passes the four and
+    fails the forward test, a >= -E, has a squared length of at most E^2
+    (1/cos^2(h/2) + 1/cos^2(v/2) + 1/max(sin(h/2), sin(v/2))^2).  The
+    forward row is kept exactly when twice E times the root of that sum,
+    the factor 2 covering rounding, reaches 1: an apex angle within about
+    2.3e-10 degrees of 180, or both within that of 0.  Else no
+    unit direction fails only the forward test, and every reader does 4/5
+    of the face work.  The array is cached per field of view and
+    read-only.
     """
     half_t = math.radians(fov.theta_deg / 2.0)
     half_p = math.radians(fov.phi_deg / 2.0)
     sin_t, cos_t = math.sin(half_t), math.cos(half_t)
     sin_p, cos_p = math.sin(half_p), math.cos(half_p)
-    normals = np.array(
-        [
-            [0.0, -sin_p, -cos_p],  # top
-            [0.0, -sin_p, cos_p],  # bottom
-            [-cos_t, -sin_t, 0.0],  # left
-            [cos_t, -sin_t, 0.0],  # right
-            [0.0, -1.0, 0.0],  # forward hemisphere
-        ],
-        dtype=np.float64,
-    )
+    rows = [
+        [0.0, -sin_p, -cos_p],  # top
+        [0.0, -sin_p, cos_p],  # bottom
+        [-cos_t, -sin_t, 0.0],  # left
+        [cos_t, -sin_t, 0.0],  # right
+    ]
+    # 2 E / max(sin) reaches 1 first where a zero sine would divide.
+    spread, sine = 2.0 * BOUNDARY_EPS, max(sin_t, sin_p)
+    if sine <= spread or math.hypot(spread / cos_t, spread / cos_p, spread / sine) >= 1.0:
+        rows.append([0.0, -1.0, 0.0])  # forward hemisphere
+    normals = np.array(rows, dtype=np.float64)
     normals.setflags(write=False)
     return normals
 
@@ -119,8 +134,8 @@ def _pog_rotations(theta_deg, phi_deg) -> np.ndarray:
 
 def _face_normals(theta_deg, phi_deg, fov: FieldOfView) -> np.ndarray:
     """Face normals rotated from the base frame to each PoG's frame, shape
-    (PoGs, 5, 3) for arrays of angles and (5, 3) for one PoG's: one matrix
-    product per PoG, as for a PoG alone."""
+    (PoGs, faces, 3) for arrays of angles and (faces, 3) for one PoG's: one
+    matrix product per PoG, as for a PoG alone."""
     return np.matmul(_base_face_normals(fov), _pog_rotations(theta_deg, phi_deg).swapaxes(-1, -2))
 
 
@@ -167,8 +182,10 @@ def _tolerance_reach(fov: FieldOfView) -> float:
     Take a direction v with components x and z along the pyramid's
     horizontal and vertical axes and a along its axis.  It passes the
     four side faces only if |x| <= a tan(h/2) + E and |z| <= a tan(v/2) +
-    E, E = BOUNDARY_EPS / min(cos(h/2), cos(v/2)), and the forward face
-    only if a >= -BOUNDARY_EPS.  A non-positive a would then leave
+    E, E = BOUNDARY_EPS / min(cos(h/2), cos(v/2)), and the forward test
+    only if a >= -BOUNDARY_EPS: that is a face of its own only at a
+    degenerate field of view, and else the four side tests imply it
+    (_base_face_normals).  A non-positive a would then leave
     |v|^2 <= 3 E^2 < 1, so a > 0, and clamping x and z to the exact bounds
     gives a direction p of the exact pyramid with |v - p| <= sqrt(2) E:
     the angle from v to p is at most asin(sqrt(2) E).  _WINDOW_SLACK
@@ -295,13 +312,15 @@ def _face_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _per_face_ends(normals: np.ndarray, columns: np.ndarray, res: Resolution) -> np.ndarray:
-    """Top and bottom ends of the given frame columns from all five faces
+    """Top and bottom ends of the given frame columns from all the faces
     (_face_intervals), shape (2, columns): clamped to [0, pi] and in row
     units, row k's center at (k + 0.5) pi / n_v, not rounded."""
-    # A is taken from the product of all five faces and all columns: BLAS
-    # need not round a subset's products alike.
-    a = normals[:, :2] @ _column_trig(res)
-    lo, hi = _face_intervals(a[:, columns], normals[:, 2:])
+    # A elementwise, as _membership_raster forms it: a column's value does
+    # not depend on which other columns are given.
+    sin_t, cos_t = _column_trig(res)[:, columns]
+    a = normals[:, :1] * sin_t
+    a += normals[:, 1:2] * cos_t
+    lo, hi = _face_intervals(a, normals[:, 2:])
     ends = np.stack((np.maximum(lo, 0.0, out=lo), np.minimum(hi, math.pi, out=hi)))
     ends /= math.pi / res.n_v
     ends -= 0.5
@@ -314,7 +333,7 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
 
     Each face test n.v >= -BOUNDARY_EPS allows, along a column, the
     interval of polar angles that _face_intervals derives; intersecting
-    the five and rounding to row centers gives exactly the pixel centers
+    them all and rounding to row centers gives exactly the pixel centers
     _membership_raster accepts.  This computes the same spans with less
     work, and only on the columns of the PoG's window (_column_windows):
     every other column is empty.  Column ends take one of two forms.
@@ -332,9 +351,9 @@ def _project_spans(gaze: _Gaze, res: Resolution) -> tuple[int, np.ndarray, np.nd
     that pole, with no arctan.
 
     Per face, at a PoG with a steep face: every end of the window comes
-    from all five faces (_per_face_ends).  The side and forward faces at
-    an equator PoG have n_z = 0, and a face plane through a pole has |n_z|
-    ~ 1e-16, so c is unbounded there and w reaches pi/2.
+    from all the faces (_per_face_ends).  The side faces at an equator PoG
+    have n_z = 0, and a face plane through a pole has |n_z| ~ 1e-16, so c
+    is unbounded there and w reaches pi/2.
 
     Both forms give an end as row x, row k's center lying at polar angle
     (k + 0.5) pi / n_v, and are rounded in one place: the top row is

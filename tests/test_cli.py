@@ -135,6 +135,37 @@ def test_evaluate_avaqm_writes_report(tmp_path, capsys):
     assert one["n_frames"] == 30
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_get_a_new_file_mode_under_the_umask(tmp_path, capsys, umask):
+    """Every file the commands write gets the mode open(path, "w") gives
+    a new file, 0o666 less the umask, and no temporary file is left."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"content": "walk", "synthetic": {"seed": 1, "duration_s": 1.0}}]))
+    trace = tmp_path / "trace.csv"
+    old = os.umask(umask)
+    try:
+        for argv in (
+            ["synth-trace", "--seed", "7", "--duration-s", "1", "--out", str(trace)],
+            ["evaluate", "--trace", str(trace), "--resolution", "960x480", "--out-prefix", str(tmp_path / "run")],
+            ["study", "--manifest", str(manifest), "--resolution", "960x480", "--segments", "500",
+             "--grids", "3x6", "--out", str(tmp_path / "study")],
+            ["mask", "--pog", "320,110", "--resolution", "960x480",
+             "--out", str(tmp_path / "mask.pgm"), "--npz", str(tmp_path / "mask.npz")],
+        ):
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        os.umask(old)
+    written = {path.relative_to(tmp_path).as_posix(): path for path in tmp_path.rglob("*") if path.is_file()}
+    assert sorted(written) == [
+        "manifest.json", "mask.npz", "mask.pgm", "run_frames.csv", "run_summary.json",
+        "study/error_table.csv", "study/segment_table.csv", "trace.csv",
+    ]
+    del written["manifest.json"]
+    assert {name: oct(path.stat().st_mode & 0o777) for name, path in written.items()} == {
+        name: oct(0o666 & ~umask) for name in written
+    }
+
+
 def test_study_tables_and_determinism(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([

@@ -353,6 +353,83 @@ def test_base_face_normals_are_cached_read_only():
         normals[0, 0] = 1.0
 
 
+def forward_row(pog):
+    """The base forward direction (0, -1, 0) turned to the PoG by the
+    rotation that turns the face normals."""
+    return spans_module._pog_rotations(pog.theta_deg, pog.phi_deg) @ np.array([0.0, -1.0, 0.0])
+
+
+def around_the_gaze(pog):
+    """Unit directions perpendicular to the gaze, and the same directions
+    moved behind it by a few times BOUNDARY_EPS, where only the forward
+    test could reject them."""
+    rotation = spans_module._pog_rotations(pog.theta_deg, pog.phi_deg)
+    across, gaze, up = rotation[:, 0], -rotation[:, 1], rotation[:, 2]
+    directions = []
+    for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+        perpendicular = math.cos(angle) * across + math.sin(angle) * up
+        for behind in (0.0, 0.5, 1.0, 2.0, 10.0):
+            direction = perpendicular - behind * BOUNDARY_EPS * gaze
+            directions.append(direction / np.linalg.norm(direction))
+    return directions
+
+
+# The apex angles at the edge of the rule of _base_face_normals: near 180
+# the greatest that drops the forward row and the least that keeps it,
+# and near 0, on both axes, the greatest that keeps it and the least that
+# drops it.
+FORWARD_ROW_EDGES = (
+    (179.9999999997708, 85.0, 4),
+    (179.99999999977084, 85.0, 5),
+    (85.0, 179.99999999977084, 5),
+    (2.291831180523293e-10, 2.291831180523293e-10, 5),
+    (2.2918311805232931e-10, 2.2918311805232931e-10, 4),
+    (2.291831180523293e-10, 85.0, 4),
+    (5e-324, 5e-324, 5),
+    (179.99999999999997, 179.99999999999997, 5),
+    (179.99999999999997, 1e-300, 5),
+)
+
+
+@pytest.mark.parametrize("fov_theta, fov_phi, rows", FORWARD_ROW_EDGES)
+def test_face_normals_keep_the_forward_row_only_where_it_can_reject(fov_theta, fov_phi, rows):
+    normals = spans_module._base_face_normals(FieldOfView(fov_theta, fov_phi))
+    assert normals.shape == (rows, 3)
+    if rows == 5:
+        assert normals[4].tolist() == [0.0, -1.0, 0.0]
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    phi=st.floats(min_value=0.0, max_value=180.0),
+    fov_theta=FOV_ANGLES,
+    fov_phi=FOV_ANGLES,
+    dir_theta=st.floats(min_value=0.0, max_value=360.0, exclude_max=True),
+    dir_phi=st.floats(min_value=0.0, max_value=180.0),
+    n_v=st.integers(min_value=2, max_value=40),
+)
+@example(theta=180.0, phi=90.0, fov_theta=100.0, fov_phi=85.0, dir_theta=0.0, dir_phi=90.0, n_v=30)
+@example(theta=0.0, phi=0.0, fov_theta=100.0, fov_phi=85.0, dir_theta=0.0, dir_phi=180.0, n_v=30)
+def test_face_normals_accept_what_the_forward_row_accepts(theta, phi, fov_theta, fov_phi, dir_theta, dir_phi, n_v):
+    """Whichever rows _base_face_normals keeps, every direction and pixel
+    center the oracle accepts also passes the forward test: adding the
+    forward row to the rows rejects nothing more."""
+    pog, res = SphericalPoint(theta, phi), Resolution(2 * n_v, n_v)
+    forward = forward_row(pog)
+    antipode = -spherical_to_cartesian(pog).as_array()
+    drawn = spherical_to_cartesian(SphericalPoint(dir_theta, dir_phi)).as_array()
+    directions = [drawn, antipode, *around_the_gaze(pog)]
+    # Pixel centers, in _membership_raster's own expression.
+    sin_t, cos_t = spans_module._column_trig(res)
+    sin_p, cos_p = spans_module._row_trig(res)
+    behind = sin_p[:, None] * (forward[0] * sin_t + forward[1] * cos_t) + forward[2] * cos_p[:, None] < -BOUNDARY_EPS
+    for fov in (FieldOfView(fov_theta, fov_phi), *(FieldOfView(t, p) for t, p, _ in FORWARD_ROW_EDGES)):
+        for direction in directions:
+            if exact_membership(CartesianVector(*direction), pog, fov):
+                assert forward @ direction >= -BOUNDARY_EPS
+        assert not np.any(_membership_raster(pog, fov, res) & behind)
+
+
 def test_cached_tables_are_read_only():
     """Every cached table refuses a write into any of its arrays, so no
     caller can change it under the later ones."""
@@ -474,7 +551,7 @@ def per_face_spans(pog, fov, res):
     azimuth theta, polar angles in [-delta - w, pi - delta + w] with
     delta = atan2(n_z, A), A = n_x sin(theta) + n_y cos(theta),
     R = hypot(A, n_z) and w = asin(BOUNDARY_EPS / R); a face with
-    R <= BOUNDARY_EPS passes the whole column.  The five intervals are
+    R <= BOUNDARY_EPS passes the whole column.  The faces' intervals are
     intersected and rounded to row centers.
     """
     normals = spans_module._face_normals(pog.theta_deg, pog.phi_deg, fov)
@@ -527,7 +604,7 @@ WINDOW_PATH_CASES = {
     "bottom end at the frame edge": (77.0, 180.0, 100.0, 85.0, 240),
     "per-face form, top face plane through the north pole": (200.0, 43.5, 100.0, 87.0, 240),
     "window across the seam": (359.9, 60.0, 100.0, 85.0, 240),
-    "per-face form, steep side and forward faces": (200.0, 90.0, 100.0, 85.0, 240),
+    "per-face form, steep side faces": (200.0, 90.0, 100.0, 85.0, 240),
     "column end taken again": (123.0, 69.00000000002865, 100.0, 60.0, 30),
     "box of one tile row": (180.0, 90.0, 10.0, 10.0, 240),
     "box of five tile rows": (180.0, 90.0, 170.0, 150.0, 240),
@@ -560,30 +637,33 @@ def test_binding_face_spans_equal_per_face_spans(theta, phi, fov_theta, fov_phi,
 
 
 # (pog, fov, (top-end faces, bottom-end faces, steep faces)).  A PoG with
-# no steep face takes the binding-face form: the two sides and the forward
-# face share the sign of n_z, so with sides of ordinary width the top end
-# has 0, 1, 4 or 5 faces.  A PoG with a steep face takes the per-face form
-# on its whole window: at the equator, with a face plane through a pole,
-# or with a near-zero width that makes the sides steep and leaves 2 or 3
-# tilted faces at the top end.
+# no steep face takes the binding-face form: the two sides share the sign
+# of n_z, so with sides of ordinary width the top end has 0, 1, 3 or 4
+# faces.  A PoG with a steep face takes the per-face form on its whole
+# window: at the equator, with a face plane through a pole, or with a
+# near-zero width that makes the sides steep and leaves 1 or 2 tilted
+# faces at the top end.  The last cases are fields of view that keep the
+# forward face as a fifth row (_base_face_normals).
 BRANCH_CASES = [
-    ((30.0, 60.0), (100.0, 85.0), (1, 4, 0)),
-    ((200.0, 91.0), (0.001, 85.0), (2, 1, 2)),
-    ((200.0, 170.0), (0.001, 85.0), (3, 0, 2)),
-    ((30.0, 120.0), (100.0, 85.0), (4, 1, 0)),
-    ((123.0, 180.0), (100.0, 85.0), (5, 0, 0)),
-    ((0.0, 0.0), (100.0, 85.0), (0, 5, 0)),
-    ((180.0, 90.0), (100.0, 85.0), (1, 1, 3)),
-    ((200.0, 43.5), (100.0, 87.0), (0, 4, 1)),
-    ((200.0, 17.0), (100.0, 34.0), (0, 4, 1)),
-    ((200.0, 89.99), (100.0, 85.0), (1, 4, 0)),
-    ((200.0, 90.000001), (100.0, 85.0), (1, 1, 3)),
-    ((30.0, 60.0), (179.99999, 179.99999), (0, 5, 0)),
-    ((180.0, 90.0), (179.99999, 179.99999), (0, 0, 5)),
-    ((75.0, 100.0), (0.5, 0.3), (4, 1, 0)),
-    ((75.0, 90.0), (0.5, 0.3), (1, 1, 3)),
-    ((75.0, 100.0), (0.0004, 0.0003), (2, 1, 2)),
-    ((1.0, 91.0), (2.225073858507e-311, 1.0), (2, 1, 2)),
+    ((30.0, 60.0), (100.0, 85.0), (1, 3, 0)),
+    ((200.0, 91.0), (0.001, 85.0), (1, 1, 2)),
+    ((200.0, 170.0), (0.001, 85.0), (2, 0, 2)),
+    ((30.0, 120.0), (100.0, 85.0), (3, 1, 0)),
+    ((123.0, 180.0), (100.0, 85.0), (4, 0, 0)),
+    ((0.0, 0.0), (100.0, 85.0), (0, 4, 0)),
+    ((180.0, 90.0), (100.0, 85.0), (1, 1, 2)),
+    ((200.0, 43.5), (100.0, 87.0), (0, 3, 1)),
+    ((200.0, 17.0), (100.0, 34.0), (0, 3, 1)),
+    ((200.0, 89.99), (100.0, 85.0), (1, 3, 0)),
+    ((200.0, 90.000001), (100.0, 85.0), (1, 1, 2)),
+    ((30.0, 60.0), (179.99999, 179.99999), (0, 4, 0)),
+    ((180.0, 90.0), (179.99999, 179.99999), (0, 0, 4)),
+    ((75.0, 100.0), (0.5, 0.3), (3, 1, 0)),
+    ((75.0, 90.0), (0.5, 0.3), (1, 1, 2)),
+    ((75.0, 100.0), (0.0004, 0.0003), (1, 1, 2)),
+    ((1.0, 91.0), (2.225073858507e-311, 1.0), (1, 1, 2)),
+    ((30.0, 60.0), (179.99999999999997, 179.99999999999997), (0, 5, 0)),
+    ((30.0, 120.0), (5e-324, 5e-324), (2, 1, 2)),
 ]
 
 
@@ -683,7 +763,7 @@ def test_spans_keep_rows_within_a_nearly_steep_face_tolerance(phi, end):
 def test_steep_face_nz_values_reach_the_per_face_path():
     """The steep faces of BRANCH_CASES hold n_z = +0.0 and |n_z| ~ 1e-17."""
     equator = spans_module._face_normals(180.0, 90.0, FOV)[:, 2]
-    assert equator[2:].tolist() == [0.0, 0.0, 0.0]
+    assert equator[2:].tolist() == [0.0, 0.0]
     assert all(math.copysign(1.0, v) > 0 for v in equator[2:])
     top_through_pole = spans_module._face_normals(200.0, 43.5, FieldOfView(100.0, 87.0))
     assert 0.0 < -top_through_pole[0, 2] < 1e-15
@@ -697,7 +777,7 @@ def test_binding_face_spans_with_negative_zero_nz(monkeypatch, pog):
     normals = spans_module._face_normals(*pog, FOV)
     normals[normals[:, 2] == 0.0, 2] = -0.0
     monkeypatch.setattr(
-        spans_module, "_face_normals", lambda theta, phi, fov: np.broadcast_to(normals, np.shape(theta) + (5, 3)).copy()
+        spans_module, "_face_normals", lambda theta, phi, fov: np.broadcast_to(normals, np.shape(theta) + normals.shape).copy()
     )
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, Resolution(60, 30))
     assert_spans_match_per_face(SphericalPoint(*pog), FOV, RES)
@@ -957,8 +1037,8 @@ def test_window_path_cases_take_their_path(case):
         assert bottom_faces == steep == 0 and rows[1].tolist() == [n_v - 1] * res.n_h
     elif case == "per-face form, top face plane through the north pole":
         assert top_faces == 0 and steep == 1
-    elif case == "per-face form, steep side and forward faces":
-        assert steep == 3
+    elif case == "per-face form, steep side faces":
+        assert steep == 2
     elif case == "box of one tile row":
         assert box == (2, 1)
     elif case == "box of five tile rows":

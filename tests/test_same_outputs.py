@@ -1,5 +1,5 @@
-"""The byte-identity check: its comparison of two output directories,
-its dwell case and its mask case."""
+"""The byte-identity check: its comparison of two output directories
+and its extra cases."""
 
 import importlib.util
 import pathlib
@@ -250,3 +250,34 @@ def test_ingest_case_is_compared_at_each_seed(capsys, monkeypatch, same_outputs)
         for kind in ("frames.csv", "summary.json")
     )
     assert lines == [f"ingest seed {seed}: identical ({files})" for seed in (7, 8)]
+
+
+def test_equator_case_pans_the_per_face_rows(tmp_path, same_outputs):
+    """Each field of view's trace pans theta at phi = 90, v/2 and 180 - v/2,
+    and is scored by vaqm at both resolutions."""
+    from vq360.geometry import FieldOfView, Resolution
+    from vq360.spans import _gazes
+
+    commands = same_outputs.equator_commands(str(tmp_path))
+    assert all(argv[0] == "evaluate" and "--method" not in argv for argv in commands)
+    runs = [(argv[argv.index("--fov") + 1], argv[argv.index("--resolution") + 1]) for argv in commands]
+    assert runs == [(fov, res) for fov in ("100,85", "60,40", "120,90", "170,150") for res in ("3840x1920", "960x480")]
+    for fov in same_outputs.EQUATOR_FOVS:
+        rows = np.loadtxt(tmp_path / f"equator-{fov.replace(',', 'x')}.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == list(range(3 * same_outputs.EQUATOR_STEPS))
+        half_v = float(fov.split(",")[1]) / 2.0
+        assert sorted(set(rows[:, 2].tolist())) == [half_v, 90.0, 180.0 - half_v]
+        assert rows[:, 1].min() == 0.0 and rows[:, 1].max() < 360.0
+        # Every gaze point has a near-vertical face plane: its spans are taken face by face.
+        gazes = _gazes(rows[:, 1], rows[:, 2], FieldOfView(*map(float, fov.split(","))), Resolution(960, 480))
+        assert all(gaze.steep for gaze in gazes)
+
+
+def test_equator_case_is_compared_once(capsys, monkeypatch, same_outputs):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = str(ROOT)
+    argv = ["--checkout", root, "--parent-checkout", root, "--seeds", "7,8", "--workload", "equator"]
+    assert same_outputs.main(argv) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert line.startswith("equator seed 7: identical (equator-3840x1920-100x85_frames.csv, ")
+    assert line.endswith(", equator-960x480-60x40_summary.json)") and line.count("_frames.csv") == 8
