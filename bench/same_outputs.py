@@ -29,10 +29,11 @@ taken face by face, so an ``equator`` case scores traces that pan theta
 at phi = 90, at phi = v/2 and at 180 - v/2, where the top or bottom face
 plane passes through a pole, by vaqm ``evaluate`` at 100,85 and at each
 of DWELL_FOVS, at EQUATOR_RESOLUTIONS.  The mask, ties and equator cases
-do not depend on the seed, so they run at the first seed only.  It prints one line per case
-and seed, which for a differing ``_frames.csv`` also gives how many
-frames differ and the largest |dq_frame|, and exits 1 if any output
-differs, any run fails or a run writes no file at all.
+do not depend on the seed, so they run at the first seed only.  It
+prints one line per case and seed, which for a differing
+``_frames.csv`` also gives how many frames differ and the largest
+|dq_frame|, and exits 1 if any output differs, any run fails or a run
+writes no file at all.
 
 Standard library only, besides the numpy that perfbench's workloads use.
 """

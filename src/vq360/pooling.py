@@ -108,18 +108,13 @@ def make_timeline(q_frame: np.ndarray, mask_area: np.ndarray, t_q: float = DEFAU
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write payload to path through a new file in the same directory,
-    moved over path by os.replace, so path holds the old bytes or all the
-    new ones.  The new file gets the mode open(path, "w") gives a new
-    file, 0o666 less the umask, which os.open applies as it creates it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-            break
-        except FileExistsError:
-            continue
+    """Write payload to path through a new, randomly named file in the same
+    directory, moved over path by os.replace, so path holds the old bytes
+    or all the new ones.  The new file gets the mode open(path, "w") gives
+    a new file, 0o666 less the umask, which os.open applies as it creates
+    it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)

@@ -86,10 +86,9 @@ def _base_face_normals(fov: FieldOfView) -> np.ndarray:
     (1/cos^2(h/2) + 1/cos^2(v/2) + 1/max(sin(h/2), sin(v/2))^2).  The
     forward row is kept exactly when twice E times the root of that sum,
     the factor 2 covering rounding, reaches 1: an apex angle within about
-    2.3e-10 degrees of 180, or both within that of 0.  Else no
-    unit direction fails only the forward test, and every reader does 4/5
-    of the face work.  The array is cached per field of view and
-    read-only.
+    2.3e-10 degrees of 180, or both within that of 0.  Else no unit
+    direction fails only the forward test, and every reader does 4/5 of
+    the face work.  The array is cached per field of view and read-only.
     """
     half_t = math.radians(fov.theta_deg / 2.0)
     half_p = math.radians(fov.phi_deg / 2.0)
@@ -101,7 +100,7 @@ def _base_face_normals(fov: FieldOfView) -> np.ndarray:
         [-cos_t, -sin_t, 0.0],  # left
         [cos_t, -sin_t, 0.0],  # right
     ]
-    # 2 E / max(sin) reaches 1 first where a zero sine would divide.
+    # A sine of at most 2 E keeps the row by itself, and a zero one would divide.
     spread, sine = 2.0 * BOUNDARY_EPS, max(sin_t, sin_p)
     if sine <= spread or math.hypot(spread / cos_t, spread / cos_p, spread / sine) >= 1.0:
         rows.append([0.0, -1.0, 0.0])  # forward hemisphere
